@@ -399,9 +399,8 @@ int main(int argc, char** argv) {
   // BM_NodeSimdSearch row (best ISA) is what the SIMD/scalar gate reads.
   benchmark::RegisterBenchmark("BM_NodeSimdSearch", &BM_NodeSimdSearch,
                                simd::BestSupportedIsa());
-  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2,
-                        simd::Isa::kAvx2, simd::Isa::kAvx512,
-                        simd::Isa::kNeon}) {
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (!simd::IsaSupported(isa)) continue;
     benchmark::RegisterBenchmark(
         (std::string("BM_NodeSimdSearch/") + simd::IsaName(isa)).c_str(),
@@ -463,9 +462,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SIMD intra-node search gate (wide-vector machines only: on SSE2-only
-  // or NEON hardware the kernels win less and the gate would be noise):
-  // the vectorized leaf search must run at <= 0.6x the scalar linear scan.
+  // SIMD intra-node search gate (on a CPU without a vector tier the best
+  // ISA is scalar and there is nothing to gate): the vectorized leaf
+  // search must run at <= 0.6x the scalar linear scan.
   if (simd::IsaSupported(simd::Isa::kAvx2) ||
       simd::IsaSupported(simd::Isa::kAvx512)) {
     const RunRecord* lin = nullptr;

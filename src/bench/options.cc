@@ -102,7 +102,7 @@ Options ParseOptions(int argc, char** argv) {
       simd::Isa isa;
       if (!simd::ParseIsa(o.simd, &isa)) {
         std::fprintf(stderr,
-                     "--simd must be scalar|sse2|avx2|avx512|neon|auto\n");
+                     "--simd must be scalar|avx2|avx512|auto\n");
         std::exit(2);
       }
       // Pin before any bench touches a dispatcher; unsupported tiers clamp
@@ -151,7 +151,7 @@ Options ParseOptions(int argc, char** argv) {
           "--churn=R --maintenance --rebalance-threshold=R "
           "--maint-interval-us=N --batch=N --service-workers=N "
           "--batch-timeout-us=N --quota=OPS --scan-frac=F --latency --wc "
-          "--simd=scalar|sse2|avx2|avx512|neon|auto --csv --seed=S\n");
+          "--simd=scalar|avx2|avx512|auto --csv --seed=S\n");
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());

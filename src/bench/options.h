@@ -36,7 +36,7 @@
 //                            phases under Persistency::kRelaxed with
 //                            Config::coalesce_flushes (DESIGN.md §8.2)
 //   --simd=ISA               pin the intra-node search kernels to one ISA
-//                            tier (scalar|sse2|avx2|avx512|neon|auto,
+//                            tier (scalar|avx2|avx512|auto,
 //                            DESIGN.md §9.1); unsupported tiers clamp down,
 //                            same as the FASTFAIR_SIMD env var. Default:
 //                            auto (best supported)

@@ -15,13 +15,8 @@ Isa DetectBestIsa() {
     return Isa::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Isa::kSse2;
-  return Isa::kScalar;
-#elif defined(FASTFAIR_SIMD_NEON)
-  return Isa::kNeon;  // NEON is baseline on aarch64
-#else
-  return Isa::kScalar;
 #endif
+  return Isa::kScalar;
 }
 
 Isa ResolveFromEnv() {
@@ -43,14 +38,10 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
       return "avx512";
-    case Isa::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -60,8 +51,7 @@ bool ParseIsa(std::string_view s, Isa* out) {
     *out = BestSupportedIsa();
     return true;
   }
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512,
-                  Isa::kNeon}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (s == IsaName(isa)) {
       *out = isa;
       return true;
@@ -74,16 +64,9 @@ bool IsaCompiled(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
     case Isa::kAvx2:
     case Isa::kAvx512:
 #if defined(FASTFAIR_SIMD_X86)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(FASTFAIR_SIMD_NEON)
       return true;
 #else
       return false;
@@ -99,19 +82,15 @@ bool IsaSupported(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case Isa::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0;
-    case Isa::kNeon:
-      return false;
   }
   return false;
 #else
-  return true;  // compiled implies supported off x86 (scalar / baseline NEON)
+  return true;  // off x86 only scalar is compiled
 #endif
 }
 
@@ -132,16 +111,10 @@ std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
                          std::uint8_t v) {
   switch (ActiveIsa()) {
 #if defined(FASTFAIR_SIMD_X86)
-    case Isa::kSse2:
-      return Sse2Kernels::ByteEqMask(a, n, v);
     case Isa::kAvx2:
       return Avx2Kernels::ByteEqMask(a, n, v);
     case Isa::kAvx512:
       return Avx512Kernels::ByteEqMask(a, n, v);
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-    case Isa::kNeon:
-      return NeonKernels::ByteEqMask(a, n, v);
 #endif
     default:
       return ScalarKernels::ByteEqMask(a, n, v);
@@ -152,16 +125,10 @@ std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
                          std::uint32_t v, std::uint32_t* out) {
   switch (ActiveIsa()) {
 #if defined(FASTFAIR_SIMD_X86)
-    case Isa::kSse2:
-      return Sse2Kernels::CollectEqU32(a, n, v, out);
     case Isa::kAvx2:
       return Avx2Kernels::CollectEqU32(a, n, v, out);
     case Isa::kAvx512:
       return Avx512Kernels::CollectEqU32(a, n, v, out);
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-    case Isa::kNeon:
-      return NeonKernels::CollectEqU32(a, n, v, out);
 #endif
     default:
       return ScalarKernels::CollectEqU32(a, n, v, out);

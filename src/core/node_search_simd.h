@@ -581,16 +581,10 @@ struct SimdNodeOps {
     if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
       switch (isa) {
 #if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &SearchLeaf<simd::Sse2Kernels>;
         case simd::Isa::kAvx2:
           return &SearchLeaf<simd::Avx2Kernels>;
         case simd::Isa::kAvx512:
           return &SearchLeaf<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-        case simd::Isa::kNeon:
-          return &SearchLeaf<simd::NeonKernels>;
 #endif
         default:
           break;
@@ -603,16 +597,10 @@ struct SimdNodeOps {
     if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
       switch (isa) {
 #if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &SearchInternal<simd::Sse2Kernels>;
         case simd::Isa::kAvx2:
           return &SearchInternal<simd::Avx2Kernels>;
         case simd::Isa::kAvx512:
           return &SearchInternal<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-        case simd::Isa::kNeon:
-          return &SearchInternal<simd::NeonKernels>;
 #endif
         default:
           break;
@@ -625,16 +613,10 @@ struct SimdNodeOps {
     if constexpr (detail::MemHasCoherentRawLoads<Mem>()) {
       switch (isa) {
 #if defined(FASTFAIR_SIMD_X86)
-        case simd::Isa::kSse2:
-          return &CollectValid<simd::Sse2Kernels>;
         case simd::Isa::kAvx2:
           return &CollectValid<simd::Avx2Kernels>;
         case simd::Isa::kAvx512:
           return &CollectValid<simd::Avx512Kernels>;
-#endif
-#if defined(FASTFAIR_SIMD_NEON)
-        case simd::Isa::kNeon:
-          return &CollectValid<simd::NeonKernels>;
 #endif
         default:
           break;

@@ -14,93 +14,32 @@ HashShardedIndex::HashShardedIndex(std::string name, std::size_t num_shards,
                                    const ShardFactory& make)
     : name_(std::move(name)) {
   concurrent_ = detail::BuildShardVector(num_shards, make, &shards_);
-  fp_cache_ = std::make_unique<FpProbeCache>(kDefaultProbeCacheEntries);
-}
-
-void HashShardedIndex::SetProbeCacheCapacity(std::size_t entries) {
-  fp_cache_ = entries == 0 ? nullptr
-                           : std::make_unique<FpProbeCache>(entries);
-}
-
-FpProbeCache::Stats HashShardedIndex::ProbeCacheStats() const {
-  return fp_cache_ != nullptr ? fp_cache_->GetStats()
-                              : FpProbeCache::Stats{};
 }
 
 void HashShardedIndex::Insert(Key key, Value value) {
   shards_[ShardOf(key)]->Insert(key, value);
-  // Invalidate *after* the authoritative insert: a fill racing ahead of
-  // this point is dropped by the key-matched invalidation; one racing
-  // behind it aborts on the generation bump (fp_cache.h protocol).
-  if (fp_cache_ != nullptr) fp_cache_->Invalidate(key);
 }
 
 bool HashShardedIndex::Remove(Key key) {
-  const bool removed = shards_[ShardOf(key)]->Remove(key);
-  if (fp_cache_ != nullptr) fp_cache_->Invalidate(key);
-  return removed;
+  return shards_[ShardOf(key)]->Remove(key);
 }
 
 Value HashShardedIndex::Search(Key key) const {
-  if (fp_cache_ == nullptr) return shards_[ShardOf(key)]->Search(key);
-  const Value cached = fp_cache_->Lookup(key);
-  if (cached != kNoValue) return cached;
-  // Read-through fill: the generation is sampled before the descent so a
-  // writer that lands in between aborts this install.
-  const std::uint32_t gen = fp_cache_->Generation(key);
-  const Value v = shards_[ShardOf(key)]->Search(key);
-  if (v != kNoValue) fp_cache_->Install(key, v, gen);
-  return v;
+  return shards_[ShardOf(key)]->Search(key);
 }
 
 void HashShardedIndex::SearchBatch(const Key* keys, std::size_t n,
                                    Value* out) const {
   if (n == 0) return;
-  // Probe the fingerprint tier first; only the misses pay the routed
-  // inner batch descent.
-  std::vector<Key> miss_keys;
-  std::vector<std::uint32_t> miss_pos;
-  std::vector<std::uint32_t> miss_gen;
-  const Key* batch_keys = keys;
-  std::size_t batch_n = n;
-  if (fp_cache_ != nullptr) {
-    miss_keys.reserve(n);
-    miss_pos.reserve(n);
-    miss_gen.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value cached = fp_cache_->Lookup(keys[i]);
-      out[i] = cached;
-      if (cached == kNoValue) {
-        miss_keys.push_back(keys[i]);
-        miss_pos.push_back(static_cast<std::uint32_t>(i));
-        miss_gen.push_back(fp_cache_->Generation(keys[i]));
-      }
-    }
-    if (miss_keys.empty()) return;
-    batch_keys = miss_keys.data();
-    batch_n = miss_keys.size();
-  }
   std::vector<Value> vals;
-  std::vector<Value> found(batch_n, kNoValue);
   detail::DispatchBatchByShard(
-      batch_keys, batch_n, shards_.size(),
-      [this](Key k) { return ShardOf(k); },
+      keys, n, shards_.size(), [this](Key k) { return ShardOf(k); },
       [&](std::size_t s, const Key* gk, std::size_t len,
           const std::uint32_t* pos) {
         vals.resize(len);
         shards_[s]->SearchBatch(gk, len, vals.data());
-        for (std::size_t j = 0; j < len; ++j) found[pos[j]] = vals[j];
+        for (std::size_t j = 0; j < len; ++j) out[pos[j]] = vals[j];
       });
-  if (fp_cache_ == nullptr) {
-    for (std::size_t j = 0; j < batch_n; ++j) out[j] = found[j];
-    return;
-  }
-  for (std::size_t j = 0; j < batch_n; ++j) {
-    out[miss_pos[j]] = found[j];
-    if (found[j] != kNoValue) {
-      fp_cache_->Install(miss_keys[j], found[j], miss_gen[j]);
-    }
-  }
 }
 
 void HashShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
@@ -120,9 +59,6 @@ void HashShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
           shards_[s]->InsertBatch(gops, len);
         }
       });
-  if (fp_cache_ != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fp_cache_->Invalidate(ops[i].key);
-  }
 }
 
 namespace {

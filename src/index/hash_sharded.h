@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "index/fp_cache.h"
 #include "index/sharded.h"
 
 namespace fastfair {
@@ -95,19 +94,6 @@ class HashShardedIndex final : public Index {
   /// ImbalanceRatio (index/sharded.h) for the skew metric.
   std::vector<std::size_t> ShardEntryCounts() const;
 
-  /// Resizes (or, with 0, disables) the fingerprint probe tier (DESIGN.md
-  /// §9.4): a DRAM sidecar that answers repeat point lookups from three
-  /// cache lines instead of a full shard descent. Read-through only — the
-  /// shards stay authoritative; Insert/Remove invalidate through it.
-  /// Setup-time API: not safe against concurrent operations.
-  void SetProbeCacheCapacity(std::size_t entries);
-
-  /// Stats of the probe tier (zeros when disabled).
-  FpProbeCache::Stats ProbeCacheStats() const;
-
-  /// Default probe-tier capacity (entries) a fresh index starts with.
-  static constexpr std::size_t kDefaultProbeCacheEntries = 16384;
-
   /// No policy task of its own (hash routing is skew-immune by
   /// construction); recurses into the shards so a reclaiming inner kind
   /// still contributes its per-shard sweep tasks.
@@ -118,7 +104,6 @@ class HashShardedIndex final : public Index {
  private:
   std::vector<std::unique_ptr<Index>> shards_;
   std::string name_;
-  std::unique_ptr<FpProbeCache> fp_cache_;
   bool concurrent_ = true;
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 
-#include "index/hash_sharded.h"
 #include "pm/reclaim.h"
 
 namespace fastfair::server {
@@ -167,15 +166,6 @@ KvService::KvService(Index* index, const ServiceOptions& opts)
   if (opts_.queue_depth < 2) opts_.queue_depth = 2;
   if (opts_.max_sessions == 0) opts_.max_sessions = 1;
   num_workers_ = index_->supports_concurrency() ? opts_.workers : 1;
-  // Probe-tier wiring (DESIGN.md §9.4): when serving a hashed-* index,
-  // resolve the concrete adapter once so the config knob can size (or,
-  // with 0, disable) its fingerprint cache and Stats() can report the
-  // tier's hit counters. Setup-time only — before any worker runs.
-  probe_host_ = dynamic_cast<HashShardedIndex*>(index_);
-  if (probe_host_ != nullptr &&
-      opts_.probe_cache_entries != ServiceOptions::kProbeCacheKeep) {
-    probe_host_->SetProbeCacheCapacity(opts_.probe_cache_entries);
-  }
   workers_.reserve(num_workers_);
   for (std::size_t i = 0; i < num_workers_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -559,7 +549,6 @@ ServiceStats KvService::Stats() const {
     s.idle_flushes += w->idle;
     s.pm += w->pm_delta;
   }
-  if (probe_host_ != nullptr) s.probe = probe_host_->ProbeCacheStats();
   return s;
 }
 

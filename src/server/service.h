@@ -64,13 +64,8 @@
 
 #include "common/defs.h"
 #include "core/node.h"  // core::Record
-#include "index/fp_cache.h"  // FpProbeCache::Stats (probe-tier wiring)
 #include "index/index.h"
 #include "pm/persist.h"
-
-namespace fastfair {
-class HashShardedIndex;
-}
 
 namespace fastfair::server {
 
@@ -251,15 +246,6 @@ struct ServiceOptions {
   /// request individually through the scalar Index entry points — the
   /// pre-batching service shape bench_service gates against.
   bool scalar_dispatch = false;
-  /// Fingerprint probe tier (DESIGN.md §9.4) for hashed-* indexes: the
-  /// service resizes the index's FpProbeCache to this many entries at
-  /// construction, so the read path it serves answers repeat point
-  /// lookups from DRAM before any shard descent. kProbeCacheKeep (the
-  /// default) leaves the index's own setting untouched; 0 disables the
-  /// tier (the SetProbeCacheCapacity(0) off-switch, honored per service
-  /// config). Ignored for kinds without a probe tier.
-  static constexpr std::size_t kProbeCacheKeep = static_cast<std::size_t>(-1);
-  std::size_t probe_cache_entries = kProbeCacheKeep;
 };
 
 struct ServiceStats {
@@ -281,9 +267,6 @@ struct ServiceStats {
   /// PM counter deltas aggregated across worker threads (read_stalls is
   /// the batching amortization signal). Populated at Stop().
   pm::ThreadStats pm;
-  /// Probe-tier counters of the served index (zeros for kinds without
-  /// one): hits here are point lookups the service answered from DRAM.
-  FpProbeCache::Stats probe;
 
   double AvgGroupOps() const {
     return groups == 0 ? 0.0
@@ -365,7 +348,6 @@ class KvService {
   void EnterDegraded();
 
   Index* index_;
-  HashShardedIndex* probe_host_ = nullptr;  // hashed-* only: probe tier
   ServiceOptions opts_;
   std::size_t num_workers_;
   std::vector<std::unique_ptr<Worker>> workers_;

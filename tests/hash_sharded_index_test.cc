@@ -1,12 +1,14 @@
 // Tests for the hash-sharded index tier (index/hash_sharded.h): routing
 // balance under clustered keys, the streaming k-way merge Scan (ordering
 // and completeness, including under interleaved inserts/deletes), the
-// ScanIterator API (merge iterator and the default batched adapter), and
-// the "hashed-<kind>[:N]" registry grammar.
+// ScanIterator API (merge iterator and the default batched adapter),
+// point and batch write visibility (scalar and concurrent), and the
+// "hashed-<kind>[:N]" registry grammar.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -185,6 +187,94 @@ TEST(HashShardedIndex, ConcurrentInsertAndSearch) {
   EXPECT_GT(hits.load(), 0u);
   EXPECT_EQ(idx->CountEntries(),
             static_cast<std::size_t>(kWriters) * kPerWriter);
+}
+
+TEST(HashShardedIndex, UpsertThenRemoveVisibleToSearchAndBatch) {
+  pm::Pool pool(std::size_t{1} << 30);
+  auto idx = MakeHashed(&pool, 4);
+  const std::vector<Key> keys{10, 11, 999};  // 11 and 999 never inserted
+  std::vector<Value> out(keys.size());
+  auto expect_batch = [&](Value want10) {
+    idx->SearchBatch(keys.data(), keys.size(), out.data());
+    EXPECT_EQ(out[0], want10);
+    EXPECT_EQ(out[1], kNoValue);
+    EXPECT_EQ(out[2], kNoValue);
+  };
+  idx->Insert(10, 101);
+  ASSERT_EQ(idx->Search(10), 101u);
+  expect_batch(101);
+  idx->Insert(10, 102);  // upsert
+  EXPECT_EQ(idx->Search(10), 102u);
+  expect_batch(102);
+  ASSERT_TRUE(idx->Remove(10));
+  EXPECT_EQ(idx->Search(10), kNoValue);
+  expect_batch(kNoValue);
+  EXPECT_FALSE(idx->Remove(10));
+}
+
+TEST(HashShardedIndex, BatchUpsertVisibleToSearchBatch) {
+  pm::Pool pool(std::size_t{1} << 30);
+  auto idx = MakeHashed(&pool, 4);
+  std::vector<core::Record> ops;
+  for (Key k = 1; k <= 300; ++k) ops.push_back({k, k + 1});
+  idx->InsertBatch(ops.data(), ops.size());
+
+  std::vector<Key> keys;
+  for (Key k = 1; k <= 400; ++k) keys.push_back(k);  // 301..400 absent
+  std::vector<Value> out(keys.size());
+  idx->SearchBatch(keys.data(), keys.size(), out.data());
+  for (Key k = 1; k <= 400; ++k) {
+    ASSERT_EQ(out[k - 1], k <= 300 ? k + 1 : kNoValue) << "key " << k;
+  }
+
+  for (auto& op : ops) op.ptr += 1000;
+  idx->InsertBatch(ops.data(), ops.size());
+  idx->SearchBatch(keys.data(), keys.size(), out.data());
+  for (Key k = 1; k <= 400; ++k) {
+    ASSERT_EQ(out[k - 1], k <= 300 ? k + 1001 : kNoValue)
+        << "stale value after batch upsert, key " << k;
+  }
+}
+
+TEST(HashShardedIndex, ConcurrentUpsertsStayCoherent) {
+  // A writer upserts while readers assert every result is a value the key
+  // actually held at some point: never a miss for an always-present key,
+  // never another key's value. Once the writer quiesces, every key reads
+  // back its last write exactly.
+  pm::Pool pool(std::size_t{1} << 30);
+  auto idx = MakeHashed(&pool, 4);
+  constexpr Key kKeys = 64;
+  for (Key k = 1; k <= kKeys; ++k) idx->Insert(k, k * 1000000);
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(40 + static_cast<std::uint64_t>(t));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key k = rng.NextBounded(kKeys) + 1;
+        const Value v = idx->Search(k);
+        // Every value ever written to k is k*1000000 + i for some i.
+        if (v == kNoValue || v / 1000000 != k) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  Rng rng(41);
+  std::vector<Value> final_val(kKeys + 1, 0);
+  for (Key k = 1; k <= kKeys; ++k) final_val[k] = k * 1000000;
+  for (int i = 1; i <= 20000; ++i) {
+    const Key k = rng.NextBounded(kKeys) + 1;
+    final_val[k] = k * 1000000 + static_cast<Value>(i);
+    idx->Insert(k, final_val[k]);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(violations.load(), 0);
+  for (Key k = 1; k <= kKeys; ++k) {
+    ASSERT_EQ(idx->Search(k), final_val[k]) << "post-quiescence key " << k;
+  }
 }
 
 TEST(HashShardedIndex, FactoryParsesHashedGrammar) {

@@ -370,59 +370,6 @@ TEST(Service, SessionTableCapacityIsEnforced) {
   EXPECT_EQ(svc.OpenSession(), nullptr);
 }
 
-TEST(Service, ProbeCacheKnobRoutesToHashedKinds) {
-  // ServiceOptions::probe_cache_entries reaches the HashShardedIndex under
-  // the service: 0 disables the fingerprint probe tier (its stats ledger
-  // stays empty), the keep-default sentinel leaves the index's cache on so
-  // repeated gets produce hits, and Stats() surfaces the ledger either
-  // way. Runs both dispatch modes — scalar gets go through Search, grouped
-  // gets through SearchBatch, and both consult the cache.
-  for (const bool scalar : {true, false}) {
-    for (const bool off : {false, true}) {
-      SCOPED_TRACE((scalar ? "scalar" : "batched") +
-                   std::string(off ? " cache-off" : " cache-on"));
-      pm::Pool pool(std::size_t{256} << 20);
-      auto idx = MakeIndex("hashed-fastfair:4", &pool);
-      ServiceOptions so;
-      so.workers = 2;
-      so.scalar_dispatch = scalar;
-      if (off) so.probe_cache_entries = 0;
-      KvService svc(idx.get(), so);
-      Session* s = svc.OpenSession();
-      svc.Start();
-      const std::size_t kN = 256;
-      std::vector<Completion> cs(kN);
-      for (std::size_t i = 0; i < kN; ++i) {
-        const Key k = static_cast<Key>(i) + 1;
-        ASSERT_TRUE(s->Put(k, V1(k), &cs[i]));
-      }
-      WaitAll(cs, kN);
-      ResetAll(cs, kN);
-      // Two read rounds: the first round's misses install entries, the
-      // second hits them (equivalence holds regardless).
-      for (int round = 0; round < 2; ++round) {
-        for (std::size_t i = 0; i < kN; ++i) {
-          ASSERT_TRUE(s->Get(static_cast<Key>(i) + 1, &cs[i]));
-        }
-        WaitAll(cs, kN);
-        for (std::size_t i = 0; i < kN; ++i) {
-          EXPECT_EQ(cs[i].value(), V1(static_cast<Key>(i) + 1)) << i;
-        }
-        ResetAll(cs, kN);
-      }
-      svc.Stop();
-      const auto st = svc.Stats();
-      EXPECT_EQ(st.executed, 3 * kN);
-      if (off) {
-        EXPECT_EQ(st.probe.hits + st.probe.misses + st.probe.installs, 0u);
-      } else {
-        EXPECT_GT(st.probe.installs, 0u);
-        EXPECT_GT(st.probe.hits, 0u);
-      }
-    }
-  }
-}
-
 // Per-request deadlines: ops whose deadline passed while queued complete
 // as kDeadlineExceeded without executing; everything else is untouched.
 // Prefilling before Start makes the expiry deterministic (no sleeps racing

@@ -43,8 +43,7 @@ using core::SimdNodeOps;
 
 std::vector<simd::Isa> SupportedVectorIsas() {
   std::vector<simd::Isa> out;
-  for (simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2,
-                        simd::Isa::kAvx512, simd::Isa::kNeon}) {
+  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) out.push_back(isa);
   }
   return out;
@@ -179,14 +178,13 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
 }
 
 TEST(SimdKernels, EveryIsaMatchesScalarReference) {
-  int vector_paths = 0;
+  // Scalar is the only path on CPUs without AVX2 (and off x86-64): there
+  // is nothing to compare, and saying so beats passing vacuously.
+  if (SupportedVectorIsas().empty()) GTEST_SKIP() << "no vector ISA";
+  std::size_t vector_paths = 0;
   for (int seed = 1; seed <= 8; ++seed) {
     std::mt19937_64 rng(seed);
 #if defined(FASTFAIR_SIMD_X86)
-    if (simd::IsaSupported(simd::Isa::kSse2)) {
-      KernelEquivalenceRound<simd::Sse2Kernels>(&rng);
-      ++vector_paths;
-    }
     if (simd::IsaSupported(simd::Isa::kAvx2)) {
       KernelEquivalenceRound<simd::Avx2Kernels>(&rng);
       ++vector_paths;
@@ -196,16 +194,9 @@ TEST(SimdKernels, EveryIsaMatchesScalarReference) {
       ++vector_paths;
     }
 #endif
-#if defined(FASTFAIR_SIMD_NEON)
-    if (simd::IsaSupported(simd::Isa::kNeon)) {
-      KernelEquivalenceRound<simd::NeonKernels>(&rng);
-      ++vector_paths;
-    }
-#endif
   }
-  // x86-64 guarantees SSE2, aarch64 guarantees NEON: at least one vector
-  // path must have actually run or this suite silently tests nothing.
-  EXPECT_GT(vector_paths, 0);
+  // Every supported vector ISA ran every seed.
+  EXPECT_EQ(vector_paths, 8 * SupportedVectorIsas().size());
 }
 
 // --- dispatch plumbing -------------------------------------------------------
@@ -214,14 +205,12 @@ TEST(SimdDispatch, ParseIsaSpellings) {
   simd::Isa isa;
   EXPECT_TRUE(simd::ParseIsa("scalar", &isa));
   EXPECT_EQ(isa, simd::Isa::kScalar);
-  EXPECT_TRUE(simd::ParseIsa("sse2", &isa));
-  EXPECT_EQ(isa, simd::Isa::kSse2);
   EXPECT_TRUE(simd::ParseIsa("avx2", &isa));
   EXPECT_EQ(isa, simd::Isa::kAvx2);
   EXPECT_TRUE(simd::ParseIsa("avx512", &isa));
   EXPECT_EQ(isa, simd::Isa::kAvx512);
-  EXPECT_TRUE(simd::ParseIsa("neon", &isa));
-  EXPECT_EQ(isa, simd::Isa::kNeon);
+  EXPECT_FALSE(simd::ParseIsa("sse2", &isa));
+  EXPECT_FALSE(simd::ParseIsa("neon", &isa));
   EXPECT_TRUE(simd::ParseIsa("", &isa));
   EXPECT_EQ(isa, simd::BestSupportedIsa());
   EXPECT_TRUE(simd::ParseIsa("auto", &isa));
@@ -231,9 +220,8 @@ TEST(SimdDispatch, ParseIsaSpellings) {
 
 TEST(SimdDispatch, ForceIsaClampsUnsupported) {
   const simd::Isa prev = simd::ActiveIsa();
-  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2,
-                        simd::Isa::kAvx2, simd::Isa::kAvx512,
-                        simd::Isa::kNeon}) {
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     const simd::Isa got = simd::ForceIsa(isa);
     if (simd::IsaSupported(isa)) {
       EXPECT_EQ(got, isa) << simd::IsaName(isa);
@@ -242,6 +230,9 @@ TEST(SimdDispatch, ForceIsaClampsUnsupported) {
     }
     EXPECT_EQ(simd::ActiveIsa(), got);
   }
+  // A value outside the enumeration (no tier of that number) clamps too.
+  EXPECT_EQ(simd::ForceIsa(static_cast<simd::Isa>(0x7F)), simd::Isa::kScalar);
+  EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kScalar);
   simd::ForceIsa(prev);
 }
 
