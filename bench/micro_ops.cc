@@ -246,6 +246,30 @@ void BM_TreeSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeSearch);
 
+// Absent-key lookups on the BM_TreeSearch tree. UniformKeys draws distinct
+// keys from a seeded stream, so its first 200000 keys are exactly that
+// tree's and the next 200000 are never inserted: every probe descends to a
+// random leaf and misses there, the path a vector reader hands to the
+// scalar one (DESIGN.md §9.2). Trajectory only, no gate.
+void BM_TreeSearchMiss(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  core::BTree tree(&pool);
+  constexpr std::size_t kLoaded = 200000;
+  const auto keys = bench::UniformKeys(2 * kLoaded, 3);
+  for (std::size_t j = 0; j < kLoaded; ++j) tree.Insert(keys[j], 2 * keys[j] + 1);
+  std::size_t i = kLoaded;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.Search(keys[i]));
+    i = i + 1 < keys.size() ? i + 1 : kLoaded;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TreeSearchMiss);
+
 void BM_TreeSearchBatch(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
   pm::Pool pool(std::size_t{4} << 30);

@@ -19,7 +19,7 @@
 //
 // --maintenance replaces the foreground Rebalance() call with the
 // background policy loop (DESIGN.md §6): after load, a MaintenanceThread
-// watches the sampled histograms and rebalances on its own — while a
+// watches the live per-shard counters and rebalances on its own — while a
 // writer thread keeps upserting over the loaded keys (always-on
 // maintenance: migration dual-routes live writers; there is no quiesced
 // window). The bench waits for the scheduler to report itself idle and

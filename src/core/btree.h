@@ -237,14 +237,14 @@ class BTreeT {
 
   /// In-node search dispatch, resolved once at construction from
   /// Options::search and the active SIMD ISA (simd::ActiveIsa) instead of
-  /// branching per node visit (the hot-path hoist): leaf probe, internal
-  /// child selection, and valid-record collection for scans. kLinear
-  /// resolves to the vectorized protocol of core/node_search_simd.h when a
-  /// vector ISA is active (FASTFAIR_SIMD=scalar recovers the paper's scalar
-  /// reference); kBinary stays scalar (single-threaded-only mode).
+  /// branching per node visit (the hot-path hoist): leaf probe and internal
+  /// child selection. kLinear resolves to the vectorized protocol of
+  /// core/node_search_simd.h when a vector ISA is active
+  /// (FASTFAIR_SIMD=scalar recovers the paper's scalar reference); kBinary
+  /// stays scalar (single-threaded-only mode). Scans collect leaves with
+  /// the scalar Ops::CollectValid in every mode.
   using LeafSearchFn = Value (*)(RealMem&, const NodeT*, Key);
   using ChildSearchFn = std::uint64_t (*)(RealMem&, const NodeT*, Key);
-  using CollectFn = int (*)(RealMem&, const NodeT*, Record*);
   void InitSearchDispatch();
 
   /// Touches the lines a descent reads first (header + leading records) so
@@ -356,7 +356,6 @@ class BTreeT {
   Options opts_;
   LeafSearchFn leaf_search_;    // set by InitSearchDispatch()
   ChildSearchFn child_search_;  // set by InitSearchDispatch()
-  CollectFn collect_valid_;     // set by InitSearchDispatch()
   // kLogging mode: persistent undo area (image + active flag), allocated at
   // construction so split-time allocation isn't part of the logging cost.
   struct SplitLog {

@@ -63,7 +63,6 @@ void BTreeT<P>::InitSearchDispatch() {
   if (opts_.search == SearchMode::kBinary) {
     leaf_search_ = &Ops::BinarySearchLeaf;
     child_search_ = &Ops::BinarySearchInternal;
-    collect_valid_ = &Ops::CollectValid;
     return;
   }
   // kLinear: the lock-free protocol, vectorized when a vector ISA is
@@ -72,7 +71,6 @@ void BTreeT<P>::InitSearchDispatch() {
   const simd::Isa isa = simd::ActiveIsa();
   leaf_search_ = Simd::LeafSearchFor(isa);
   child_search_ = Simd::ChildSearchFor(isa);
-  collect_valid_ = Simd::CollectFor(isa);
 }
 
 template <std::size_t P>
@@ -963,7 +961,7 @@ std::size_t BTreeT<P>::ScanRange(Key min_key, Key max_key, Record* out,
   bool have_last = false;
   Record buf[kNodeCapacity];
   while (n != nullptr && got < cap) {
-    const int c = collect_valid_(m, n, buf);
+    const int c = Ops::CollectValid(m, n, buf);
     for (int i = 0; i < c && got < cap; ++i) {
       if (buf[i].key < min_key) continue;
       if (buf[i].key > max_key) return got;
@@ -1025,7 +1023,7 @@ void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
         const NodeT* leaf = cur[j];
         if (leaf == nullptr) continue;
         const ScanOp& op = ops[base + j];
-        const int c = collect_valid_(m, leaf, buf);
+        const int c = Ops::CollectValid(m, leaf, buf);
         for (int i = 0; i < c && got[j] < op.cap; ++i) {
           if (buf[i].key < op.min_key) continue;
           if (have_last[j] && buf[i].key <= last[j]) continue;  // split copy
@@ -1107,7 +1105,7 @@ std::size_t BTreeT<P>::CountEntries() const {
   Key last = 0;
   bool have_last = false;
   while (n != nullptr) {
-    const int c = collect_valid_(m, n, buf);
+    const int c = Ops::CollectValid(m, n, buf);
     for (int i = 0; i < c; ++i) {
       if (have_last && buf[i].key <= last) continue;
       ++total;

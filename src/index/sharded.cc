@@ -175,30 +175,6 @@ ShardedIndex::ShardedIndex(std::string name, std::vector<Key> boundaries,
   BuildShards(bounds_[0].size() + 1, make);
 }
 
-void ShardedIndex::NoteOps(std::size_t shard, std::uint64_t k) const {
-  if (k == 0) return;
-  const std::uint64_t ops =
-      counters_[shard].ops.fetch_add(k, std::memory_order_relaxed) + k;
-  const std::size_t every = sample_interval_.load(std::memory_order_relaxed);
-  // Sample when the add crossed an interval boundary (k == 1 reduces to
-  // the old `ops % every == 0`; a batch add crossing several boundaries
-  // still samples once — the snapshot is a rate limiter, not a count).
-  if (every != 0 && ops / every != (ops - k) / every) SampleHistogram();
-}
-
-void ShardedIndex::SampleHistogram() const {
-  // try_lock: a sample racing another sample is redundant, not worth
-  // blocking an operation for.
-  std::unique_lock lk(histogram_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return;
-  last_histogram_ = ApproxShardEntries();
-}
-
-std::vector<std::size_t> ShardedIndex::LastHistogram() const {
-  std::lock_guard lk(histogram_mu_);
-  return last_histogram_;
-}
-
 std::vector<std::size_t> ShardedIndex::ApproxShardEntries() const {
   std::vector<std::size_t> out(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -234,13 +210,11 @@ void ShardedIndex::Insert(Key key, Value value) {
       MigSeqOf(key).fetch_add(1, std::memory_order_acq_rel);
       shards_[t]->Insert(key, value);
       counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
-      NoteOp(s);
       return;
     }
   }
   shards_[s]->Insert(key, value);
   counters_[s].entries.fetch_add(1, std::memory_order_relaxed);
-  NoteOp(s);
 }
 
 bool ShardedIndex::Remove(Key key) {
@@ -257,13 +231,11 @@ bool ShardedIndex::Remove(Key key) {
       if (removed) {
         counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
       }
-      NoteOp(s);
       return removed;
     }
   }
   removed = shards_[s]->Remove(key);
   if (removed) counters_[s].entries.fetch_sub(1, std::memory_order_relaxed);
-  NoteOp(s);
   return removed;
 }
 
@@ -385,7 +357,6 @@ void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
         }
         counters_[s].entries.fetch_add(static_cast<std::int64_t>(len),
                                        std::memory_order_relaxed);
-        NoteOps(s, len);
       });
 }
 
@@ -488,7 +459,6 @@ ShardedIndex::RebalanceResult ShardedIndex::Rebalance() {
       counters_[s].entries.store(static_cast<std::int64_t>(counts[s]),
                                  std::memory_order_relaxed);
     }
-    SampleHistogram();
     return r;
   }
 
@@ -659,7 +629,6 @@ ShardedIndex::RebalanceResult ShardedIndex::Rebalance() {
                                std::memory_order_relaxed);
   }
   r.imbalance_after = ImbalanceRatio(after);
-  SampleHistogram();
   return r;
 }
 

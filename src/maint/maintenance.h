@@ -2,10 +2,10 @@
 // pluggable, budgeted maintenance tasks off the operation path.
 //
 // The paper keeps every repair on the foreground path: limbo draining and
-// dead-range sweeping happen only when a writer passes by, and the sampled
-// skew histograms (DESIGN.md §4.3) are observed but never acted on.  This
-// tier moves that work to a dedicated thread so foreground operations never
-// pay for cleanup or rebalancing they did not cause:
+// dead-range sweeping happen only when a writer passes by, and the
+// per-shard skew counters (DESIGN.md §4.3) are observed but never acted on.
+// This tier moves that work to a dedicated thread so foreground operations
+// never pay for cleanup or rebalancing they did not cause:
 //
 //  * `MaintenanceTask` — one unit of background work with a budgeted,
 //    interruptible `RunQuantum()` step.  A quantum is bounded (a few dozen
@@ -75,7 +75,7 @@ struct TaskStats {
 /// Knobs shared by the built-in tasks; carried by
 /// Index::CollectMaintenanceTasks so every layer reads one struct.
 struct TaskOptions {
-  // ImbalancePolicyTask: trigger Rebalance() when the sampled per-shard
+  // ImbalancePolicyTask: trigger Rebalance() when the live per-shard
   // imbalance ratio exceeds this (must be > 1.0).
   double rebalance_threshold = 1.2;
   // ImbalancePolicyTask: skip indexes smaller than this many entries per

@@ -7,12 +7,6 @@
 
 namespace fastfair::maint {
 
-namespace {
-// Re-enabled by ImbalancePolicyTask when sampling was turned off: matches
-// ShardedIndex's construction-time default (index/sharded.h).
-constexpr std::size_t kDefaultSampleInterval = 4096;
-}  // namespace
-
 std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
     pm::Pool* pool, const std::vector<Index*>& indexes,
     const TaskOptions& opts, std::chrono::microseconds interval) {
@@ -50,14 +44,7 @@ ImbalancePolicyTask::ImbalancePolicyTask(ShardedIndex* idx,
     : idx_(idx),
       threshold_(std::max(opts.rebalance_threshold, 1.01)),
       min_entries_(opts.rebalance_min_entries_per_shard * idx->num_shards()),
-      name_("rebalance:" + std::string(idx->name())) {
-  // The policy is only as good as its signal: benches and applications
-  // never remember to call SetSampleInterval, so guarantee the histogram
-  // flows the moment a policy is attached.
-  if (idx_->sample_interval() == 0) {
-    idx_->SetSampleInterval(kDefaultSampleInterval);
-  }
-}
+      name_("rebalance:" + std::string(idx->name())) {}
 
 QuantumResult ImbalancePolicyTask::RunQuantum() {
   QuantumResult q;
@@ -69,19 +56,11 @@ QuantumResult ImbalancePolicyTask::RunQuantum() {
     --backoff_quanta_;
     return q;
   }
-  // The sampled histogram is the designed signal, but it refreshes only
-  // every sample_interval mutations per shard — right after a write burst
-  // it can lag. The relaxed live counters are always current and cost N
-  // relaxed loads, so act on the worse of the two views.
-  const auto hist = idx_->LastHistogram();
+  // The live relaxed counters are always current and cost N relaxed loads.
   const auto approx = idx_->ApproxShardEntries();
-  double ratio = ImbalanceRatio(approx);
   std::size_t total = 0;
   for (const std::size_t c : approx) total += c;
-  if (!hist.empty()) {
-    ratio = std::max(ratio, ImbalanceRatio(hist));
-  }
-  if (total < min_entries_ || ratio <= threshold_) {
+  if (total < min_entries_ || ImbalanceRatio(approx) <= threshold_) {
     q.at_rest = true;
     return q;
   }

@@ -4,8 +4,8 @@
 //    pool-level overflow limbo onto the shared free lists
 //    (Pool::DrainLimboQuantum) — deferred frees retire even when no writer
 //    ever frees again. Safe under any foreground load.
-//  * `ImbalancePolicyTask` (index): watches ShardedIndex's sampled
-//    per-shard histograms and triggers Rebalance() when the imbalance
+//  * `ImbalancePolicyTask` (index): watches ShardedIndex's live per-shard
+//    entry counters and triggers Rebalance() when the imbalance
 //    ratio crosses TaskOptions::rebalance_threshold — the policy loop the
 //    ROADMAP's "online rebalance policy" item asked for. Safe under live
 //    writers: Rebalance dual-routes racing upserts through its migration
@@ -58,19 +58,14 @@ class PoolDrainTask final : public MaintenanceTask {
 
 class ImbalancePolicyTask final : public MaintenanceTask {
  public:
-  /// Attaching the policy guarantees the signal it feeds on: when the
-  /// index's histogram sampling is disabled (SetSampleInterval(0)), a sane
-  /// default interval is re-enabled here, so callers never have to
-  /// remember to turn sampling on for the policy to work.
   explicit ImbalancePolicyTask(ShardedIndex* idx, const TaskOptions& opts = {});
 
   std::string_view name() const override { return name_; }
 
-  /// Reads the fresher of the sampled histogram and the live approximate
-  /// counters; above the threshold (and above the minimum-size gate) it
-  /// runs one Rebalance() — reported as one item. Rebalance resyncs the
-  /// counters and resamples the histogram, so the next quantum observes
-  /// the post-migration balance and comes to rest.
+  /// Reads the live approximate counters (ApproxShardEntries); above the
+  /// threshold (and above the minimum-size gate) it runs one Rebalance() —
+  /// reported as one item. Rebalance resyncs the counters, so the next
+  /// quantum observes the post-migration balance and comes to rest.
   QuantumResult RunQuantum() override;
 
  private:

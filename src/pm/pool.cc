@@ -491,35 +491,9 @@ void Pool::DrainLimbo(ReclaimSlot* slot) {
   slot->limbo_n = kept;
 }
 
-void Pool::TryDrainOverflow() {
+std::size_t Pool::DrainLimboQuantum(std::size_t max_blocks) {
   // Fast path: Alloc misses probe this on pools that may never have had a
   // lagging reader; a relaxed load keeps them off the mutex cache line.
-  if (overflow_n_.load(std::memory_order_relaxed) == 0) return;
-  std::unique_lock<std::mutex> lk(overflow_mu_, std::try_to_lock);
-  if (!lk.owns_lock() || overflow_limbo_.empty()) return;
-  const std::uint64_t min_pinned = epoch::MinPinned();
-  bool pushed[kNumClasses] = {};
-  std::size_t kept = 0;
-  for (auto& e : overflow_limbo_) {
-    if (e.stamp < min_pinned) {
-      const int cls = FloorClass(e.size) - kMinClass;
-      PushGlobal(cls, e.off, e.size);
-      pushed[cls] = true;
-    } else {
-      overflow_limbo_[kept++] = e;
-    }
-  }
-  overflow_limbo_.resize(kept);
-  overflow_n_.store(kept, std::memory_order_relaxed);
-  if (persist_free_) {
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (pushed[c]) Clflush(&header()->free_heads[c]);
-    }
-    Sfence();
-  }
-}
-
-std::size_t Pool::DrainLimboQuantum(std::size_t max_blocks) {
   if (overflow_n_.load(std::memory_order_relaxed) == 0) return 0;
   std::unique_lock<std::mutex> lk(overflow_mu_, std::try_to_lock);
   if (!lk.owns_lock() || overflow_limbo_.empty()) return 0;
@@ -630,7 +604,7 @@ void* Pool::TryRecycle(std::size_t size, std::size_t align) {
       const std::uint64_t off = PopGlobal(cls, &bsize);
       if (off == 0) {
         if (got == 0 && i == 0) {
-          TryDrainOverflow();
+          DrainLimboQuantum();
           continue;  // one more attempt after the overflow drain
         }
         break;

@@ -171,9 +171,9 @@ class Pool {
   /// Budgeted background drain of the pool-level overflow limbo: pushes up
   /// to `max_blocks` entries whose epoch stamp has been waited out
   /// (stamp < epoch::MinPinned()) onto the shared per-size-class free
-  /// lists, where any thread's Alloc can recycle them. This is the
-  /// writer-free counterpart of the opportunistic TryDrainOverflow that
-  /// allocation misses run: a maintenance thread calling
+  /// lists, where any thread's Alloc can recycle them. Allocation misses
+  /// run it opportunistically (unlimited budget) when a free-list refill
+  /// comes up empty; a maintenance thread calling
   /// `epoch::TryAdvance()` + `DrainLimboQuantum()` drains limbo that no
   /// foreground free would otherwise ever revisit. Returns the bytes made
   /// recyclable. Thread-safe (pool-level mutex, try-lock — a racing
@@ -274,7 +274,6 @@ class Pool {
                 std::uint32_t size);
   void PushGlobal(int cls, std::uint64_t off, std::uint32_t size);
   std::uint64_t PopGlobal(int cls, std::uint32_t* size);
-  void TryDrainOverflow();
   void SanitizeFreeLists();
 
   void* base_ = nullptr;

@@ -2,7 +2,7 @@
 // (MaintenanceThread quantum accounting, Start/Stop, WaitIdle, RunPass),
 // the pm drain task retiring epoch-parked limbo without a writer, the core
 // sweep task unlinking abandoned drained runs, and the imbalance policy
-// closing the histogram→Rebalance loop on its own thread.
+// closing the counters→Rebalance loop on its own thread.
 
 #include <gtest/gtest.h>
 
@@ -277,21 +277,16 @@ TEST(SweepTask, CollectedThroughIndexRegistry) {
   }
 }
 
-TEST(ImbalancePolicy, RebalancesInBackgroundAndEnablesSampling) {
+TEST(ImbalancePolicy, RebalancesInBackground) {
   pm::Pool pool(std::size_t{1} << 30);
   auto idx = std::make_unique<ShardedIndex>(
       "sharded", 4,
       [&pool](std::size_t) { return MakeIndex("fastfair", &pool); });
-  // The satellite fix: a caller that disabled sampling still gets the
-  // histogram signal the moment a policy attaches.
-  idx->SetSampleInterval(0);
   TaskOptions topts;
   topts.rebalance_threshold = 1.5;
   std::vector<std::unique_ptr<MaintenanceTask>> tasks;
   idx->CollectMaintenanceTasks(topts, &tasks);
   ASSERT_EQ(tasks.size(), 1u);
-  EXPECT_EQ(idx->sample_interval(), 4096u)
-      << "attaching a policy must re-enable a sane sampling default";
 
   // Clustered keys: everything lands in shard 0 under the uniform
   // partition.

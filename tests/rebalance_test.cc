@@ -1,5 +1,5 @@
 // Tests for ShardedIndex's skew instrumentation and boundary rebalancing
-// (DESIGN.md §4.3): histogram sampling, quantile boundary recomputation,
+// (DESIGN.md §4.3): live per-shard counters, quantile boundary recomputation,
 // migration losing zero keys, the copy→publish→delete protocol staying
 // read-consistent under concurrent readers, and the migration's removes
 // actually freeing the moved-out nodes through the PR-2 reclaimer.
@@ -34,19 +34,17 @@ std::unique_ptr<ShardedIndex> MakeSharded(pm::Pool* pool, std::size_t shards,
       [pool, inner](std::size_t) { return MakeIndex(inner, pool); });
 }
 
-TEST(ShardedRebalance, HistogramSamplingTracksSkew) {
+TEST(ShardedRebalance, ApproxCountersTrackSkew) {
   pm::Pool pool(std::size_t{1} << 30);
   auto idx = MakeSharded(&pool, 4);
-  idx->SetSampleInterval(256);
-  EXPECT_TRUE(idx->LastHistogram().empty()) << "no sample before interval";
   for (std::uint64_t i = 0; i < 3000; ++i) {
     idx->Insert(ClusteredKey(i), i + 1);
   }
-  const auto hist = idx->LastHistogram();
-  ASSERT_EQ(hist.size(), 4u);
-  EXPECT_GE(hist[0], 2500u) << "clustered keys pile onto shard 0";
-  EXPECT_EQ(hist[1] + hist[2] + hist[3], 0u);
-  EXPECT_GT(ImbalanceRatio(hist), 2.0);
+  const auto approx = idx->ApproxShardEntries();
+  ASSERT_EQ(approx.size(), 4u);
+  EXPECT_EQ(approx[0], 3000u) << "clustered keys pile onto shard 0";
+  EXPECT_EQ(approx[1] + approx[2] + approx[3], 0u);
+  EXPECT_GT(ImbalanceRatio(approx), 2.0);
   // Approximate counters track removes too.
   for (std::uint64_t i = 0; i < 1000; ++i) {
     EXPECT_TRUE(idx->Remove(ClusteredKey(i)));

@@ -1,18 +1,20 @@
 // SIMD search equivalence suite (DESIGN.md §9).
 //
 // Three layers, each asserting zero divergence from the scalar reference:
-//  1. Kernel level: every compiled+supported ISA's Find*/ByteEqMask/
-//     CollectEqU32/CopyRecords kernels against ScalarKernels on randomized
-//     inputs, including the boundary-block masking edges (from/to not on a
-//     vector boundary, padding false-matches past `to`).
+//  1. Kernel level: every compiled+supported ISA's ByteEqMask/CollectEqU32
+//     kernels against ScalarKernels on randomized inputs, and its
+//     RecordEqZero/RecordGtZero masks against a scalar re-derivation.
 //  2. Node level: SimdNodeOps entry points against NodeOps on randomized
 //     node states *including the forged transient states the lock-free
 //     protocol must tolerate* — slot-0 holes, duplicate ptrs (torn
 //     inserts), duplicate keys (torn delete shifts) — under both switch
-//     parities, on two node geometries.
+//     parities, on two node geometries. The probe sweep covers present and
+//     absent keys, so it drives both direct hits and the direct->scalar
+//     fallback.
 //  3. Concurrent: a writer churns keys (flipping the switch word between
 //     insert and delete phases) while SIMD readers on every supported ISA
-//     search anchor keys that are always present.
+//     search a leaf for anchor keys that are always present and keys that
+//     are never inserted, or route an internal node's anchor separators.
 //
 // Plus dispatch plumbing: ParseIsa/ForceIsa clamping and the coherent-raw-
 // loads gate that pins crash-sim memory policies to the scalar reference.
@@ -38,7 +40,6 @@ namespace {
 
 using core::Node;
 using core::NodeOps;
-using core::Record;
 using core::SimdNodeOps;
 
 std::vector<simd::Isa> SupportedVectorIsas() {
@@ -54,47 +55,7 @@ std::vector<simd::Isa> SupportedVectorIsas() {
 template <class K>
 void KernelEquivalenceRound(std::mt19937_64* rng) {
   using S = simd::ScalarKernels;
-  constexpr std::size_t kN = 56;  // not a multiple of any vector width
-  constexpr std::size_t kPad = simd::RoundUpSlots(kN);
-  alignas(64) std::uint64_t a[kPad];
-  // Small value range so Eq/Gt hit often; padding holds a poison value
-  // that *would* match a buggy kernel's out-of-range lanes.
   std::uniform_int_distribution<std::uint64_t> dv(0, 12);
-  for (std::size_t i = 0; i < kN; ++i) a[i] = dv(*rng);
-  for (std::size_t i = kN; i < kPad; ++i) a[i] = 7;
-
-  std::uniform_int_distribution<std::size_t> dpos(0, kN);
-  for (int t = 0; t < 64; ++t) {
-    std::size_t from = dpos(*rng), to = dpos(*rng);
-    if (from > to) std::swap(from, to);
-    const std::uint64_t v = dv(*rng);
-    EXPECT_EQ(K::FindFirstEq(a, from, to, v), S::FindFirstEq(a, from, to, v))
-        << "from=" << from << " to=" << to << " v=" << v;
-    EXPECT_EQ(K::FindFirstGt(a, from, to, v), S::FindFirstGt(a, from, to, v))
-        << "from=" << from << " to=" << to << " v=" << v;
-    EXPECT_EQ(K::FindFirstZero(a, from, to), S::FindFirstZero(a, from, to))
-        << "from=" << from << " to=" << to;
-    EXPECT_EQ(K::FindLastEq(a, from, to, v), S::FindLastEq(a, from, to, v))
-        << "from=" << from << " to=" << to << " v=" << v;
-  }
-
-  // Unsigned Gt must not misorder values straddling the sign bit.
-  alignas(64) std::uint64_t big[simd::kMaxU64Lanes] = {
-      1,
-      0x7FFFFFFFFFFFFFFFull,
-      0x8000000000000000ull,
-      ~std::uint64_t{0},
-      0,
-      2,
-      0x8000000000000001ull,
-      42};
-  for (const std::uint64_t v :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{41},
-        std::uint64_t{0x7FFFFFFFFFFFFFFFull},
-        std::uint64_t{0x8000000000000000ull}, ~std::uint64_t{0}}) {
-    EXPECT_EQ(K::FindFirstGt(big, 0, 8, v), S::FindFirstGt(big, 0, 8, v))
-        << "v=" << v;
-  }
 
   // ByteEqMask: 64-byte window, n clamps the reported bits.
   alignas(64) std::uint8_t bytes[64];
@@ -123,22 +84,6 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
     for (std::size_t i = 0; i < cg; ++i) EXPECT_EQ(got[i], want[i]);
   }
 
-  // CopyRecords deinterleave + VerifyRecords accept/reject.
-  constexpr std::size_t kRec = 21;
-  alignas(64) std::uint64_t recs[2 * kRec];
-  for (auto& x : recs) x = dv(*rng);
-  alignas(64) std::uint64_t keys[simd::RoundUpSlots(kRec)];
-  alignas(64) std::uint64_t ptrs[simd::RoundUpSlots(kRec)];
-  K::CopyRecords(recs, kRec, keys, ptrs);
-  for (std::size_t i = 0; i < kRec; ++i) {
-    EXPECT_EQ(keys[i], recs[2 * i]);
-    EXPECT_EQ(ptrs[i], recs[2 * i + 1]);
-  }
-  EXPECT_TRUE(K::VerifyRecords(recs, kRec, keys, ptrs));
-  const std::size_t tamper = dpos(*rng) % kRec;
-  recs[2 * tamper] ^= 1;  // a concurrent writer moved a key
-  EXPECT_FALSE(K::VerifyRecords(recs, kRec, keys, ptrs));
-
   // RecordEqZero/RecordGtZero: the stride-2 mask contract — record l's bit
   // sits at position kMaskStride * l over an interleaved {key, ptr} block of
   // kRecWidth records, odd positions stay clear. Checked against a scalar
@@ -146,7 +91,7 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
   // on both sides of the sign bit.
   static_assert(simd::kMaskStride == 2);
   constexpr std::size_t kW = K::kRecWidth;
-  alignas(64) std::uint64_t blk[2 * simd::kMaxU64Lanes];
+  alignas(64) std::uint64_t blk[2 * kW];
   const std::uint64_t hot[] = {0,
                                1,
                                5,
@@ -237,15 +182,14 @@ TEST(SimdDispatch, ForceIsaClampsUnsupported) {
 }
 
 TEST(SimdDispatch, CrashSimPolicyResolvesToScalarReference) {
-  // The coherent-raw-loads gate: shadow-memory policies must never take
-  // vector snapshots, whatever ISA is active.
+  // The coherent-raw-loads gate: shadow-memory policies must never read
+  // the record area with vector loads, whatever ISA is active.
   using NodeT = Node<512>;
   using SimOps = NodeOps<NodeT, crashsim::SimMem>;
   using SimSimd = SimdNodeOps<NodeT, crashsim::SimMem>;
   for (simd::Isa isa : SupportedVectorIsas()) {
     EXPECT_EQ(SimSimd::LeafSearchFor(isa), &SimOps::SearchLeaf);
     EXPECT_EQ(SimSimd::ChildSearchFor(isa), &SimOps::SearchInternal);
-    EXPECT_EQ(SimSimd::CollectFor(isa), &SimOps::CollectValid);
   }
   // RealMem does get vector paths (when any vector ISA exists).
   using RealSimd = SimdNodeOps<NodeT, core::RealMem>;
@@ -260,21 +204,18 @@ TEST(SimdDispatch, CrashSimPolicyResolvesToScalarReference) {
 
 // --- layer 2: node-state equivalence -----------------------------------------
 
-// Compares all three SIMD entry points against the scalar reference over a
-// probe-key sweep, for every supported vector ISA.
+// Compares the SIMD entry point for the node's kind (leaf search or child
+// selection) against the scalar reference over a probe-key sweep, for
+// every supported vector ISA.
 template <class NodeT>
 void ExpectNodeEquivalence(core::RealMem& m, const NodeT* node, Key max_key,
                            const char* what) {
   using Ops = NodeOps<NodeT, core::RealMem>;
   using Simd = SimdNodeOps<NodeT, core::RealMem>;
   const bool leaf = node->is_leaf();
-  Record want[NodeT::kCapacity + 1];
-  Record got[NodeT::kCapacity + 1];
-  const int nwant = Ops::CollectValid(m, node, want);
   for (simd::Isa isa : SupportedVectorIsas()) {
     auto leaf_fn = Simd::LeafSearchFor(isa);
     auto child_fn = Simd::ChildSearchFor(isa);
-    auto collect_fn = Simd::CollectFor(isa);
     for (Key k = 0; k <= max_key; ++k) {
       if (leaf) {
         ASSERT_EQ(leaf_fn(m, node, k), Ops::SearchLeaf(m, node, k))
@@ -283,12 +224,6 @@ void ExpectNodeEquivalence(core::RealMem& m, const NodeT* node, Key max_key,
         ASSERT_EQ(child_fn(m, node, k), Ops::SearchInternal(m, node, k))
             << what << " isa=" << simd::IsaName(isa) << " key=" << k;
       }
-    }
-    const int ngot = collect_fn(m, node, got);
-    ASSERT_EQ(ngot, nwant) << what << " isa=" << simd::IsaName(isa);
-    for (int i = 0; i < ngot; ++i) {
-      EXPECT_EQ(got[i].key, want[i].key) << what << " slot " << i;
-      EXPECT_EQ(got[i].ptr, want[i].ptr) << what << " slot " << i;
     }
   }
 }
@@ -376,58 +311,133 @@ TEST(SimdBucketByShard, MatchesScalarBucketing) {
 
 // --- layer 3: concurrent writer vs SIMD readers ------------------------------
 
-TEST(SimdConcurrency, ReadersSeeAnchorsWhileWriterFlipsSwitch) {
-  using NodeT = Node<512>;
-  using Ops = NodeOps<NodeT, core::RealMem>;
-  using Simd = SimdNodeOps<NodeT, core::RealMem>;
-  constexpr int kCap = NodeT::kCapacity;
+using ChurnNode = Node<512>;
+using ChurnOps = NodeOps<ChurnNode, core::RealMem>;
+using ChurnSimd = SimdNodeOps<ChurnNode, core::RealMem>;
+constexpr int kChurnCap = ChurnNode::kCapacity;
 
-  alignas(64) NodeT node;
-  node.Init(0);
-  core::RealMem wm;
-  // Anchors never deleted; churn keys interleave between them so every
-  // insert/delete shifts anchor records around.
+// Even anchor keys 2..kChurnCap-1; the churn writer only touches odd keys
+// between them, so every insert/delete shifts anchor records around.
+std::vector<Key> ChurnAnchors() {
   std::vector<Key> anchors;
-  for (int i = 0; i < kCap / 2; ++i) anchors.push_back(2 * i + 2);
-  for (const Key k : anchors) Ops::InsertKey(wm, &node, k, k + 7);
+  for (int i = 0; i < kChurnCap / 2; ++i) anchors.push_back(2 * i + 2);
+  return anchors;
+}
 
+// Runs one writer that inserts (churn, churn + churn_val) and deletes it
+// again, so the switch word flips parity every iteration, while one reader
+// thread per supported vector ISA (the scalar reference when there is none)
+// runs read(isa). Single writer = node-lock serialization, as in the tree.
+template <class Read>
+void ChurnWhileReading(ChurnNode* node, std::uint64_t churn_val, Read read) {
   std::atomic<bool> stop{false};
-  std::atomic<int> divergences{0};
   std::thread writer([&] {
-    // Single writer = node-lock serialization, as in the tree. Insert then
-    // delete churn keys so the switch word flips parity every iteration.
+    core::RealMem wm;
     std::mt19937_64 rng(7);
-    std::uniform_int_distribution<int> dslot(0, kCap / 2 - 2);
+    std::uniform_int_distribution<int> dslot(0, kChurnCap / 2 - 2);
     while (!stop.load(std::memory_order_relaxed)) {
       const Key churn = static_cast<Key>(2 * dslot(rng) + 3);  // odd = churn
-      Ops::InsertKey(wm, &node, churn, churn + 7);
-      Ops::DeleteKey(wm, &node, churn);
+      ChurnOps::InsertKey(wm, node, churn, churn + churn_val);
+      ChurnOps::DeleteKey(wm, node, churn);
     }
   });
-
-  const auto isas = SupportedVectorIsas();
+  auto isas = SupportedVectorIsas();
+  if (isas.empty()) isas.push_back(simd::Isa::kScalar);
   std::vector<std::thread> readers;
-  for (std::size_t t = 0; t < std::max<std::size_t>(isas.size(), 1); ++t) {
-    readers.emplace_back([&, t] {
-      core::RealMem m;
-      auto leaf_fn = isas.empty() ? &Ops::SearchLeaf
-                                  : Simd::LeafSearchFor(isas[t % isas.size()]);
-      for (int iter = 0; iter < 30000; ++iter) {
-        const Key a = anchors[static_cast<std::size_t>(iter) % anchors.size()];
-        if (leaf_fn(m, &node, a) != a + 7) {
-          divergences.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
+  for (const simd::Isa isa : isas) readers.emplace_back([&, isa] { read(isa); });
   for (auto& r : readers) r.join();
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_EQ(divergences.load(), 0);
+}
+
+TEST(SimdConcurrency, ReadersSeeAnchorsWhileWriterFlipsSwitch) {
+  alignas(64) ChurnNode node;
+  node.Init(0);
+  core::RealMem wm;
+  const std::vector<Key> anchors = ChurnAnchors();
+  for (const Key k : anchors) ChurnOps::InsertKey(wm, &node, k, k + 7);
+  // Keys the writer never inserts: below every anchor, and even keys above
+  // the last one. A vector miss on them is answered by the scalar reader
+  // while shifts are live.
+  std::vector<Key> absent = {1};
+  for (Key k = anchors.back() + 2; k <= anchors.back() + 10; k += 2) {
+    absent.push_back(k);
+  }
+
+  std::atomic<int> lost{0}, phantom{0};
+  ChurnWhileReading(&node, 7, [&](simd::Isa isa) {
+    core::RealMem m;
+    const auto leaf_fn = ChurnSimd::LeafSearchFor(isa);
+    for (std::size_t iter = 0; iter < 30000; ++iter) {
+      const Key a = anchors[iter % anchors.size()];
+      if (leaf_fn(m, &node, a) != a + 7) {
+        lost.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (leaf_fn(m, &node, absent[iter % absent.size()]) != kNoValue) {
+        phantom.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(lost.load(), 0);
+  EXPECT_EQ(phantom.load(), 0);
 
   // Quiesced: full equivalence sweep over the final state.
   core::RealMem m;
-  ExpectNodeEquivalence(m, &node, static_cast<Key>(kCap + 4), "post-churn");
+  ExpectNodeEquivalence(m, &node, static_cast<Key>(kChurnCap + 4),
+                        "post-churn leaf");
+}
+
+TEST(SimdConcurrency, InternalRoutesAnchorsWhileWriterFlipsSwitch) {
+  // Level-1 twin: anchor separators are fixed, the writer inserts and
+  // deletes odd separators between them, and readers route each anchor.
+  // A lock-free child pick promises B-link safety, not exactness: a delete
+  // shift can make even the scalar reader pick a child left of the key's
+  // (the descent's move-right recovers), but never one right of it
+  // (nothing recovers). So every routed child must belong to a separator
+  // <= the anchor; at quiescence it is exactly the anchor's own child.
+  constexpr std::uint64_t kLeftmost = 0x10000;     // separator "-inf"
+  constexpr std::uint64_t kAnchorChild = 0x20000;  // child = key + offset
+  constexpr std::uint64_t kChurnChild = 0x30000;
+  alignas(64) ChurnNode node;
+  node.Init(1);
+  core::RealMem wm;
+  ChurnOps::StoreLeftmost(wm, &node, kLeftmost);
+  const std::vector<Key> anchors = ChurnAnchors();
+  for (const Key k : anchors) {
+    ChurnOps::InsertKey(wm, &node, k, k + kAnchorChild);
+  }
+  // Separator owning `child`; ~0 (right of everything) for a ptr the node
+  // never held.
+  const auto separator_of = [&](std::uint64_t child) -> Key {
+    if (child == kLeftmost) return 0;
+    for (const std::uint64_t base : {kAnchorChild, kChurnChild}) {
+      if (child > base && child <= base + kChurnCap) return child - base;
+    }
+    return ~Key{0};
+  };
+
+  std::atomic<int> routed_right{0};
+  ChurnWhileReading(&node, kChurnChild, [&](simd::Isa isa) {
+    core::RealMem m;
+    const auto child_fn = ChurnSimd::ChildSearchFor(isa);
+    for (std::size_t iter = 0; iter < 30000; ++iter) {
+      const Key a = anchors[iter % anchors.size()];
+      if (separator_of(child_fn(m, &node, a)) > a) {
+        routed_right.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(routed_right.load(), 0);
+
+  core::RealMem m;
+  for (simd::Isa isa : SupportedVectorIsas()) {
+    for (const Key a : anchors) {
+      EXPECT_EQ(ChurnSimd::ChildSearchFor(isa)(m, &node, a), a + kAnchorChild)
+          << simd::IsaName(isa) << " anchor=" << a;
+    }
+  }
+  ExpectNodeEquivalence(m, &node, static_cast<Key>(kChurnCap + 4),
+                        "post-churn internal");
 }
 
 }  // namespace
