@@ -11,8 +11,9 @@
 // tracks. BENCH_micro_ops.json at the repo root is the committed baseline;
 // the CI perf-smoke job regenerates it as a build artifact and gates on
 // the deterministic counter ratios: BM_TreeSearchBatch must pay >= 2x fewer
-// serialized read stalls per op than BM_TreeSearch, and BM_TreeScanBatch
-// >= 2x fewer per scan than the scalar BM_TreeScan100 loop.
+// serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch
+// >= 2x fewer per scan than the scalar BM_TreeScan100 loop, and the
+// index-tier BM_IndexSearchBatch >= 2x fewer than BM_IndexSearch.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/workload.h"
@@ -29,7 +31,6 @@
 #include "core/node_ops.h"
 #include "core/node_search_simd.h"
 #include "index/index.h"
-#include "index/sharded.h"
 
 namespace {
 
@@ -143,28 +144,6 @@ void BM_NodeBinarySearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeBinarySearch);
-
-// Batch shard routing: the stable bucketing pass every sharded batch op
-// runs first. 4096 elements over 8 shards, the default hashed-tier shape.
-// The `simd` variant pins the active ISA for the duration of the run so
-// the scalar row stays honest whatever FASTFAIR_SIMD says.
-void BM_BucketByShard(benchmark::State& state, simd::Isa isa) {
-  const simd::Isa prev = simd::ActiveIsa();
-  simd::ForceIsa(isa);
-  constexpr std::size_t kN = 4096, kShards = 8;
-  std::vector<std::uint32_t> ids(kN);
-  Rng rng(11);
-  for (auto& x : ids) x = static_cast<std::uint32_t>(rng.NextBounded(kShards));
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> start;
-  for (auto _ : state) {
-    detail::BucketByShard(ids.data(), kN, kShards, &order, &start);
-    benchmark::DoNotOptimize(order.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kN));
-  simd::ForceIsa(prev);
-}
 
 void BM_PoolAlloc(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
@@ -344,6 +323,53 @@ void BM_TreeScanBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeScanBatch);
 
+// Index tier (routing plus op): uniform lookups on hashed-fastfair:8, one
+// Index::Search per key against Index::SearchBatch over batches of
+// kBatchGroup keys. Eight uniform keys land on ~5.3 distinct shards, so
+// the batch row pays its one grouped stall per wave only because the
+// adapter runs the whole batch as one cross-tree pipeline; the gate in
+// main() reads these two rows' read_stalls_per_op (>= 2x apart).
+void BM_IndexSearch(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 3);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  std::size_t i = 0;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx->Search(keys[i]));
+    i = (i + 1) % keys.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_IndexSearch);
+
+void BM_IndexSearchBatch(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 3);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  constexpr std::size_t kBatch = core::BTree::kBatchGroup;
+  Value vals[kBatch];
+  std::size_t off = 0;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    if (off + kBatch > keys.size()) off = 0;
+    idx->SearchBatch(keys.data() + off, kBatch, vals);
+    benchmark::DoNotOptimize(vals);
+    off += kBatch;
+  }
+  const double items =
+      static_cast<double>(state.iterations()) * static_cast<double>(kBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  SetPmCounters(state, pm::Stats() - before, items);
+}
+BENCHMARK(BM_IndexSearchBatch);
+
 // --- reporting ---------------------------------------------------------------
 
 struct RunRecord {
@@ -430,10 +456,6 @@ int main(int argc, char** argv) {
         (std::string("BM_NodeSimdSearch/") + simd::IsaName(isa)).c_str(),
         &BM_NodeSimdSearch, isa);
   }
-  benchmark::RegisterBenchmark("BM_BucketByShard/scalar", &BM_BucketByShard,
-                               simd::Isa::kScalar);
-  benchmark::RegisterBenchmark("BM_BucketByShard/simd", &BM_BucketByShard,
-                               simd::BestSupportedIsa());
 
   benchmark::Initialize(&out_argc, argv);
   if (benchmark::ReportUnrecognizedArguments(out_argc, argv)) return 1;
@@ -443,45 +465,30 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty() && !WriteJson(json_path, reporter.records)) return 1;
 
-  // Deterministic pipeline gate (counter ratio, never wall time): the
-  // batched search must pay at least 2x fewer serialized read stalls per
-  // op than the scalar one (it groups kBatchGroup leaf fetches per stall).
-  const RunRecord* scalar = nullptr;
-  const RunRecord* batched = nullptr;
-  for (const auto& r : reporter.records) {
-    if (r.name == "BM_TreeSearch") scalar = &r;
-    if (r.name == "BM_TreeSearchBatch") batched = &r;
-  }
-  if (scalar != nullptr && batched != nullptr) {
+  // Deterministic pipeline gates (counter ratios, never wall time): each
+  // batched row must pay at least 2x fewer serialized read stalls per op
+  // than its scalar twin — the batched search groups kBatchGroup leaf
+  // fetches per stall, the batched scan one grouped stall per wave of
+  // sibling hops instead of one per hop per scan, and the index-tier batch
+  // keeps one stall per wave although its keys land on several shards.
+  for (const auto& [scalar_name, batched_name] :
+       {std::pair{"BM_TreeSearch", "BM_TreeSearchBatch"},
+        std::pair{"BM_TreeScan100", "BM_TreeScanBatch"},
+        std::pair{"BM_IndexSearch", "BM_IndexSearchBatch"}}) {
+    const RunRecord* scalar = nullptr;
+    const RunRecord* batched = nullptr;
+    for (const auto& r : reporter.records) {
+      if (r.name == scalar_name) scalar = &r;
+      if (r.name == batched_name) batched = &r;
+    }
+    if (scalar == nullptr || batched == nullptr) continue;  // filtered out
     const double s = CounterOf(*scalar, "read_stalls_per_op");
     const double b = CounterOf(*batched, "read_stalls_per_op");
     if (b * 2.0 > s) {
       std::fprintf(stderr,
-                   "GATE FAIL micro_ops: batched read stalls/op %.3f not "
-                   ">=2x below scalar %.3f\n",
-                   b, s);
-      return 1;
-    }
-  }
-
-  // Same contract for range scans: the grouped-descent + interleaved
-  // leaf-chain drain must pay at least 2x fewer serialized read stalls per
-  // scan than the scalar Scan loop (one grouped stall per wave of sibling
-  // hops instead of one per hop per scan).
-  const RunRecord* scan_scalar = nullptr;
-  const RunRecord* scan_batched = nullptr;
-  for (const auto& r : reporter.records) {
-    if (r.name == "BM_TreeScan100") scan_scalar = &r;
-    if (r.name == "BM_TreeScanBatch") scan_batched = &r;
-  }
-  if (scan_scalar != nullptr && scan_batched != nullptr) {
-    const double s = CounterOf(*scan_scalar, "read_stalls_per_op");
-    const double b = CounterOf(*scan_batched, "read_stalls_per_op");
-    if (b * 2.0 > s) {
-      std::fprintf(stderr,
-                   "GATE FAIL micro_ops: ScanBatch read stalls/op %.3f not "
-                   ">=2x below scalar scan %.3f\n",
-                   b, s);
+                   "GATE FAIL micro_ops: %s read stalls/op %.3f not >=2x "
+                   "below %s %.3f\n",
+                   batched_name, b, scalar_name, s);
       return 1;
     }
   }

@@ -121,18 +121,4 @@ std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
   }
 }
 
-std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                         std::uint32_t v, std::uint32_t* out) {
-  switch (ActiveIsa()) {
-#if defined(FASTFAIR_SIMD_X86)
-    case Isa::kAvx2:
-      return Avx2Kernels::CollectEqU32(a, n, v, out);
-    case Isa::kAvx512:
-      return Avx512Kernels::CollectEqU32(a, n, v, out);
-#endif
-    default:
-      return ScalarKernels::CollectEqU32(a, n, v, out);
-  }
-}
-
 }  // namespace fastfair::simd

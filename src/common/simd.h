@@ -12,16 +12,17 @@
 // target attributes (no global -march), selected once at startup from
 // cpuid and overridable with FASTFAIR_SIMD=scalar|avx2|avx512 (unsupported
 // or unknown values clamp to scalar; unset or "auto" picks the best the
-// CPU offers). Off x86-64 only the scalar path is compiled. ScalarKernels
-// is the reference implementation of ByteEqMask and CollectEqU32; every
-// vector kernel must be bit-identical to it on the same input
-// (tests/simd_search_test.cc enforces this per ISA, and checks the
-// vector-only RecordEqZero/RecordGtZero against a scalar re-derivation).
+// CPU offers). Off x86-64 only the scalar path is compiled. Each family
+// carries ByteEqMask (FP-tree's fingerprint probe); the vector families
+// add RecordEqZero/RecordGtZero (the FAST+FAIR node search). ScalarKernels
+// is the reference implementation of ByteEqMask; every vector kernel must
+// be bit-identical to it on the same input (tests/simd_search_test.cc
+// enforces this per ISA, and checks the vector-only RecordEqZero/
+// RecordGtZero against a scalar re-derivation).
 //
 // Contract notes shared by all kernels:
 //  * ByteEqMask requires 64 readable bytes at `a` even when n < 64 (the
 //    callers point it at in-struct arrays with trailing members).
-//  * CollectEqU32 has no padding requirement (vector body + scalar tail).
 //  * RecordEqZero/RecordGtZero read kRecWidth {key, ptr} records (16-byte
 //    stride) with plain vector loads: only valid for memory policies with
 //    coherent raw loads (RealMem), never for crash-sim shadow policies.
@@ -65,7 +66,7 @@ Isa BestSupportedIsa();
 
 /// The process-wide active ISA: resolved once from FASTFAIR_SIMD (or
 /// BestSupportedIsa when unset/auto) on first call, then cached. All
-/// dispatch points (tree construction, BucketByShard, FindEntry) read this.
+/// dispatch points (tree construction, FP-tree FindEntry) read this.
 Isa ActiveIsa();
 
 /// Test/bench hook: overrides ActiveIsa. Unsupported requests clamp to
@@ -99,15 +100,6 @@ struct ScalarKernels {
     for (std::size_t i = 0; i < n; ++i)
       if (a[i] == v) m |= std::uint64_t{1} << i;
     return m;
-  }
-
-  /// Appends every i in [0, n) with a[i] == v to out; returns the count.
-  static std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                                  std::uint32_t v, std::uint32_t* out) {
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
   }
 };
 
@@ -185,27 +177,6 @@ struct Avx2Kernels {
     *gt = (g0 & 0x5u) | ((g1 & 0x5u) << 4);
     *zero = ((z0 & 0xAu) | ((z1 & 0xAu) << 4)) >> 1;
   }
-
-  __attribute__((target("avx2"))) static std::size_t CollectEqU32(
-      const std::uint32_t* a, std::size_t n, std::uint32_t v,
-      std::uint32_t* out) {
-    const __m256i vv = _mm256_set1_epi32(static_cast<int>(v));
-    std::size_t c = 0, i = 0;
-    for (; i + 8 <= n; i += 8) {
-      unsigned m = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-              vv))));
-      while (m != 0) {
-        out[c++] = static_cast<std::uint32_t>(
-            i + static_cast<std::size_t>(__builtin_ctz(m)));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -260,25 +231,6 @@ struct Avx512Kernels {
     *gt = g0 | (g1 << 8);
     *zero = (z0 | (z1 << 8)) >> 1;
   }
-
-  __attribute__((target("avx512f"))) static std::size_t CollectEqU32(
-      const std::uint32_t* a, std::size_t n, std::uint32_t v,
-      std::uint32_t* out) {
-    const __m512i vv = _mm512_set1_epi32(static_cast<int>(v));
-    std::size_t c = 0, i = 0;
-    for (; i + 16 <= n; i += 16) {
-      unsigned m = _mm512_cmpeq_epu32_mask(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + i)), vv);
-      while (m != 0) {
-        out[c++] = static_cast<std::uint32_t>(
-            i + static_cast<std::size_t>(__builtin_ctz(m)));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i)
-      if (a[i] == v) out[c++] = static_cast<std::uint32_t>(i);
-    return c;
-  }
 };
 
 #endif  // FASTFAIR_SIMD_X86
@@ -293,9 +245,5 @@ struct Avx512Kernels {
 /// kernel structs.
 std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
                          std::uint8_t v);
-
-/// CollectEqU32 on the active ISA.
-std::size_t CollectEqU32(const std::uint32_t* a, std::size_t n,
-                         std::uint32_t v, std::uint32_t* out);
 
 }  // namespace fastfair::simd

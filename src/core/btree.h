@@ -152,6 +152,12 @@ class BTreeT {
   void InsertBatch(const Record* ops, std::size_t n,
                    InsertStatus* out = nullptr);
 
+  /// Batched removes: out[i] = Remove(keys[i]) for every i, in batch order
+  /// (a duplicate key's second occurrence reports false). Descents
+  /// pipeline exactly like SearchBatch; the deletes run one at a time
+  /// under the usual leaf locks.
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out);
+
   /// Collects up to `max_results` records with key >= min_key in ascending
   /// order. Returns the number written.
   std::size_t Scan(Key min_key, std::size_t max_results, Record* out) const;
@@ -170,6 +176,21 @@ class BTreeT {
   /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan.
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const;
+
+  /// Cross-tree batches (DESIGN.md §8.3): the same pipelines over ops that
+  /// each name their tree — op i runs on trees[i] (trees need not be
+  /// distinct), with exactly the per-op semantics of the member call on
+  /// that tree. A descent wave mixes trees, so ops routed to different
+  /// shards still share one grouped read stall per wave. The member calls
+  /// are the one-tree case of the same code.
+  static void SearchBatch(const BTreeT* const* trees, const Key* keys,
+                          std::size_t n, Value* out);
+  static void InsertBatch(BTreeT* const* trees, const Record* ops,
+                          std::size_t n, InsertStatus* out = nullptr);
+  static void RemoveBatch(BTreeT* const* trees, const Key* keys,
+                          std::size_t n, bool* out);
+  static void ScanBatch(const BTreeT* const* trees, const ScanOp* ops,
+                        std::size_t n, std::size_t* out_counts);
 
   /// Tree height in levels (1 = a single leaf).
   int Height() const;
@@ -262,10 +283,33 @@ class BTreeT {
   NodeT* FindLeaf(Key key) const;
 
   /// Interleaved lock-free descent of `g` keys (g <= kBatchGroup) to their
-  /// covering leaves: one wave per level, each slot's child prefetched a
-  /// full level before it is searched, leaf arrivals charged as one
-  /// grouped read stall per wave (pm::AnnotateReadGroup).
-  void DescendGroup(const Key* keys, std::size_t g, NodeT** leaves) const;
+  /// covering leaves, slot j in trees[j]: each slot starts at its own
+  /// tree's root and searches with that tree's child search, one wave per
+  /// level, each slot's child prefetched a full level before it is
+  /// searched, leaf arrivals charged as one grouped read stall per wave
+  /// (pm::AnnotateReadGroup). Roots that are leaves arrive as a wave of
+  /// their own, so a group mixing tree heights pays one stall per arrival
+  /// level.
+  static void DescendGroup(const BTreeT* const* trees, const Key* keys,
+                           std::size_t g, NodeT** leaves);
+
+  /// The batch pipelines behind both the member and the cross-tree entry
+  /// points: op i runs on tree_at(i). One epoch pin spans the call when
+  /// any of its trees reclaims nodes (the scalar ops' pin rule).
+  template <class TreeAt>
+  static bool AnyReclaims(TreeAt tree_at, std::size_t n);
+  template <class TreeAt>
+  static void SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
+                            Value* out);
+  template <class TreeAt>
+  static void InsertBatchOn(TreeAt tree_at, const Record* ops, std::size_t n,
+                            InsertStatus* out);
+  template <class TreeAt>
+  static void RemoveBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
+                            bool* out);
+  template <class TreeAt>
+  static void ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
+                          std::size_t* out_counts);
 
   /// Search tail: probes `n` (a leaf from FindLeaf/DescendGroup) and
   /// follows the sibling chain while the key may live right of it.
@@ -277,6 +321,11 @@ class BTreeT {
   /// kNoSpace when the needed split could not allocate (key not inserted,
   /// tree untouched).
   InsertStatus InsertFrom(NodeT* leaf, Key key, Value value);
+
+  /// Remove tail, mirroring InsertFrom: locks the covering leaf starting
+  /// from hint `leaf` (re-descending if the hint died) and deletes `key`.
+  /// Returns false if the key was absent.
+  bool RemoveFrom(NodeT* leaf, Key key);
 
   /// Locks `n`, hopping right while the key belongs to a sibling. On a hop
   /// triggered at leaf level, lazily completes a possibly-crashed split by

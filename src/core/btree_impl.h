@@ -172,42 +172,42 @@ typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
 }
 
 template <std::size_t P>
-void BTreeT<P>::DescendGroup(const Key* keys, std::size_t g,
-                             NodeT** leaves) const {
+void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
+                             std::size_t g, NodeT** leaves) {
   RealMem m;
-  NodeT* root = Root();
-  if (root->is_leaf()) {
-    for (std::size_t j = 0; j < g; ++j) leaves[j] = root;
-    pm::AnnotateReadGroup(g);
-    return;
+  // Each slot starts at its own tree's root. A root that is itself a leaf
+  // has already arrived: those slots form the level-0 wave.
+  std::size_t arrived = 0;
+  for (std::size_t j = 0; j < g; ++j) {
+    leaves[j] = trees[j]->Root();
+    if (leaves[j]->is_leaf()) ++arrived;
   }
-  NodeT* cur[kBatchGroup];
-  for (std::size_t j = 0; j < g; ++j) cur[j] = root;
+  pm::AnnotateReadGroup(arrived);
   // One wave advances every pending descent one level: while slot j's
   // child search runs, the children prefetched for slots j+1..g-1 (and
   // next wave's for 0..j) are in flight, so the per-level PM fetches of
-  // the whole group overlap instead of serializing. The leaf arrivals of
-  // a wave are charged as ONE grouped read stall — their addresses were
-  // all known (and prefetched) before any was dereferenced.
-  std::size_t pending = g;
+  // the whole group overlap instead of serializing — whichever trees the
+  // slots descend. The leaf arrivals of a wave are charged as ONE grouped
+  // read stall: their addresses were all known (and prefetched) before
+  // any was dereferenced.
+  std::size_t pending = g - arrived;
   while (pending > 0) {
-    std::size_t arrived = 0;
+    arrived = 0;
     for (std::size_t j = 0; j < g; ++j) {
-      NodeT* n = cur[j];
+      NodeT* n = leaves[j];
       if (n->is_leaf()) continue;
       for (std::uint64_t su; (su = Ops::MoveRightTarget(
                                   m, n, keys[j], detail::ResolveNode<NodeT>));) {
         n = AsNode(su);
       }
-      NodeT* child = AsNode(child_search_(m, n, keys[j]));
+      NodeT* child = AsNode(trees[j]->child_search_(m, n, keys[j]));
       PrefetchNode(child);
-      cur[j] = child;
+      leaves[j] = child;
       if (child->is_leaf()) ++arrived;
     }
     pm::AnnotateReadGroup(arrived);
     pending -= arrived;
   }
-  for (std::size_t j = 0; j < g; ++j) leaves[j] = cur[j];
 }
 
 template <std::size_t P>
@@ -307,41 +307,105 @@ InsertStatus BTreeT<P>::TryInsert(Key key, Value value) {
 }
 
 template <std::size_t P>
-void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
-                            InsertStatus* out) {
-  detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
+template <class TreeAt>
+bool BTreeT<P>::AnyReclaims(TreeAt tree_at, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tree_at(i)->opts_.reclaim_empty_leaves) return true;
+  }
+  return false;
+}
+
+template <std::size_t P>
+template <class TreeAt>
+void BTreeT<P>::InsertBatchOn(TreeAt tree_at, const Record* ops,
+                              std::size_t n, InsertStatus* out) {
+  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  BTreeT* trees[kBatchGroup];
   Key keys[kBatchGroup];
   NodeT* leaves[kBatchGroup];
   for (std::size_t i = 0; i < n; i += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - i);
-    for (std::size_t j = 0; j < g; ++j) keys[j] = ops[i + j].key;
-    DescendGroup(keys, g, leaves);
+    for (std::size_t j = 0; j < g; ++j) {
+      trees[j] = tree_at(i + j);
+      keys[j] = ops[i + j].key;
+    }
+    DescendGroup(trees, keys, g, leaves);
     // The writes run in batch order, one leaf lock at a time: an earlier
     // slot's split/unlink may stale a later slot's leaf hint, which
     // InsertFrom absorbs (move-right, or re-descend on a dead node).
     for (std::size_t j = 0; j < g; ++j) {
       assert(ops[i + j].ptr != kNoValue && "kNoValue (0) is reserved");
-      const InsertStatus st = InsertFrom(leaves[j], keys[j], ops[i + j].ptr);
+      const InsertStatus st =
+          trees[j]->InsertFrom(leaves[j], keys[j], ops[i + j].ptr);
       if (out != nullptr) out[i + j] = st;
     }
   }
 }
 
 template <std::size_t P>
-bool BTreeT<P>::Remove(Key key) {
-  detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
+void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
+                            InsertStatus* out) {
+  InsertBatchOn([this](std::size_t) { return this; }, ops, n, out);
+}
+
+template <std::size_t P>
+void BTreeT<P>::InsertBatch(BTreeT* const* trees, const Record* ops,
+                            std::size_t n, InsertStatus* out) {
+  InsertBatchOn([trees](std::size_t i) { return trees[i]; }, ops, n, out);
+}
+
+template <std::size_t P>
+bool BTreeT<P>::RemoveFrom(NodeT* leaf, Key key) {
   pm::FlushScope wc;  // same per-operation coalescing contract as InsertFrom
   RealMem m;
   for (;;) {
-    NodeT* leaf = FindLeaf(key);
     leaf = LockCovering(leaf, key);
-    if (leaf == nullptr) continue;
+    if (leaf == nullptr) {  // hit a dead node; parent repaired — re-descend
+      leaf = FindLeaf(key);
+      continue;
+    }
     Ops::FixNode(m, leaf, detail::ResolveNode<NodeT>);
     if (opts_.reclaim_empty_leaves) TryUnlinkEmptySibling(leaf, key);
     const bool ok = Ops::DeleteKey(m, leaf, key);
     leaf->hdr.lock.unlock();
     return ok;
   }
+}
+
+template <std::size_t P>
+bool BTreeT<P>::Remove(Key key) {
+  detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
+  return RemoveFrom(FindLeaf(key), key);
+}
+
+template <std::size_t P>
+template <class TreeAt>
+void BTreeT<P>::RemoveBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
+                              bool* out) {
+  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  BTreeT* trees[kBatchGroup];
+  NodeT* leaves[kBatchGroup];
+  for (std::size_t i = 0; i < n; i += kBatchGroup) {
+    const std::size_t g = std::min(kBatchGroup, n - i);
+    for (std::size_t j = 0; j < g; ++j) trees[j] = tree_at(i + j);
+    DescendGroup(trees, keys + i, g, leaves);
+    // Batch order, like InsertBatchOn: a hint an earlier slot's delete (or
+    // its unlink of an emptied run) made stale is LockCovering's to absorb.
+    for (std::size_t j = 0; j < g; ++j) {
+      out[i + j] = trees[j]->RemoveFrom(leaves[j], keys[i + j]);
+    }
+  }
+}
+
+template <std::size_t P>
+void BTreeT<P>::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
+  RemoveBatchOn([this](std::size_t) { return this; }, keys, n, out);
+}
+
+template <std::size_t P>
+void BTreeT<P>::RemoveBatch(BTreeT* const* trees, const Key* keys,
+                            std::size_t n, bool* out) {
+  RemoveBatchOn([trees](std::size_t i) { return trees[i]; }, keys, n, out);
 }
 
 template <std::size_t P>
@@ -372,17 +436,32 @@ Value BTreeT<P>::Search(Key key) const {
 }
 
 template <std::size_t P>
-void BTreeT<P>::SearchBatch(const Key* keys, std::size_t n,
-                            Value* out) const {
-  detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
+template <class TreeAt>
+void BTreeT<P>::SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
+                              Value* out) {
+  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  const BTreeT* trees[kBatchGroup];
   NodeT* leaves[kBatchGroup];
   for (std::size_t i = 0; i < n; i += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - i);
-    DescendGroup(keys + i, g, leaves);
+    for (std::size_t j = 0; j < g; ++j) trees[j] = tree_at(i + j);
+    DescendGroup(trees, keys + i, g, leaves);
     for (std::size_t j = 0; j < g; ++j) {
-      out[i + j] = SearchInLeaf(leaves[j], keys[i + j]);
+      out[i + j] = trees[j]->SearchInLeaf(leaves[j], keys[i + j]);
     }
   }
+}
+
+template <std::size_t P>
+void BTreeT<P>::SearchBatch(const Key* keys, std::size_t n,
+                            Value* out) const {
+  SearchBatchOn([this](std::size_t) { return this; }, keys, n, out);
+}
+
+template <std::size_t P>
+void BTreeT<P>::SearchBatch(const BTreeT* const* trees, const Key* keys,
+                            std::size_t n, Value* out) {
+  SearchBatchOn([trees](std::size_t i) { return trees[i]; }, keys, n, out);
 }
 
 // --- split path ---------------------------------------------------------------
@@ -984,19 +1063,24 @@ std::size_t BTreeT<P>::Scan(Key min_key, std::size_t max_results,
 }
 
 template <std::size_t P>
-void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
-                          std::size_t* out_counts) const {
-  detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
+template <class TreeAt>
+void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
+                            std::size_t* out_counts) {
+  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
   RealMem m;
   Record buf[kNodeCapacity];
   for (std::size_t base = 0; base < n; base += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - base);
     // Grouped descent to the start leaves: one wave per level, leaf
     // arrivals charged as one grouped stall (exactly SearchBatch's front).
+    const BTreeT* trees[kBatchGroup];
     Key keys[kBatchGroup];
-    for (std::size_t j = 0; j < g; ++j) keys[j] = ops[base + j].min_key;
+    for (std::size_t j = 0; j < g; ++j) {
+      trees[j] = tree_at(base + j);
+      keys[j] = ops[base + j].min_key;
+    }
     NodeT* leaves[kBatchGroup];
-    DescendGroup(keys, g, leaves);
+    DescendGroup(trees, keys, g, leaves);
     // Interleaved leaf-chain drain. Each cursor carries the same state the
     // scalar ScanRange loop keeps — current leaf, emitted count, last key
     // for split-copy dedup — and a wave collects one leaf per live cursor.
@@ -1051,6 +1135,19 @@ void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
     }
     for (std::size_t j = 0; j < g; ++j) out_counts[base + j] = got[j];
   }
+}
+
+template <std::size_t P>
+void BTreeT<P>::ScanBatch(const ScanOp* ops, std::size_t n,
+                          std::size_t* out_counts) const {
+  ScanBatchOn([this](std::size_t) { return this; }, ops, n, out_counts);
+}
+
+template <std::size_t P>
+void BTreeT<P>::ScanBatch(const BTreeT* const* trees, const ScanOp* ops,
+                          std::size_t n, std::size_t* out_counts) {
+  ScanBatchOn([trees](std::size_t i) { return trees[i]; }, ops, n,
+              out_counts);
 }
 
 // --- introspection ---------------------------------------------------------------

@@ -288,8 +288,11 @@ struct NodeOps {
     const std::uint64_t left =
         pos == 0 ? LoadLeftmost(m, n) : LoadPtrAt(m, n, pos - 1);
     StorePtrAt(m, n, pos, left);
-    m.Flush(&n->records[pos]);
-    m.Fence();
+    // No flush of its own: a line persists its stores in order, and the
+    // shift flushes this line before it stores into the next one, so the
+    // commit reaches PM no later than any store that depends on it. The
+    // barrier keeps it ahead of the shift's stores on a non-TSO model.
+    m.FenceIfNotTso();
     ShiftLeftFrom(m, n, pos, cnt);
     return true;
   }

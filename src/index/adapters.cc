@@ -2,6 +2,7 @@
 
 #include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/blink/blink.h"
@@ -59,6 +60,13 @@ class Wrap final : public Index {
       Index::InsertBatch(ops, n, out);
     }
   }
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override {
+    if constexpr (requires { impl_.RemoveBatch(keys, n, out); }) {
+      impl_.RemoveBatch(keys, n, out);
+    } else {
+      Index::RemoveBatch(keys, n, out);
+    }
+  }
   std::size_t Scan(Key min_key, std::size_t max_results,
                    core::Record* out) const override {
     return impl_.Scan(min_key, max_results, out);
@@ -74,6 +82,13 @@ class Wrap final : public Index {
     }
   }
   std::string_view name() const override { return name_; }
+  core::BTree* core_tree() override {
+    if constexpr (std::is_same_v<T, core::BTree>) {
+      return &impl_;
+    } else {
+      return nullptr;
+    }
+  }
   bool supports_concurrency() const override { return concurrent_; }
   std::size_t CountEntries() const override {
     if constexpr (requires { impl_.CountEntries(); }) {
@@ -235,6 +250,10 @@ void Index::InsertBatch(const core::Record* ops, std::size_t n,
       if (out != nullptr) out[i] = InsertStatus::kNoSpace;
     }
   }
+}
+
+void Index::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = Remove(keys[i]);
 }
 
 void Index::ScanBatch(const ScanOp* ops, std::size_t n,

@@ -3,6 +3,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/btree.h"
+
 namespace fastfair {
 
 std::size_t TryParseHashedKind(std::string_view kind,
@@ -14,6 +16,7 @@ HashShardedIndex::HashShardedIndex(std::string name, std::size_t num_shards,
                                    const ShardFactory& make)
     : name_(std::move(name)) {
   concurrent_ = detail::BuildShardVector(num_shards, make, &shards_);
+  core_ = detail::CoreTrees(shards_);
 }
 
 void HashShardedIndex::Insert(Key key, Value value) {
@@ -30,35 +33,47 @@ Value HashShardedIndex::Search(Key key) const {
 
 void HashShardedIndex::SearchBatch(const Key* keys, std::size_t n,
                                    Value* out) const {
-  if (n == 0) return;
-  std::vector<Value> vals;
-  detail::DispatchBatchByShard(
-      keys, n, shards_.size(), [this](Key k) { return ShardOf(k); },
-      [&](std::size_t s, const Key* gk, std::size_t len,
-          const std::uint32_t* pos) {
-        vals.resize(len);
-        shards_[s]->SearchBatch(gk, len, vals.data());
-        for (std::size_t j = 0; j < len; ++j) out[pos[j]] = vals[j];
-      });
+  if (core_.empty()) {
+    Index::SearchBatch(keys, n, out);
+    return;
+  }
+  const core::BTree* trees[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
+    core::BTree::SearchBatch(trees, keys + i, g, out + i);
+  }
 }
 
 void HashShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
                                    InsertStatus* out) {
-  if (n == 0) return;
-  std::vector<InsertStatus> st;
-  detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
-      [this](const core::Record& r) { return ShardOf(r.key); },
-      [&](std::size_t s, const core::Record* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        if (out != nullptr) {
-          st.resize(len);
-          shards_[s]->InsertBatch(gops, len, st.data());
-          for (std::size_t j = 0; j < len; ++j) out[pos[j]] = st[j];
-        } else {
-          shards_[s]->InsertBatch(gops, len);
-        }
-      });
+  if (core_.empty()) {
+    Index::InsertBatch(ops, n, out);
+    return;
+  }
+  core::BTree* trees[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) {
+      trees[j] = core_[ShardOf(ops[i + j].key)];
+    }
+    core::BTree::InsertBatch(trees, ops + i, g,
+                             out != nullptr ? out + i : nullptr);
+  }
+}
+
+void HashShardedIndex::RemoveBatch(const Key* keys, std::size_t n,
+                                   bool* out) {
+  if (core_.empty()) {
+    Index::RemoveBatch(keys, n, out);
+    return;
+  }
+  core::BTree* trees[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
+    core::BTree::RemoveBatch(trees, keys + i, g, out + i);
+  }
 }
 
 namespace {
@@ -122,13 +137,16 @@ std::size_t HashShardedIndex::Scan(Key min_key, std::size_t max_results,
 
 void HashShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
                                  std::size_t* out_counts) const {
-  if (n == 0) return;
+  if (core_.empty()) {
+    Index::ScanBatch(ops, n, out_counts);
+    return;
+  }
   // Every shard may hold keys of every range, so the bounded merge
   // over-fetches up to `cap` candidates per shard per entry. Materializing
-  // those runs lets each shard serve the whole batch through ONE native
-  // ScanBatch call — grouped descents and hand-over-hand drains inside the
-  // shard — at the price of scratch memory; a batch too large for the
-  // budget keeps the streaming per-op merge (identical results).
+  // those runs lets the whole batch — n entries times N shards — run as
+  // ONE cross-tree ScanBatch, grouped descents and hand-over-hand drains
+  // mixing shards, at the price of scratch memory; a batch too large for
+  // the budget keeps the streaming per-op merge (identical results).
   constexpr std::size_t kMergeScratchMax = std::size_t{1} << 16;  // records
   const std::size_t n_shards = shards_.size();
   std::size_t total_cap = 0;
@@ -143,7 +161,7 @@ void HashShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
     }
     return;
   }
-  // Scratch layout: shard s's run for entry i lives at
+  // Scratch layout: sub-scan s * n + i is shard s's run for entry i, at
   // runs[s * total_cap + prefix[i]], length run_len[s * n + i].
   std::vector<std::size_t> prefix(n);
   for (std::size_t i = 0, off = 0; i < n; ++i) {
@@ -152,14 +170,17 @@ void HashShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
   }
   std::vector<core::Record> runs(n_shards * total_cap);
   std::vector<std::size_t> run_len(n_shards * n);
-  std::vector<ScanOp> shard_ops(n);
+  std::vector<ScanOp> sub(n_shards * n);
+  std::vector<const core::BTree*> trees(n_shards * n);
   for (std::size_t s = 0; s < n_shards; ++s) {
     for (std::size_t i = 0; i < n; ++i) {
-      shard_ops[i] = {ops[i].min_key, ops[i].cap,
-                      runs.data() + s * total_cap + prefix[i]};
+      sub[s * n + i] = {ops[i].min_key, ops[i].cap,
+                        runs.data() + s * total_cap + prefix[i]};
+      trees[s * n + i] = core_[s];
     }
-    shards_[s]->ScanBatch(shard_ops.data(), n, run_len.data() + s * n);
   }
+  core::BTree::ScanBatch(trees.data(), sub.data(), sub.size(),
+                         run_len.data());
   // Per-entry k-way merge of its per-shard sorted runs. Keys are unique
   // across shards (hash routing), so a plain min-select suffices.
   std::vector<std::size_t> cur(n_shards);

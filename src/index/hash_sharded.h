@@ -45,14 +45,15 @@ class HashShardedIndex final : public Index {
   bool Remove(Key key) override;
   Value Search(Key key) const override;
 
-  /// Native batch overrides (DESIGN.md §8.3): one hash-routing pass
-  /// buckets the batch, each shard gets its sub-batch in original order
-  /// (the inner kind's pipelined batch runs per shard), results scatter
-  /// back to the caller's positions.
+  /// Native batch overrides (DESIGN.md §8.3), when every shard is a core
+  /// tree: each op is hash-routed once and the batch runs, in its original
+  /// order, as one cross-tree pipeline whose descent waves mix shards.
+  /// Other inner kinds take the Index default loops.
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
   using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override;
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override;
 
   /// Bounded k-way merge across the per-shard scans: globally sorted, same
   /// result as any other kind's Scan (hash routing never duplicates a key
@@ -61,11 +62,11 @@ class HashShardedIndex final : public Index {
                    core::Record* out) const override;
 
   /// Batched scans: hash routing interleaves every range across all
-  /// shards, so each shard serves the whole batch through one native
-  /// ScanBatch call (grouped descents inside the shard) into per-op
-  /// scratch runs, then each batch entry k-way-merges its per-shard runs.
-  /// A batch whose scratch would exceed a bounded budget falls back to
-  /// the streaming per-op merge (same results, scalar descents).
+  /// shards, so every batch entry scans every shard — the n x N sub-scans
+  /// run as one cross-tree ScanBatch into per-op scratch runs, then each
+  /// entry k-way-merges its per-shard runs. A batch whose scratch would
+  /// exceed a bounded budget falls back to the streaming per-op merge
+  /// (same results, scalar descents).
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const override;
 
@@ -103,6 +104,7 @@ class HashShardedIndex final : public Index {
 
  private:
   std::vector<std::unique_ptr<Index>> shards_;
+  std::vector<core::BTree*> core_;  // detail::CoreTrees(shards_)
   std::string name_;
   bool concurrent_ = true;
 };

@@ -42,6 +42,12 @@ class MaintenanceTask;
 struct TaskOptions;
 }  // namespace maint
 
+namespace core {
+template <std::size_t PageSize>
+class BTreeT;
+using BTree = BTreeT<512>;  // core/btree.h
+}  // namespace core
+
 /// Streaming cursor over an index's entries in ascending key order.
 /// Obtained from Index::NewScanIterator; lives at most as long as the index
 /// it iterates. Semantics under concurrent mutation match Scan's: entries
@@ -73,8 +79,9 @@ class Index {
   /// need not be sorted or distinct). The default is a plain loop
   /// (adapters.cc) so every kind accepts batches; kinds with a native
   /// pipeline override it — the core tree interleaves prefetching
-  /// descents (core/btree.h), the sharded adapters partition the batch
-  /// per shard with one route/pin per shard group (DESIGN.md §8.3).
+  /// descents (core/btree.h), the sharded adapters route every op once
+  /// and run the whole batch as one cross-tree pipeline over their shard
+  /// trees (DESIGN.md §8.3).
   virtual void SearchBatch(const Key* keys, std::size_t n, Value* out) const;
 
   /// Batched upserts, equivalent to Insert(ops[i].key, ops[i].ptr) in
@@ -96,6 +103,11 @@ class Index {
   virtual void InsertBatch(const core::Record* ops, std::size_t n,
                            InsertStatus* out);
 
+  /// Batched removes: out[i] = Remove(keys[i]) for every i, in batch
+  /// order (a duplicate key's second occurrence reports false). Same
+  /// default-loop / native-override contract as SearchBatch.
+  virtual void RemoveBatch(const Key* keys, std::size_t n, bool* out);
+
   /// Up to `max_results` entries with key >= min_key, ascending. Returns
   /// the count written to `out`.
   virtual std::size_t Scan(Key min_key, std::size_t max_results,
@@ -107,12 +119,18 @@ class Index {
   /// override contract as SearchBatch: the default is a plain Scan loop
   /// (adapters.cc), the core tree interleaves grouped descents and
   /// hand-over-hand leaf-chain drains (core/btree.h), the range-sharded
-  /// adapter buckets start keys per shard and drains merge-free, and the
+  /// adapter routes each start key once and drains merge-free, and the
   /// hash-sharded adapter k-way-merges per batch entry (DESIGN.md §8.3).
   virtual void ScanBatch(const ScanOp* ops, std::size_t n,
                          std::size_t* out_counts) const;
 
   virtual std::string_view name() const = 0;
+
+  /// The FAST+FAIR tree behind this index when it is exactly one
+  /// (`fastfair`, `fastfair-reclaim`, ...), else nullptr. The sharded
+  /// adapters read it once at construction: when every shard has one,
+  /// their batches run as one cross-tree pipeline (DESIGN.md §8.3).
+  virtual core::BTree* core_tree() { return nullptr; }
 
   /// True when concurrent callers are supported (Fig 7 set).
   virtual bool supports_concurrency() const { return false; }

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/simd.h"
+#include "core/btree.h"
 #include "maint/tasks.h"
 #include "pm/reclaim.h"
 
@@ -15,6 +15,7 @@ namespace {
 constexpr std::string_view kShardedPrefix = "sharded-";
 constexpr std::string_view kHashedPrefix = "hashed-";
 constexpr std::size_t kDefaultShards = 8;
+static_assert(detail::kRouteChunk % core::BTree::kBatchGroup == 0);
 }  // namespace
 
 namespace detail {
@@ -72,42 +73,16 @@ std::vector<std::size_t> PerShardEntryCounts(
   return out;
 }
 
-void BucketByShard(const std::uint32_t* shard_ids, std::size_t n,
-                   std::size_t num_shards, std::vector<std::uint32_t>* order,
-                   std::vector<std::size_t>* start) {
-  start->assign(num_shards + 1, 0);
-  order->resize(n);
-  // Vectorized counting sort (DESIGN.md §9.3): one SIMD equality sweep per
-  // shard appends that shard's positions directly into their final `order`
-  // segment, so there is no histogram, no prefix sum, and no dependent
-  // scatter stores. One pass per shard costs num_shards * n / W lane-ops;
-  // with W >= 8 lanes it beats the scalar three-pass at the adapter's
-  // shard counts. Per-shard ascending appends keep it stable, bit-identical
-  // to the scalar path. Large shard counts or tiny batches fall through.
-  const simd::Isa isa = simd::ActiveIsa();
-  if (isa != simd::Isa::kScalar && num_shards <= 32 &&
-      n >= 4 * num_shards) {
-    std::size_t filled = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      (*start)[s] = filled;
-      if (filled < n) {
-        filled += simd::CollectEqU32(shard_ids, n,
-                                     static_cast<std::uint32_t>(s),
-                                     order->data() + filled);
-      }
-    }
-    (*start)[num_shards] = filled;
-    if (filled == n) return;
-    // A shard id out of range (caller bug) would drop entries; fall back
-    // to the scalar path so behavior matches it exactly.
-    start->assign(num_shards + 1, 0);
+std::vector<core::BTree*> CoreTrees(
+    const std::vector<std::unique_ptr<Index>>& shards) {
+  std::vector<core::BTree*> out;
+  out.reserve(shards.size());
+  for (const auto& shard : shards) {
+    core::BTree* tree = shard->core_tree();
+    if (tree == nullptr) return {};
+    out.push_back(tree);
   }
-  for (std::size_t i = 0; i < n; ++i) (*start)[shard_ids[i] + 1] += 1;
-  for (std::size_t s = 0; s < num_shards; ++s) (*start)[s + 1] += (*start)[s];
-  std::vector<std::size_t> cur(start->begin(), start->end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    (*order)[cur[shard_ids[i]]++] = static_cast<std::uint32_t>(i);
-  }
+  return out;
 }
 
 }  // namespace detail
@@ -152,6 +127,7 @@ double ImbalanceRatio(const std::vector<std::size_t>& shard_entries) {
 void ShardedIndex::BuildShards(std::size_t num_shards,
                                const ShardFactory& make) {
   concurrent_ = detail::BuildShardVector(num_shards, make, &shards_);
+  core_ = detail::CoreTrees(shards_);
   counters_ = std::make_unique<ShardCounters[]>(num_shards);
   // Value-initialized (zeroed) migration stripes, allocated up front so
   // the write path never branches on their existence.
@@ -270,94 +246,120 @@ std::size_t ShardedIndex::CountEntries() const {
   return total;
 }
 
+void ShardedIndex::AddEntries(const std::size_t* sid, std::int64_t* delta,
+                              std::size_t g) {
+  for (std::size_t j = 0; j < g; ++j) {
+    if (delta[j] == 0) continue;
+    for (std::size_t k = j + 1; k < g; ++k) {
+      if (sid[k] == sid[j]) {
+        delta[j] += delta[k];
+        delta[k] = 0;
+      }
+    }
+    counters_[sid[j]].entries.fetch_add(delta[j], std::memory_order_relaxed);
+  }
+}
+
 void ShardedIndex::SearchBatch(const Key* keys, std::size_t n,
                                Value* out) const {
-  if (n == 0) return;
+  if (core_.empty()) {
+    Index::SearchBatch(keys, n, out);
+    return;
+  }
   // One pin covers routing *and* lookups for the whole batch (the scalar
   // path pins per key): Rebalance's publish waits out this single guard,
   // so every key routed under the old boundaries still finds its copy.
   pm::EpochGuard guard;
-  std::vector<Value> vals;
-  detail::DispatchBatchByShard(
-      keys, n, shards_.size(), [this](Key k) { return ShardOf(k); },
-      [&](std::size_t s, const Key* gk, std::size_t len,
-          const std::uint32_t* pos) {
-        vals.resize(len);
-        shards_[s]->SearchBatch(gk, len, vals.data());
-        for (std::size_t j = 0; j < len; ++j) out[pos[j]] = vals[j];
-      });
+  const core::BTree* trees[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
+    core::BTree::SearchBatch(trees, keys + i, g, out + i);
+  }
 }
 
 void ShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
                              std::size_t* out_counts) const {
-  if (n == 0) return;
-  // One pin covers routing and every per-shard drain (the scalar Scan pins
-  // per call); Rebalance's publish waits this guard out like any reader's.
+  if (core_.empty()) {
+    Index::ScanBatch(ops, n, out_counts);
+    return;
+  }
+  // One pin covers routing and every drain (the scalar Scan pins per
+  // call); Rebalance's publish waits this guard out like any reader's.
   pm::EpochGuard guard;
-  std::vector<std::size_t> counts;
-  detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
-      [this](const ScanOp& op) { return ShardOf(op.min_key); },
-      [&](std::size_t s, const ScanOp* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        counts.resize(len);
-        shards_[s]->ScanBatch(gops, len, counts.data());
-        for (std::size_t j = 0; j < len; ++j) {
-          std::size_t got = counts[j];
-          // Merge-free seam continuation: shards are ordered ranges, so an
-          // op short of its cap resumes in the next shard from key 0 and
-          // the concatenation stays globally sorted (same walk as Scan).
-          for (std::size_t t = s + 1;
-               t < shards_.size() && got < gops[j].cap; ++t) {
-            got += shards_[t]->Scan(Key{0}, gops[j].cap - got,
-                                    gops[j].out + got);
-          }
-          out_counts[pos[j]] = got;
-        }
-      });
+  std::size_t sid[detail::kRouteChunk];
+  const core::BTree* trees[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) {
+      sid[j] = ShardOf(ops[i + j].min_key);
+      trees[j] = core_[sid[j]];
+    }
+    core::BTree::ScanBatch(trees, ops + i, g, out_counts + i);
+    for (std::size_t j = 0; j < g; ++j) {
+      const ScanOp& op = ops[i + j];
+      std::size_t got = out_counts[i + j];
+      // Merge-free seam continuation: shards are ordered ranges, so an op
+      // short of its cap resumes in the next shard from key 0 and the
+      // concatenation stays globally sorted (same walk as Scan).
+      for (std::size_t t = sid[j] + 1; t < shards_.size() && got < op.cap;
+           ++t) {
+        got += shards_[t]->Scan(Key{0}, op.cap - got, op.out + got);
+      }
+      out_counts[i + j] = got;
+    }
+  }
 }
 
 void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
                                InsertStatus* out) {
-  if (n == 0) return;
-  // One pin covers routing and every shard group, mirroring SearchBatch —
+  // One pin covers routing and the whole pipeline, mirroring SearchBatch —
   // and, like the scalar writers, it is the unit Rebalance's grace
   // periods wait on, so `active_` cannot flip mid-batch.
   pm::EpochGuard guard;
-  if (migrating_.load(std::memory_order_seq_cst)) {
-    // Migration window: fall back to per-key dual-routing (Insert pins
-    // reentrantly). Batched dual-dispatch would buy little — the window
-    // is bounded by one Rebalance — and the scalar path is the one whose
-    // exactly-once protocol is proven.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out != nullptr) {
-        out[i] = Search(ops[i].key) == kNoValue ? InsertStatus::kInserted
-                                                : InsertStatus::kUpdated;
-      }
-      try {
-        Insert(ops[i].key, ops[i].ptr);
-      } catch (const std::bad_alloc&) {
-        if (out != nullptr) out[i] = InsertStatus::kNoSpace;
-      }
-    }
+  if (core_.empty() || migrating_.load(std::memory_order_seq_cst)) {
+    // Default loop over the routed scalar Insert (which pins reentrantly):
+    // in a migration window that is the per-key dual-routing path whose
+    // exactly-once protocol is proven; batched dual-dispatch would buy
+    // little, as the window is bounded by one Rebalance.
+    Index::InsertBatch(ops, n, out);
     return;
   }
-  std::vector<InsertStatus> st;
-  detail::DispatchBatchByShard(
-      ops, n, shards_.size(),
-      [this](const core::Record& r) { return ShardOf(r.key); },
-      [&](std::size_t s, const core::Record* gops, std::size_t len,
-          const std::uint32_t* pos) {
-        if (out != nullptr) {
-          st.resize(len);
-          shards_[s]->InsertBatch(gops, len, st.data());
-          for (std::size_t j = 0; j < len; ++j) out[pos[j]] = st[j];
-        } else {
-          shards_[s]->InsertBatch(gops, len);
-        }
-        counters_[s].entries.fetch_add(static_cast<std::int64_t>(len),
-                                       std::memory_order_relaxed);
-      });
+  std::size_t sid[detail::kRouteChunk];
+  core::BTree* trees[detail::kRouteChunk];
+  std::int64_t delta[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) {
+      sid[j] = ShardOf(ops[i + j].key);
+      trees[j] = core_[sid[j]];
+      delta[j] = 1;  // +1 per Insert, upserts included (the scalar rule)
+    }
+    core::BTree::InsertBatch(trees, ops + i, g,
+                             out != nullptr ? out + i : nullptr);
+    AddEntries(sid, delta, g);
+  }
+}
+
+void ShardedIndex::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
+  pm::EpochGuard guard;  // same pin and migration fallback as InsertBatch
+  if (core_.empty() || migrating_.load(std::memory_order_seq_cst)) {
+    Index::RemoveBatch(keys, n, out);
+    return;
+  }
+  std::size_t sid[detail::kRouteChunk];
+  core::BTree* trees[detail::kRouteChunk];
+  std::int64_t delta[detail::kRouteChunk];
+  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
+    const std::size_t g = std::min(detail::kRouteChunk, n - i);
+    for (std::size_t j = 0; j < g; ++j) {
+      sid[j] = ShardOf(keys[i + j]);
+      trees[j] = core_[sid[j]];
+    }
+    core::BTree::RemoveBatch(trees, keys + i, g, out + i);
+    for (std::size_t j = 0; j < g; ++j) delta[j] = out[i + j] ? -1 : 0;
+    AddEntries(sid, delta, g);
+  }
 }
 
 namespace {

@@ -80,40 +80,19 @@ bool BuildShardVector(
 std::vector<std::size_t> PerShardEntryCounts(
     const std::vector<std::unique_ptr<Index>>& shards);
 
-/// Stable counting-sort bucketing shared by both adapters' batch paths:
-/// given per-element shard ids, fills `order` with the element indexes
-/// grouped by shard (original order preserved within each shard) and
-/// `start` with per-shard offsets into it (size num_shards + 1).
-void BucketByShard(const std::uint32_t* shard_ids, std::size_t n,
-                   std::size_t num_shards, std::vector<std::uint32_t>* order,
-                   std::vector<std::size_t>* start);
+/// The shards' FAST+FAIR trees (Index::core_tree) when every shard has
+/// one, else empty. Both adapters read it once at construction; when it
+/// is non-empty their batch entry points route every op once and run the
+/// whole batch as one cross-tree pipeline (core::BTree's static batch
+/// calls), otherwise they take the Index default loops over their own
+/// routed scalar ops.
+std::vector<core::BTree*> CoreTrees(
+    const std::vector<std::unique_ptr<Index>>& shards);
 
-/// The shared batch driver behind all four sharded batch entry points:
-/// routes every element with `shard_of`, stable-buckets the batch
-/// (BucketByShard), gathers each shard's elements contiguously (original
-/// order preserved, so duplicate-key upsert semantics survive), and hands
-/// each non-empty group to `dispatch(shard, elems, len, positions)` —
-/// `positions` being the group's original batch indexes, for scattering
-/// per-element results back to the caller's slots.
-template <class Elem, class ShardOfFn, class DispatchFn>
-void DispatchBatchByShard(const Elem* elems, std::size_t n,
-                          std::size_t num_shards, ShardOfFn&& shard_of,
-                          DispatchFn&& dispatch) {
-  std::vector<std::uint32_t> shard_ids(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_ids[i] = static_cast<std::uint32_t>(shard_of(elems[i]));
-  }
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> start;
-  BucketByShard(shard_ids.data(), n, num_shards, &order, &start);
-  std::vector<Elem> gathered(n);
-  for (std::size_t p = 0; p < n; ++p) gathered[p] = elems[order[p]];
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t len = start[s + 1] - start[s];
-    if (len == 0) continue;
-    dispatch(s, gathered.data() + start[s], len, order.data() + start[s]);
-  }
-}
+/// Ops routed per cross-tree call: a stack-sized chunk (no allocation on
+/// the batch path), a multiple of core::BTree::kBatchGroup so chunking
+/// never splits a descent group.
+inline constexpr std::size_t kRouteChunk = 64;
 }  // namespace detail
 
 /// max/min over per-shard entry counts, the imbalance metric the skew
@@ -146,22 +125,25 @@ class ShardedIndex final : public Index {
   std::size_t Scan(Key min_key, std::size_t max_results,
                    core::Record* out) const override;
 
-  /// Native batch overrides (DESIGN.md §8.3): the batch is partitioned by
-  /// shard in one routing pass under a single epoch pin (scalar ops pin
-  /// per key), then each shard receives its sub-batch in original order —
-  /// one virtual call and one counter update per shard group instead of
-  /// one per key — and results (values, per-op insert statuses) scatter
-  /// back to the caller's positions.
+  /// Native batch overrides (DESIGN.md §8.3), when every shard is a core
+  /// tree: under a single epoch pin (scalar ops pin per key) each op is
+  /// routed once and the batch runs, in its original order, as one
+  /// cross-tree pipeline whose descent waves mix shards; entry counters
+  /// take one update per shard per chunk, from the routed ids. Writes
+  /// inside a Rebalance migration window fall back to the per-key
+  /// dual-routing ops. Other inner kinds take the Index default loops.
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
   using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override;
+  void RemoveBatch(const Key* keys, std::size_t n, bool* out) override;
 
-  /// Batched scans: start keys bucket per shard (BucketByShard) so each
-  /// shard drains its group through one native ScanBatch call; because the
-  /// shards are ordered ranges the drains stay merge-free, and an op that
-  /// exhausts its start shard short of `cap` continues into the following
-  /// shards from key 0, exactly like the scalar Scan's concatenation.
+  /// Batched scans: one cross-tree ScanBatch from each op's routed shard;
+  /// because the shards are ordered ranges the drains stay merge-free, and
+  /// an op that exhausts its shard short of `cap` continues into the
+  /// following shards from key 0, exactly like the scalar Scan's
+  /// concatenation. The continuation starts from the routed shard, not a
+  /// fresh route: a Rebalance publish can land mid-batch.
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const override;
 
@@ -291,7 +273,12 @@ class ShardedIndex final : public Index {
 
   void BuildShards(std::size_t num_shards, const ShardFactory& make);
 
+  /// Adds delta[j] to shard sid[j]'s entry counter for j < g, one relaxed
+  /// update per distinct shard (consumes `delta`).
+  void AddEntries(const std::size_t* sid, std::int64_t* delta, std::size_t g);
+
   std::vector<std::unique_ptr<Index>> shards_;
+  std::vector<core::BTree*> core_;  // detail::CoreTrees(shards_)
   std::unique_ptr<ShardCounters[]> counters_;  // one per shard
   // Double-buffered boundaries: Rebalance writes the inactive buffer, then
   // publishes it with one release store; ShardOf never sees a half-written

@@ -169,6 +169,7 @@ KvService::KvService(Index* index, const ServiceOptions& opts)
   workers_.reserve(num_workers_);
   for (std::size_t i = 0; i < num_workers_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
+    workers_.back()->del_ok = std::make_unique<bool[]>(opts_.max_batch);
   }
   // Reserved once; OpenSession never reallocates, so workers may walk
   // sessions_[0, num_sessions_) without the open_mu_ lock.
@@ -393,9 +394,9 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
     }
     wk.groups += n;  // each op is its own "group": AvgGroupOps stays 1
   } else {
-    // Writes before reads (header ordering contract), each class through
-    // its batch entry point so the sharded adapters route per shard and
-    // the core tree interleaves descents.
+    // Writes before reads (header ordering contract): puts, then deletes,
+    // then gets and scans, each class through its batch entry point so the
+    // sharded adapters route once and the core tree interleaves descents.
     std::vector<core::Record>& put_recs = wk.put_recs;
     std::vector<std::uint32_t>& put_pos = wk.put_pos;
     put_recs.clear();
@@ -425,12 +426,22 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
       }
       wk.puts += put_recs.size();
     }
+    std::vector<Key>& del_keys = wk.del_keys;
+    std::vector<std::uint32_t>& del_pos = wk.del_pos;
+    del_keys.clear();
+    del_pos.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (reqs[i].type == detail::OpType::kDel) {
-        st[i] = index_->Remove(reqs[i].key) ? ReqStatus::kOk
-                                            : ReqStatus::kNotFound;
-        ++wk.dels;
+        del_keys.push_back(reqs[i].key);
+        del_pos.push_back(static_cast<std::uint32_t>(i));
       }
+    }
+    if (!del_keys.empty()) {
+      index_->RemoveBatch(del_keys.data(), del_keys.size(), wk.del_ok.get());
+      for (std::size_t j = 0; j < del_pos.size(); ++j) {
+        st[del_pos[j]] = wk.del_ok[j] ? ReqStatus::kOk : ReqStatus::kNotFound;
+      }
+      wk.dels += del_keys.size();
     }
     std::vector<Key>& get_keys = wk.get_keys;
     std::vector<std::uint32_t>& get_pos = wk.get_pos;

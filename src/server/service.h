@@ -4,12 +4,13 @@
 // Shape: many clients — each holding a Session — enqueue Get/Put/Del/Scan
 // requests with completion slots into lock-free single-producer rings; N
 // worker threads drain the sessions round-robin, form *cross-client* groups,
-// and execute each group through Index::SearchBatch / InsertBatch under one
-// epoch pin. The descent-interleaving amortization of DESIGN.md §8 therefore
-// applies across independent clients: eight different users' point lookups
-// share one grouped PM read stall per tree level, and the sharded adapters'
-// one-route/one-pin-per-shard-group batching (detail::BucketByShard) groups
-// their requests per destination shard with no service-side routing code.
+// and execute each group through Index::InsertBatch / RemoveBatch /
+// SearchBatch / ScanBatch under one epoch pin. The descent-interleaving
+// amortization of DESIGN.md §8 therefore applies across independent
+// clients: eight different users' point lookups share one grouped PM read
+// stall per wave, and because the sharded adapters route each op once and
+// run the whole batch as one cross-tree pipeline, that holds whichever
+// shards the lookups land in, with no service-side routing code.
 //
 // Admission control keeps the tail bounded:
 //   * per-session queue depth — a full ring rejects (kRejectedQueueFull)
@@ -321,6 +322,9 @@ class KvService {
     std::vector<core::Record> put_recs;
     std::vector<InsertStatus> put_st;
     std::vector<std::uint32_t> put_pos;
+    std::vector<Key> del_keys;
+    std::vector<std::uint32_t> del_pos;
+    std::unique_ptr<bool[]> del_ok;  // max_batch slots, the group bound
     std::vector<Key> get_keys;
     std::vector<Value> get_vals;
     std::vector<std::uint32_t> get_pos;

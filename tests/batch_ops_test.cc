@@ -1,13 +1,16 @@
-// Batched operation pipeline (DESIGN.md §8): SearchBatch/InsertBatch on
-// the core tree and through the index registry — scalar equivalence,
-// degenerate batches (empty, duplicate, unsorted), shard-boundary
-// spanning batches on both sharded adapters, grouped read-stall
-// accounting, and batches racing concurrent splits/deletes.
+// Batched operation pipeline (DESIGN.md §8): Search/Insert/Remove/Scan
+// batches on the core tree and through the index registry — scalar
+// equivalence, degenerate batches (empty, duplicate, unsorted),
+// shard-boundary spanning and mixed-height batches on both sharded
+// adapters, grouped read-stall accounting (within one tree and across
+// shard trees), and batches racing concurrent splits/deletes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "bench/workload.h"
 #include "common/rng.h"
 #include "core/btree.h"
+#include "index/hash_sharded.h"
 #include "index/index.h"
 #include "index/sharded.h"
 #include "pm/persist.h"
@@ -30,12 +34,16 @@ TEST(BatchOps, EmptyBatchIsANoOp) {
   core::BTree tree(&pool);
   tree.InsertBatch(nullptr, 0);
   tree.SearchBatch(nullptr, 0, nullptr);
+  tree.RemoveBatch(nullptr, 0, nullptr);
   EXPECT_EQ(tree.CountEntries(), 0u);
 
-  auto idx = MakeIndex("sharded-fastfair:4", &pool);
-  idx->InsertBatch(nullptr, 0);
-  idx->SearchBatch(nullptr, 0, nullptr);
-  EXPECT_EQ(idx->CountEntries(), 0u);
+  for (const char* kind : {"sharded-fastfair:4", "hashed-fastfair:4"}) {
+    auto idx = MakeIndex(kind, &pool);
+    idx->InsertBatch(nullptr, 0);
+    idx->SearchBatch(nullptr, 0, nullptr);
+    idx->RemoveBatch(nullptr, 0, nullptr);
+    EXPECT_EQ(idx->CountEntries(), 0u) << kind;
+  }
 }
 
 TEST(BatchOps, SearchBatchMatchesScalarAtOddSizes) {
@@ -622,6 +630,313 @@ TEST(BatchOps, DefaultAdapterCoversEveryRegisteredKind) {
       EXPECT_EQ(vals[i], k % 2 == 0 ? ValueFor(k) : kNoValue) << kind;
     }
   }
+}
+
+TEST(RemoveBatch, DuplicateAndAbsentKeys) {
+  // Batch order is the contract: a key's first occurrence removes it, a
+  // later duplicate (same group or a later one) finds it gone, and keys
+  // never inserted report false.
+  pm::Pool pool(std::size_t{64} << 20);
+  core::BTree tree(&pool);
+  for (Key k = 1; k <= 100; ++k) tree.Insert(k, ValueFor(k));
+  const std::vector<Key> keys = {50, 7, 50, 1000, 3, 2000, 4, 5, 6, 8, 3, 7};
+  const std::vector<bool> want = {true,  true,  false, false, true, false,
+                                  true,  true,  true,  true,  false, false};
+  bool out[12];
+  tree.RemoveBatch(keys.data(), keys.size(), out);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(out[i], want[i]) << "op " << i << " key " << keys[i];
+  }
+  EXPECT_EQ(tree.CountEntries(), 93u);
+  EXPECT_EQ(tree.Search(50), kNoValue);
+  EXPECT_EQ(tree.Search(9), ValueFor(9));
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+TEST(RemoveBatch, MatchesSequentialRemoveOnEveryKind) {
+  // Two identical indexes per kind: one drains through RemoveBatch (the
+  // native pipeline, the sharded cross-tree path, or the default loop),
+  // the other through scalar Remove. Per-op results and the survivors
+  // must agree.
+  for (const auto& kind : AllIndexKinds()) {
+    pm::Pool pool(std::size_t{256} << 20);
+    auto batched = MakeIndex(kind, &pool);
+    auto scalar = MakeIndex(kind, &pool);
+    std::vector<core::Record> rows;
+    for (Key k = 3; k <= 3 * 3000; k += 3) rows.push_back({k, ValueFor(k)});
+    batched->InsertBatch(rows.data(), rows.size());
+    scalar->InsertBatch(rows.data(), rows.size());
+    // Unsorted mix of present keys, absent keys, and duplicates, in odd
+    // batch sizes so every group residue runs.
+    std::vector<Key> keys;
+    Rng rng(17);
+    for (std::size_t i = 0; i < 2500; ++i) {
+      keys.push_back(rng.NextBounded(9500));
+    }
+    std::unique_ptr<bool[]> got(new bool[keys.size()]);
+    for (std::size_t i = 0; i < keys.size(); i += 13) {
+      const std::size_t n = std::min<std::size_t>(13, keys.size() - i);
+      batched->RemoveBatch(keys.data() + i, n, got.get() + i);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(got[i], scalar->Remove(keys[i])) << kind << " op " << i;
+    }
+    EXPECT_EQ(batched->CountEntries(), scalar->CountEntries()) << kind;
+    for (const auto& r : rows) {
+      ASSERT_EQ(batched->Search(r.key), scalar->Search(r.key)) << kind;
+    }
+  }
+}
+
+TEST(RemoveBatch, DrainsWholeLeavesOnReclaimingShards) {
+  // Range-sharded reclaiming trees: batches that empty whole leaves (and
+  // whole runs of them) make the pipeline's later slots land on hints an
+  // earlier slot unlinked, which LockCovering absorbs by re-descending.
+  pm::Pool pool(std::size_t{512} << 20);
+  auto idx = MakeIndex("sharded-fastfair-reclaim:8", &pool);
+  const auto keys = bench::UniformKeys(40000, 23);
+  std::vector<core::Record> rows;
+  for (const Key k : keys) rows.push_back({k, ValueFor(k)});
+  idx->InsertBatch(rows.data(), rows.size());
+  // Remove every key outside the bottom eighth of each shard's range,
+  // ascending, so whole leaves drain in chain order within each batch.
+  auto sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  const Key shard_width = ~Key{0} / 8;
+  std::vector<Key> doomed, kept;
+  for (const Key k : sorted) {
+    ((k % shard_width) < shard_width / 8 ? kept : doomed).push_back(k);
+  }
+  std::unique_ptr<bool[]> out(new bool[doomed.size()]);
+  for (std::size_t i = 0; i < doomed.size(); i += 256) {
+    const std::size_t n = std::min<std::size_t>(256, doomed.size() - i);
+    idx->RemoveBatch(doomed.data() + i, n, out.get() + i);
+  }
+  for (std::size_t i = 0; i < doomed.size(); ++i) ASSERT_TRUE(out[i]) << i;
+  EXPECT_EQ(idx->CountEntries(), kept.size());
+  std::vector<core::Record> all(kept.size() + 8);
+  const std::size_t got = idx->Scan(0, all.size(), all.data());
+  ASSERT_EQ(got, kept.size());
+  for (std::size_t i = 0; i < got; ++i) {
+    ASSERT_EQ(all[i].key, kept[i]) << i;
+    ASSERT_EQ(all[i].ptr, ValueFor(kept[i])) << i;
+  }
+}
+
+TEST(RemoveBatch, RacesSearchBatchReaders) {
+  // A writer inserts and batch-removes churn keys between anchors that
+  // are never removed, on both sharded adapters over reclaiming trees, so
+  // RemoveBatch's cross-tree waves unlink emptied leaves while
+  // SearchBatch readers' waves descend the same shards. Every anchor must
+  // be found, with its value, in every reader batch.
+  for (const char* kind :
+       {"sharded-fastfair-reclaim:4", "hashed-fastfair-reclaim:4"}) {
+    pm::Pool pool(std::size_t{512} << 20);
+    auto idx = MakeIndex(kind, &pool);
+    const Key step = ~Key{0} / 2048;
+    std::vector<Key> anchors;
+    for (Key i = 1; i < 2048; ++i) {
+      anchors.push_back(i * step);
+      idx->Insert(anchors.back(), ValueFor(anchors.back()));
+    }
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> misses{0};
+    std::thread writer([&] {
+      race::Rng rng(2027, 1);
+      std::vector<core::Record> puts(32);
+      Key dels[32];
+      bool removed[32];
+      while (!stop.load(std::memory_order_acquire)) {
+        // Churn keys sit strictly between anchors (never a multiple of
+        // step), clustered so whole leaves fill and then drain.
+        const Key base = (rng.Below(2047) + 1) * step;
+        for (std::size_t j = 0; j < 32; ++j) {
+          const Key k = base + 1 + rng.Below(4096);
+          puts[j] = {k, ValueFor(k)};
+          dels[j] = k;
+        }
+        idx->InsertBatch(puts.data(), puts.size());
+        race::Perturb(rng);
+        idx->RemoveBatch(dels, 32, removed);
+        race::Perturb(rng);
+      }
+    });
+    race::RunWorkers(3, [&](std::size_t w) {
+      race::Rng rng(2027, 10 + w);
+      Key batch[24];
+      Value vals[24];
+      for (int iter = 0; iter < 1500; ++iter) {
+        for (std::size_t j = 0; j < 24; ++j) {
+          batch[j] = anchors[rng.Below(anchors.size())];
+        }
+        idx->SearchBatch(batch, 24, vals);
+        for (std::size_t j = 0; j < 24; ++j) {
+          if (vals[j] != ValueFor(batch[j])) misses.fetch_add(1);
+        }
+        race::Perturb(rng);
+      }
+    });
+    stop.store(true, std::memory_order_release);
+    writer.join();
+    EXPECT_EQ(misses.load(), 0u) << kind;
+    EXPECT_EQ(idx->CountEntries(), anchors.size()) << kind;
+  }
+}
+
+// Eight keys, one in each shard of an 8-shard adapter, so every shard is a
+// single-leaf tree and a batch of them descends eight distinct trees.
+std::vector<Key> OneKeyPerShard(const Index& idx) {
+  std::vector<Key> keys(8, 0);
+  std::size_t found = 0;
+  for (Key k = 1; found < 8; k += 0x0123456789ABCDull) {
+    std::size_t s;
+    if (const auto* h = dynamic_cast<const HashShardedIndex*>(&idx)) {
+      s = h->ShardOf(k);
+    } else {
+      s = dynamic_cast<const ShardedIndex&>(idx).ShardOf(k);
+    }
+    if (keys[s] == 0) {
+      keys[s] = k;
+      ++found;
+    }
+  }
+  return keys;
+}
+
+TEST(BatchOps, CrossShardBatchChargesOneWave) {
+  // A batch whose eight ops land in eight different single-leaf shards
+  // still pays ONE grouped read stall: the adapters run it as one
+  // cross-tree pipeline, whose first wave holds all eight root leaves.
+  // Node visits match the scalar ops exactly.
+  for (const char* kind : {"hashed-fastfair:8", "sharded-fastfair:8"}) {
+    SCOPED_TRACE(kind);
+    pm::Pool pool(std::size_t{64} << 20);
+    auto idx = MakeIndex(kind, &pool);
+    const std::vector<Key> keys = OneKeyPerShard(*idx);
+    for (const Key k : keys) idx->Insert(k, ValueFor(k));
+
+    auto before = pm::Stats();
+    for (const Key k : keys) ASSERT_EQ(idx->Search(k), ValueFor(k));
+    const auto scalar_search = pm::Stats() - before;
+    Value vals[8];
+    before = pm::Stats();
+    idx->SearchBatch(keys.data(), 8, vals);
+    const auto batch_search = pm::Stats() - before;
+    for (std::size_t j = 0; j < 8; ++j) ASSERT_EQ(vals[j], ValueFor(keys[j]));
+    EXPECT_EQ(scalar_search.read_stalls, 8u);
+    EXPECT_EQ(batch_search.read_stalls, 1u);
+    EXPECT_EQ(batch_search.read_annotations, scalar_search.read_annotations);
+
+    // Scans: one cap-1 scan per key on the range partition (no seam hop);
+    // the hashed adapter fans one scan out to all eight shards, so a
+    // single op is already eight descents into eight trees.
+    const bool hashed = std::string_view(kind).starts_with("hashed");
+    const std::size_t n_scans = hashed ? 1 : 8;
+    core::Record out[8];
+    std::vector<ScanOp> ops;
+    for (std::size_t j = 0; j < n_scans; ++j) {
+      ops.push_back({keys[j], 1, out + j});
+    }
+    before = pm::Stats();
+    for (const ScanOp& op : ops) {
+      ASSERT_EQ(idx->Scan(op.min_key, 1, op.out), 1u);
+    }
+    const auto scalar_scan = pm::Stats() - before;
+    std::size_t counts[8];
+    before = pm::Stats();
+    idx->ScanBatch(ops.data(), ops.size(), counts);
+    const auto batch_scan = pm::Stats() - before;
+    for (std::size_t j = 0; j < n_scans; ++j) {
+      ASSERT_EQ(counts[j], 1u);
+      ASSERT_EQ(out[j].key, keys[j]);
+    }
+    EXPECT_EQ(scalar_scan.read_stalls, 8u);
+    EXPECT_EQ(batch_scan.read_stalls, 1u);
+    EXPECT_EQ(batch_scan.read_annotations, scalar_scan.read_annotations);
+
+    before = pm::Stats();
+    for (const Key k : keys) ASSERT_TRUE(idx->Remove(k));
+    const auto scalar_remove = pm::Stats() - before;
+    for (const Key k : keys) idx->Insert(k, ValueFor(k));
+    bool removed[8];
+    before = pm::Stats();
+    idx->RemoveBatch(keys.data(), 8, removed);
+    const auto batch_remove = pm::Stats() - before;
+    for (std::size_t j = 0; j < 8; ++j) ASSERT_TRUE(removed[j]);
+    EXPECT_EQ(scalar_remove.read_stalls, 8u);
+    EXPECT_EQ(batch_remove.read_stalls, 1u);
+    EXPECT_EQ(batch_remove.read_annotations, scalar_remove.read_annotations);
+  }
+}
+
+TEST(BatchOps, MixedHeightShardsMatchScalar) {
+  // Shard 0 holds a multi-level tree, shards 1 and 3 are empty (their
+  // roots are leaves), shard 2 holds a handful of keys: every batch mixes
+  // descents of different lengths in one pipeline. Each batch call must
+  // match the scalar ops on a twin index.
+  pm::Pool pool(std::size_t{256} << 20);
+  auto batched = MakeIndex("sharded-fastfair:4", &pool);
+  auto scalar = MakeIndex("sharded-fastfair:4", &pool);
+  const Key quarter = Key{1} << 62;
+  std::vector<core::Record> rows;
+  for (Key k = 1; k <= 6000; ++k) rows.push_back({k * 7, ValueFor(k * 7)});
+  for (Key k = 1; k <= 5; ++k) {
+    rows.push_back({2 * quarter + k, ValueFor(2 * quarter + k)});
+  }
+  batched->InsertBatch(rows.data(), rows.size());
+  scalar->InsertBatch(rows.data(), rows.size());
+
+  // Probe keys cycle through all four shards, hits and misses.
+  std::vector<Key> keys;
+  Rng rng(5);
+  for (std::size_t i = 0; i < 400; ++i) {
+    switch (i % 4) {
+      case 0: keys.push_back(7 * (rng.NextBounded(7000) + 1)); break;
+      case 1: keys.push_back(quarter + rng.NextBounded(100)); break;
+      case 2: keys.push_back(2 * quarter + rng.NextBounded(8)); break;
+      default: keys.push_back(3 * quarter + rng.NextBounded(100)); break;
+    }
+  }
+  std::vector<Value> vals(keys.size());
+  batched->SearchBatch(keys.data(), keys.size(), vals.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(vals[i], scalar->Search(keys[i])) << "search " << i;
+  }
+
+  constexpr std::size_t kCap = 40;
+  std::vector<core::Record> got(keys.size() * kCap), want(kCap);
+  std::vector<ScanOp> ops;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ops.push_back({keys[i], kCap, got.data() + i * kCap});
+  }
+  std::vector<std::size_t> counts(keys.size());
+  batched->ScanBatch(ops.data(), ops.size(), counts.data());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t wn = scalar->Scan(keys[i], kCap, want.data());
+    ASSERT_EQ(counts[i], wn) << "scan " << i;
+    for (std::size_t j = 0; j < wn; ++j) {
+      ASSERT_EQ(got[i * kCap + j].key, want[j].key) << "scan " << i;
+    }
+  }
+
+  std::vector<core::Record> puts;
+  for (const Key k : keys) puts.push_back({k, ValueFor(k) + 2});
+  std::vector<InsertStatus> st(puts.size());
+  batched->InsertBatch(puts.data(), puts.size(), st.data());
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    const bool fresh = scalar->Search(puts[i].key) == kNoValue;
+    scalar->Insert(puts[i].key, puts[i].ptr);
+    ASSERT_EQ(st[i], fresh ? InsertStatus::kInserted : InsertStatus::kUpdated)
+        << "insert " << i;
+  }
+
+  std::unique_ptr<bool[]> removed(new bool[keys.size()]);
+  batched->RemoveBatch(keys.data(), keys.size(), removed.get());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(removed[i], scalar->Remove(keys[i])) << "remove " << i;
+  }
+  EXPECT_EQ(batched->CountEntries(), scalar->CountEntries());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/mem_policy.h"
 #include "core/node.h"
 #include "core/node_ops.h"
+#include "pm/persist.h"
 
 namespace fastfair::core {
 namespace {
@@ -144,6 +145,34 @@ TEST_F(NodeFixture, DeleteLastEntryEmptiesNode) {
   EXPECT_TRUE(Ops::DeleteKey(m_, &node_, 10));
   EXPECT_EQ(Ops::CountRaw(m_, &node_), 0);
   EXPECT_EQ(Ops::SearchLeaf(m_, &node_, 10), kNoValue);
+}
+
+TEST_F(NodeFixture, DeleteFlushesEachRecordLineOnce) {
+  // The commit store shares its line with the shift's first stores, and
+  // the shift flushes that line before it leaves it, so a slot-0 delete
+  // flushes (and fences) each line of records[0..cnt) exactly once: 3
+  // lines for a 12-record leaf, 7 for a 26-record one.
+  for (const int cnt : {12, 26}) {
+    node_.Init(0);
+    for (int i = 1; i <= cnt + 1; ++i) {
+      Ops::InsertKey(m_, &node_, static_cast<Key>(i),
+                     static_cast<Value>(10 * i + 1));
+    }
+    // Deleting the extra tail key flips the node to the delete direction,
+    // keeping the header flush out of the measured delete.
+    ASSERT_TRUE(Ops::DeleteKey(m_, &node_, static_cast<Key>(cnt + 1)));
+    const auto line = [](const void* p) {
+      return reinterpret_cast<std::uintptr_t>(p) / kCacheLineSize;
+    };
+    const std::uint64_t lines =
+        line(&node_.records[cnt - 1]) - line(&node_.records[0]) + 1;
+    const auto before = pm::Stats();
+    ASSERT_TRUE(Ops::DeleteKey(m_, &node_, 1));
+    const auto d = pm::Stats() - before;
+    EXPECT_EQ(d.flush_lines, lines) << cnt << " records";
+    EXPECT_EQ(d.fences, lines) << cnt << " records";
+    EXPECT_EQ(Ops::CountRaw(m_, &node_), cnt - 1);
+  }
 }
 
 TEST_F(NodeFixture, ReinsertAfterDeleteAtSlotZero) {

@@ -1,5 +1,6 @@
 // KV service tier (DESIGN.md §10): batch-formation equivalence against
-// scalar dispatch across every registry kind, admission control (queue
+// scalar dispatch across every registry kind (and for one grouped batch
+// of deletes with repeated and absent keys), admission control (queue
 // backpressure + per-tenant quota), partial-group flush policy
 // (deadline and empty-poll paths), deterministic cross-client group
 // formation, the worker clamp for non-concurrent kinds, and the
@@ -228,6 +229,59 @@ TEST(Service, CrossClientGroupFormationIsDeterministicWhenPrefilled) {
   EXPECT_GT(st.AvgGroupOps(), 2.0);     // grouping actually happened
   EXPECT_LT(st.groups, st.executed);
   EXPECT_EQ(idx->CountEntries(), 4 * kPer);
+}
+
+TEST(Service, GroupedDeletesMatchScalarDispatch) {
+  // One prefilled group of deletes — repeated keys and keys never
+  // inserted among them — then Gets of the same keys. Batched mode runs
+  // the deletes as one RemoveBatch (before the Gets, as submitted), so
+  // every status must equal scalar dispatch's: kOk for the first delete
+  // of a present key, kNotFound for repeats, absent keys and the Gets.
+  const std::vector<Key> dels = {3, 9, 3, 200, 17, 9, 64, 65, 1, 1, 40, 300};
+  for (const char* kind :
+       {"fastfair", "hashed-fastfair:4", "sharded-fastfair-reclaim:4"}) {
+    std::vector<ReqStatus> want;
+    for (const bool scalar : {true, false}) {
+      SCOPED_TRACE(std::string(kind) + (scalar ? " scalar" : " batched"));
+      pm::Pool pool(std::size_t{64} << 20);
+      auto idx = MakeIndex(kind, &pool);
+      for (Key k = 1; k <= 64; ++k) idx->Insert(k, V1(k));
+      ServiceOptions so;
+      so.workers = 1;
+      so.max_batch = 64;
+      so.scalar_dispatch = scalar;
+      KvService svc(idx.get(), so);
+      Session* s = svc.OpenSession();
+      std::vector<Completion> cs(2 * dels.size());
+      for (std::size_t i = 0; i < dels.size(); ++i) {
+        ASSERT_TRUE(s->Del(dels[i], &cs[i]));
+      }
+      for (std::size_t i = 0; i < dels.size(); ++i) {
+        ASSERT_TRUE(s->Get(dels[i], &cs[dels.size() + i]));
+      }
+      svc.Start();
+      WaitAll(cs, cs.size());
+      svc.Stop();
+      std::vector<ReqStatus> got;
+      for (const auto& c : cs) got.push_back(c.status());
+      if (scalar) {
+        want = got;
+        for (std::size_t i = 0; i < dels.size(); ++i) {
+          const bool first =
+              std::find(dels.begin(), dels.begin() + i, dels[i]) ==
+              dels.begin() + i;
+          EXPECT_EQ(got[i], first && dels[i] <= 64 ? ReqStatus::kOk
+                                                   : ReqStatus::kNotFound)
+              << "del " << i;
+          EXPECT_EQ(got[dels.size() + i], ReqStatus::kNotFound) << "get " << i;
+        }
+      } else {
+        EXPECT_EQ(svc.Stats().groups, 1u);
+        EXPECT_EQ(got, want);
+      }
+      EXPECT_EQ(idx->CountEntries(), 64u - 6u);
+    }
+  }
 }
 
 TEST(Service, QueueFullBackpressureAndDrainOnStop) {

@@ -1,8 +1,8 @@
 // SIMD search equivalence suite (DESIGN.md §9).
 //
 // Three layers, each asserting zero divergence from the scalar reference:
-//  1. Kernel level: every compiled+supported ISA's ByteEqMask/CollectEqU32
-//     kernels against ScalarKernels on randomized inputs, and its
+//  1. Kernel level: every compiled+supported ISA's ByteEqMask kernel
+//     against ScalarKernels on randomized inputs, and its
 //     RecordEqZero/RecordGtZero masks against a scalar re-derivation.
 //  2. Node level: SimdNodeOps entry points against NodeOps on randomized
 //     node states *including the forged transient states the lock-free
@@ -33,7 +33,6 @@
 #include "core/node_ops.h"
 #include "core/node_search_simd.h"
 #include "crashsim/simmem.h"
-#include "index/sharded.h"
 
 namespace fastfair {
 namespace {
@@ -68,20 +67,6 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
                 S::ByteEqMask(bytes, n, static_cast<std::uint8_t>(v)))
           << "n=" << n << " v=" << v;
     }
-  }
-
-  // CollectEqU32: positions and count, including the scalar tail.
-  std::uniform_int_distribution<std::uint32_t> ds(0, 7);
-  std::vector<std::uint32_t> ids(133);
-  for (auto& x : ids) x = ds(*rng);
-  std::vector<std::uint32_t> got(ids.size()), want(ids.size());
-  for (std::uint32_t v = 0; v < 8; ++v) {
-    const std::size_t cg = K::CollectEqU32(ids.data(), ids.size(), v,
-                                           got.data());
-    const std::size_t cw = S::CollectEqU32(ids.data(), ids.size(), v,
-                                           want.data());
-    ASSERT_EQ(cg, cw) << "v=" << v;
-    for (std::size_t i = 0; i < cg; ++i) EXPECT_EQ(got[i], want[i]);
   }
 
   // RecordEqZero/RecordGtZero: the stride-2 mask contract — record l's bit
@@ -282,32 +267,6 @@ TEST(SimdNodeEquivalence, LeafNode512) { RunRandomizedNodeStates<Node<512>>(fals
 TEST(SimdNodeEquivalence, LeafNode256) { RunRandomizedNodeStates<Node<256>>(false); }
 TEST(SimdNodeEquivalence, InternalNode512) { RunRandomizedNodeStates<Node<512>>(true); }
 TEST(SimdNodeEquivalence, InternalNode256) { RunRandomizedNodeStates<Node<256>>(true); }
-
-// --- BucketByShard: SIMD path vs scalar --------------------------------------
-
-TEST(SimdBucketByShard, MatchesScalarBucketing) {
-  const simd::Isa prev = simd::ActiveIsa();
-  std::mt19937_64 rng(42);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8},
-                                   std::size_t{17}, std::size_t{32}}) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{7},
-                                std::size_t{64}, std::size_t{1000}}) {
-      std::uniform_int_distribution<std::uint32_t> ds(
-          0, static_cast<std::uint32_t>(shards - 1));
-      std::vector<std::uint32_t> ids(n);
-      for (auto& x : ids) x = ds(rng);
-      std::vector<std::uint32_t> order_s, order_v;
-      std::vector<std::size_t> start_s, start_v;
-      simd::ForceIsa(simd::Isa::kScalar);
-      detail::BucketByShard(ids.data(), n, shards, &order_s, &start_s);
-      simd::ForceIsa(simd::BestSupportedIsa());
-      detail::BucketByShard(ids.data(), n, shards, &order_v, &start_v);
-      ASSERT_EQ(order_v, order_s) << "shards=" << shards << " n=" << n;
-      ASSERT_EQ(start_v, start_s) << "shards=" << shards << " n=" << n;
-    }
-  }
-  simd::ForceIsa(prev);
-}
 
 // --- layer 3: concurrent writer vs SIMD readers ------------------------------
 
