@@ -297,8 +297,6 @@ class BTreeT {
   /// points: op i runs on tree_at(i). One epoch pin spans the call when
   /// any of its trees reclaims nodes (the scalar ops' pin rule).
   template <class TreeAt>
-  static bool AnyReclaims(TreeAt tree_at, std::size_t n);
-  template <class TreeAt>
   static void SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
                             Value* out);
   template <class TreeAt>

@@ -41,6 +41,16 @@ struct MaybeEpochGuard {
   }
 };
 
+// The scalar ops' pin rule for a batch whose op i runs on tree_at(i):
+// pin when any of its trees reclaims nodes.
+template <class TreeAt>
+inline bool AnyReclaims(TreeAt tree_at, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tree_at(i)->options().reclaim_empty_leaves) return true;
+  }
+  return false;
+}
+
 // Commits the unlink of dead-to-be node `s` from its live left chain
 // anchor `left` (caller holds both locks). Commit order is load-bearing
 // for recovery: the persistent dead mark first (MarkDead flushes and
@@ -308,18 +318,9 @@ InsertStatus BTreeT<P>::TryInsert(Key key, Value value) {
 
 template <std::size_t P>
 template <class TreeAt>
-bool BTreeT<P>::AnyReclaims(TreeAt tree_at, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tree_at(i)->opts_.reclaim_empty_leaves) return true;
-  }
-  return false;
-}
-
-template <std::size_t P>
-template <class TreeAt>
 void BTreeT<P>::InsertBatchOn(TreeAt tree_at, const Record* ops,
                               std::size_t n, InsertStatus* out) {
-  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
   BTreeT* trees[kBatchGroup];
   Key keys[kBatchGroup];
   NodeT* leaves[kBatchGroup];
@@ -382,7 +383,7 @@ template <std::size_t P>
 template <class TreeAt>
 void BTreeT<P>::RemoveBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
                               bool* out) {
-  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
   BTreeT* trees[kBatchGroup];
   NodeT* leaves[kBatchGroup];
   for (std::size_t i = 0; i < n; i += kBatchGroup) {
@@ -439,7 +440,7 @@ template <std::size_t P>
 template <class TreeAt>
 void BTreeT<P>::SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
                               Value* out) {
-  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
   const BTreeT* trees[kBatchGroup];
   NodeT* leaves[kBatchGroup];
   for (std::size_t i = 0; i < n; i += kBatchGroup) {
@@ -1066,7 +1067,7 @@ template <std::size_t P>
 template <class TreeAt>
 void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
                             std::size_t* out_counts) {
-  detail::MaybeEpochGuard guard(AnyReclaims(tree_at, n));
+  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
   RealMem m;
   Record buf[kNodeCapacity];
   for (std::size_t base = 0; base < n; base += kBatchGroup) {
