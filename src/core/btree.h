@@ -364,8 +364,10 @@ class BTreeT {
   /// descendants of `c` must present a low-fence record key equal to the
   /// widened route's key, or keys in the widened range would fall through
   /// SearchInternal's degenerate fallback and, once inserted below a stale
-  /// fence, invert key-vs-chain order after a split. Recursively lowers
-  /// records[0].key down the leftmost-child spine (8-byte atomic stores).
+  /// fence, invert key-vs-chain order after a split. Lowers fences (and
+  /// records[0].key) down the leftmost-child spine with 8-byte atomic
+  /// stores, all or nothing: false, with nothing written, when a spine
+  /// node is contended or empty.
   bool LowerFence(NodeT* c, Key low);
 
   /// Walks level `level`'s sibling chain across the parents covering

@@ -832,44 +832,56 @@ bool BTreeT<P>::LowerFence(NodeT* c, Key low) {
   // records[0].key in sync so child selection routes sub-separator keys
   // to the spine child rather than through the degenerate clamp.
   //
-  // Each store runs under the node's own lock so a concurrent writer's
-  // record shift cannot interleave with it — but acquired with try_lock:
-  // the caller holds the *parent* lock, and a blocking child acquisition
-  // here would invert the child -> parent order the unlink/repair path
-  // uses. On contention we stop and report failure; the caller defers the
-  // route redirect to a later repair pass. Stopping partway is safe: the
-  // fences already lowered only widen ranges no reader is routed into
-  // until the caller publishes the redirect (which it only does on
-  // success), and the drained range holds no live keys regardless.
+  // All or nothing: the whole spine is locked top-down before any store,
+  // with try_lock — the caller holds the *parent* lock, and a blocking
+  // child acquisition here would invert the child -> parent order the
+  // unlink/repair path uses. On contention nothing has been written; the
+  // caller defers the route redirect to a later repair pass. A partial
+  // lowering is not harmless: a descent that reaches the still-routed dead
+  // node moves right into a lowered node and on into an unlowered spine
+  // child, whose fence then refuses every writer of the range
+  // (LockCovering's overshoot guard) without any dead node to trigger the
+  // repair — writers spin forever. The stores then run bottom-up, each
+  // level persisted before its parent, so every crash state lowers a child
+  // no later than its parent (a child fenced below its route is ordinary
+  // B-link state: move-right reaches it).
+  constexpr int kMaxSpine = 32;
+  NodeT* spine[kMaxSpine];
+  int depth = 0;
+  bool ok = true;
   for (;;) {
-    if (!c->hdr.lock.try_lock()) return false;
-    if (Ops::IsDead(m, c) || Ops::LoadFence(m, c) <= low) {
-      // Dead: the redirect will be re-repaired lazily (LockCovering).
-      // Fence already low enough: the whole spine below was lowered when
-      // it was (fences only ever decrease, and creation keeps
-      // fence(node) == fence(first spine child)).
-      c->hdr.lock.unlock();
-      return true;
+    if (depth == kMaxSpine || !c->hdr.lock.try_lock()) {
+      ok = false;
+      break;
     }
-    Ops::StoreFence(m, c, low);
-    m.Flush(&c->hdr);
-    if (!c->is_leaf() && Ops::LoadLeftmost(m, c) == 0 &&
-        Ops::CountRaw(m, c) > 0 && Ops::LoadKeyAt(m, c, 0) > low) {
-      Ops::StoreKeyAt(m, c, 0, low);
-      m.Flush(&c->records[0]);
-    }
-    m.Fence();
-    if (c->is_leaf()) {
-      c->hdr.lock.unlock();
-      return true;
-    }
+    spine[depth++] = c;
+    // A dead spine node ends the walk: the redirect through it will be
+    // re-repaired lazily (LockCovering finds it dead).
+    if (Ops::IsDead(m, c) || c->is_leaf()) break;
     const std::uint64_t lm = Ops::LoadLeftmost(m, c);
     const std::uint64_t next_u = lm != 0 ? lm : Ops::LoadPtrAt(m, c, 0);
-    c->hdr.lock.unlock();
-    if (next_u == 0) return false;  // empty internal: spine unreachable,
-                                    // defer the redirect to a later pass
+    if (next_u == 0) {  // empty internal: spine unreachable, defer
+      ok = false;
+      break;
+    }
     c = AsNode(next_u);
   }
+  for (int d = depth - 1; ok && d >= 0; --d) {
+    NodeT* x = spine[d];
+    if (Ops::IsDead(m, x)) continue;
+    if (Ops::LoadFence(m, x) > low) {
+      Ops::StoreFence(m, x, low);
+      m.Flush(&x->hdr);
+    }
+    if (!x->is_leaf() && Ops::LoadLeftmost(m, x) == 0 &&
+        Ops::CountRaw(m, x) > 0 && Ops::LoadKeyAt(m, x, 0) > low) {
+      Ops::StoreKeyAt(m, x, 0, low);
+      m.Flush(&x->records[0]);
+    }
+    m.Fence();
+  }
+  for (int d = depth - 1; d >= 0; --d) spine[d]->hdr.lock.unlock();
+  return ok;
 }
 
 template <std::size_t P>
@@ -906,8 +918,9 @@ void BTreeT<P>::CleanDeadRoutes(NodeT* p) {
       const auto* c = detail::ResolveNode<NodeT>(lm);
       // Contended fence lowering: leave the dead route for a later repair
       // pass rather than publish a redirect whose target still fences the
-      // range out (LowerFence only fails on lock contention, so "later"
-      // is as soon as the competing writer releases the child).
+      // range out (LowerFence fails, writing nothing, only on lock
+      // contention or an empty spine node, so "later" is as soon as the
+      // competing writer releases the child).
       if (!LowerFence(AsNode(Ops::LoadPtrAt(m, p, 0)), 0)) break;
       Ops::StoreLeftmost(m, p, Ops::LoadPtrAt(m, p, 0));
       m.Flush(&p->hdr);
