@@ -11,9 +11,10 @@
 // tracks. BENCH_micro_ops.json at the repo root is the committed baseline;
 // the CI perf-smoke job regenerates it as a build artifact and gates on
 // the deterministic counter ratios: BM_TreeSearchBatch must pay >= 2x fewer
-// serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch
-// >= 2x fewer per scan than the scalar BM_TreeScan100 loop, and the
-// index-tier BM_IndexSearchBatch >= 2x fewer than BM_IndexSearch.
+// serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch and
+// BM_TreeScanBatchOne (a batch of one scan) >= 2x fewer per scan than the
+// scalar BM_TreeScan100 loop, and the index-tier BM_IndexSearchBatch >= 2x
+// fewer than BM_IndexSearch.
 
 #include <benchmark/benchmark.h>
 
@@ -323,6 +324,32 @@ void BM_TreeScanBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeScanBatch);
 
+// BM_TreeScan100's tree and starts, one scan per ScanBatch call: a lone
+// scan has no group to share a wave with, so what it saves over the scalar
+// loop comes from the parent-routed lookahead alone — its first paid drain
+// wave fetches the next leaves its level-1 parent routes to (DESIGN.md
+// §8.2b). The perf-smoke gate reads this row against BM_TreeScan100 too.
+void BM_TreeScanBatchOne(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  core::BTree tree(&pool);
+  const auto keys = bench::UniformKeys(200000, 5);
+  for (const Key k : keys) tree.Insert(k, 2 * k + 1);
+  core::Record out[100];
+  Rng rng(7);
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    const ScanOp op{rng.Next(), 100, out};
+    std::size_t count = 0;
+    tree.ScanBatch(&op, 1, &count);
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TreeScanBatchOne);
+
 // Index tier (routing plus op): uniform lookups on hashed-fastfair:8, one
 // Index::Search per key against Index::SearchBatch over batches of
 // kBatchGroup keys. Eight uniform keys land on ~5.3 distinct shards, so
@@ -469,11 +496,14 @@ int main(int argc, char** argv) {
   // batched row must pay at least 2x fewer serialized read stalls per op
   // than its scalar twin — the batched search groups kBatchGroup leaf
   // fetches per stall, the batched scan one grouped stall per wave of
-  // sibling hops instead of one per hop per scan, and the index-tier batch
-  // keeps one stall per wave although its keys land on several shards.
+  // sibling hops instead of one per hop per scan, a lone batched scan
+  // fetches its next leaves from its parent's routes, and the index-tier
+  // batch keeps one stall per wave although its keys land on several
+  // shards.
   for (const auto& [scalar_name, batched_name] :
        {std::pair{"BM_TreeSearch", "BM_TreeSearchBatch"},
         std::pair{"BM_TreeScan100", "BM_TreeScanBatch"},
+        std::pair{"BM_TreeScan100", "BM_TreeScanBatchOne"},
         std::pair{"BM_IndexSearch", "BM_IndexSearchBatch"}}) {
     const RunRecord* scalar = nullptr;
     const RunRecord* batched = nullptr;

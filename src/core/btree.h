@@ -173,7 +173,10 @@ class BTreeT {
   /// kBatchGroup (DescendGroup), then the leaf chains drain hand-over-hand:
   /// each wave collects one leaf per live cursor and prefetches the
   /// siblings together, charging one grouped read stall per wave
-  /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan.
+  /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan. Spare
+  /// slots of a paid wave, up to kBatchGroup fetches, go to leaves the
+  /// cursors' level-1 parents route to next, so later hops to them pay no
+  /// stall (DESIGN.md §8.2b).
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const;
 
@@ -289,9 +292,12 @@ class BTreeT {
   /// searched, leaf arrivals charged as one grouped read stall per wave
   /// (pm::AnnotateReadGroup). Roots that are leaves arrive as a wave of
   /// their own, so a group mixing tree heights pays one stall per arrival
-  /// level.
+  /// level. When `parents` is non-null, parents[j] receives the level-1
+  /// node that routed slot j to its leaf (nullptr when the root is a
+  /// leaf): the scan drain's lookahead reads the next leaves from it.
   static void DescendGroup(const BTreeT* const* trees, const Key* keys,
-                           std::size_t g, NodeT** leaves);
+                           std::size_t g, NodeT** leaves,
+                           const NodeT** parents = nullptr);
 
   /// The batch pipelines behind both the member and the cross-tree entry
   /// points: op i runs on tree_at(i). One epoch pin spans the call when

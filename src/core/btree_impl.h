@@ -183,7 +183,8 @@ typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
 
 template <std::size_t P>
 void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
-                             std::size_t g, NodeT** leaves) {
+                             std::size_t g, NodeT** leaves,
+                             const NodeT** parents) {
   RealMem m;
   // Each slot starts at its own tree's root. A root that is itself a leaf
   // has already arrived: those slots form the level-0 wave.
@@ -191,6 +192,7 @@ void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
   for (std::size_t j = 0; j < g; ++j) {
     leaves[j] = trees[j]->Root();
     if (leaves[j]->is_leaf()) ++arrived;
+    if (parents != nullptr) parents[j] = nullptr;
   }
   pm::AnnotateReadGroup(arrived);
   // One wave advances every pending descent one level: while slot j's
@@ -213,7 +215,10 @@ void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
       NodeT* child = AsNode(trees[j]->child_search_(m, n, keys[j]));
       PrefetchNode(child);
       leaves[j] = child;
-      if (child->is_leaf()) ++arrived;
+      if (child->is_leaf()) {
+        ++arrived;
+        if (parents != nullptr) parents[j] = n;
+      }
     }
     pm::AnnotateReadGroup(arrived);
     pending -= arrived;
@@ -227,7 +232,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
   if (Ops::IsDead(m, n)) {
     // A stale traversal (or a stale parent separator) led here. Repair the
     // parent lazily and have the caller retry from the root.
-    const std::uint16_t parent_level = n->hdr.level + 1;
+    const std::uint16_t parent_level = n->level() + 1;
     n->hdr.lock.unlock();
     RemoveChildFromParent(n, parent_level, key);
     return nullptr;
@@ -235,7 +240,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
   for (std::uint64_t su;
        (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
     NodeT* next = AsNode(su);
-    const std::uint16_t parent_level = n->hdr.level + 1;
+    const std::uint16_t parent_level = n->level() + 1;
     n->hdr.lock.unlock();
     // Having to move right means the sibling may be missing from the parent
     // (a crashed or in-flight split); lazily complete it (paper §4.2).
@@ -504,7 +509,7 @@ bool BTreeT<P>::SplitAndInsert(NodeT* node, Key key, std::uint64_t down) {
     pm::FaultInjector::SiteScope site(node->is_leaf()
                                           ? "btree/split-leaf"
                                           : "btree/split-internal");
-    sib = TryAllocNode(node->hdr.level);
+    sib = TryAllocNode(node->level());
   }
   if (sib == nullptr) {
     node->hdr.lock.unlock();
@@ -529,7 +534,7 @@ bool BTreeT<P>::SplitAndInsert(NodeT* node, Key key, std::uint64_t down) {
   sib->hdr.lock.unlock();
   node->hdr.lock.unlock();
 
-  InsertInternal(sep, sib, static_cast<std::uint16_t>(node->hdr.level + 1));
+  InsertInternal(sep, sib, static_cast<std::uint16_t>(node->level() + 1));
   return true;
 }
 
@@ -545,7 +550,7 @@ void BTreeT<P>::InsertInternal(Key sep, NodeT* right, std::uint16_t level) {
     // just cuts the common case short.
     if (Ops::IsDead(m, right)) return;
     NodeT* root = Root();
-    if (root->hdr.level < level) {
+    if (root->level() < level) {
       // The node that split was the root: grow the tree by one level. If
       // the pool cannot supply the new root, give up — the committed split
       // stays reachable through the old root's B-link chain (the same
@@ -574,7 +579,7 @@ void BTreeT<P>::InsertInternal(Key sep, NodeT* right, std::uint16_t level) {
     }
     // Descend (lock-free) to the target level.
     NodeT* n = root;
-    while (n->hdr.level > level) {
+    while (n->level() > level) {
       for (std::uint64_t su; (su = Ops::MoveRightTarget(
                                   m, n, sep, detail::ResolveNode<NodeT>));) {
         n = AsNode(su);
@@ -631,7 +636,7 @@ void BTreeT<P>::AdoptSibling(NodeT* right, std::uint16_t parent_level) {
   // separator would route the [fence, first key) gap to the left child
   // while the chain mapping assigns it here.
   const Key fence = Ops::LoadFence(m, right);
-  if (Root()->hdr.level < parent_level) {
+  if (Root()->level() < parent_level) {
     // `right` is a sibling of the current root; AdoptRootChain-style growth
     // happens through InsertInternal's root path.
   }
@@ -707,7 +712,7 @@ int BTreeT<P>::TryUnlinkEmptySibling(NodeT* n, Key op_key) {
     // this, workloads whose key range drifts (delete churn with a sliding
     // window) never revisit the stale routes and dead leaves accumulate.
     // Lock order stays child -> parent, which no other path inverts.
-    RepairDeadRoutes(static_cast<std::uint16_t>(n->hdr.level + 1),
+    RepairDeadRoutes(static_cast<std::uint16_t>(n->level() + 1),
                      op_key, hint);
   }
   return unlinked;
@@ -969,9 +974,9 @@ template <std::size_t P>
 void BTreeT<P>::RepairDeadRoutes(std::uint16_t level, Key lo, Key hi) {
   RealMem m;
   NodeT* root = Root();
-  if (root->hdr.level < level) return;  // no such level exists
+  if (root->level() < level) return;  // no such level exists
   NodeT* p = root;
-  while (p->hdr.level > level) {
+  while (p->level() > level) {
     for (std::uint64_t su;
          (su = Ops::MoveRightTarget(m, p, lo, detail::ResolveNode<NodeT>));) {
       p = AsNode(su);
@@ -1064,6 +1069,9 @@ std::size_t BTreeT<P>::ScanRange(Key min_key, Key max_key, Record* out,
       have_last = true;
     }
     if (c > 0 && buf[c - 1].key > max_key) return got;
+    // A full scan stops before the sibling: it never collects that leaf,
+    // so loading (and charging) it would count a visit that is not one.
+    if (got >= cap) break;
     n = Resolve(Ops::LoadSibling(m, n));
     if (n != nullptr) pm::AnnotateRead(n);
   }
@@ -1083,6 +1091,65 @@ void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
   detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
   RealMem m;
   Record buf[kNodeCapacity];
+  // Each cursor carries the scalar ScanRange loop's state — current leaf,
+  // emitted count, last key for split-copy dedup — plus a lookahead: the
+  // leaves predicted to follow its current one, read from the routes of
+  // the level-1 node its descent came through and then of that node's
+  // level-1 right siblings (DESIGN.md §8.2b). The sibling chain stays
+  // authoritative: a cursor only ever moves to its leaf's sibling pointer,
+  // and the lookahead is a prefetch and accounting hint matched by pointer.
+  constexpr int kLookahead = 16;
+  struct Cursor {
+    const NodeT* leaf;        // collected next wave; nullptr when done
+    std::size_t got;
+    Key last;
+    bool have_last;
+    const NodeT* route_node;  // level-1 node whose routes come next
+    Key route_bound;          // routes must separate above it
+    const NodeT* ahead[kLookahead];
+    int count;    // predicted leaves in ahead[]
+    int next;     // first entry the cursor has not hopped past
+    int fetched;  // entries below it were fetched by a paid wave
+  };
+  // Matches the hop to `s` against c's lookahead. True when an earlier paid
+  // wave fetched `s`. Entries the chain skipped (an unlinked leaf, a stale
+  // route) are passed over; an `s` missing from the lookahead (a split not
+  // yet in the parent) leaves it as it was.
+  const auto hop = [](Cursor& c, const NodeT* s) {
+    for (int i = c.next; i < c.count; ++i) {
+      if (c.ahead[i] != s) continue;
+      const bool covered = i < c.fetched;
+      c.next = i + 1;
+      c.fetched = std::max(c.fetched, c.next);
+      return covered;
+    }
+    return false;
+  };
+  // Refills a used-up lookahead with the valid routes separating above the
+  // last route taken and the last key emitted (min_key before the first):
+  // that drops the leaves behind the cursor and the routes a parent
+  // mid-split lists twice. Sized from the cap still to fill at half-full
+  // leaves. Internal nodes are uncharged (DESIGN.md §5.1).
+  Record routes[kNodeCapacity];
+  const auto refill = [&](Cursor& c, const ScanOp& op) {
+    const std::size_t want =
+        std::min<std::size_t>(kLookahead,
+                              (op.cap - c.got) / (kNodeCapacity / 2) + 1);
+    Key bound = c.have_last ? std::max(c.route_bound, c.last) : c.route_bound;
+    c.count = c.next = c.fetched = 0;
+    while (c.route_node != nullptr) {
+      const int r = Ops::CollectValid(m, c.route_node, routes);
+      for (int i = 0; i < r && static_cast<std::size_t>(c.count) < want; ++i) {
+        if (routes[i].key <= bound) continue;
+        c.ahead[c.count++] = Resolve(routes[i].ptr);
+        bound = routes[i].key;
+      }
+      if (static_cast<std::size_t>(c.count) == want) break;
+      c.route_node = Resolve(Ops::LoadSibling(m, c.route_node));
+    }
+    c.route_bound = bound;
+    hop(c, c.leaf);  // the leaf a miss just fetched heads the new entries
+  };
   for (std::size_t base = 0; base < n; base += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - base);
     // Grouped descent to the start leaves: one wave per level, leaf
@@ -1094,60 +1161,84 @@ void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
       keys[j] = ops[base + j].min_key;
     }
     NodeT* leaves[kBatchGroup];
-    DescendGroup(trees, keys, g, leaves);
-    // Interleaved leaf-chain drain. Each cursor carries the same state the
-    // scalar ScanRange loop keeps — current leaf, emitted count, last key
-    // for split-copy dedup — and a wave collects one leaf per live cursor.
-    // Siblings are loaded via the B-link chain (dead nodes collect zero
-    // records and the chain continues right, so live splits / unlinks /
-    // migration windows are handled exactly like the scalar walk) and
-    // prefetched together; the wave's sibling hops are charged as ONE
-    // grouped read stall before the next wave dereferences any of them.
-    const NodeT* cur[kBatchGroup];
-    std::size_t got[kBatchGroup];
-    Key last[kBatchGroup];
-    bool have_last[kBatchGroup];
+    const NodeT* parents[kBatchGroup];
+    DescendGroup(trees, keys, g, leaves, parents);
+    Cursor cur[kBatchGroup];
     std::size_t live = 0;
     for (std::size_t j = 0; j < g; ++j) {
-      got[j] = 0;
-      last[j] = 0;
-      have_last[j] = false;
-      cur[j] = ops[base + j].cap > 0 ? leaves[j] : nullptr;
-      if (cur[j] != nullptr) ++live;
+      Cursor& c = cur[j];
+      c.leaf = ops[base + j].cap > 0 ? leaves[j] : nullptr;
+      c.got = 0;
+      c.last = 0;
+      c.have_last = false;
+      c.route_node = parents[j];
+      c.route_bound = ops[base + j].min_key;
+      c.count = c.next = c.fetched = 0;
+      if (c.leaf != nullptr) ++live;
     }
+    // Interleaved leaf-chain drain: a wave collects one leaf per live cursor
+    // and moves each along the B-link chain (dead nodes collect zero records
+    // and the chain continues right, so live splits, unlinks and migration
+    // windows are handled exactly like the scalar walk). Budget rule
+    // (DESIGN.md §8.1): a wave pays one grouped stall only when some cursor
+    // hops to a leaf no earlier paid wave fetched; it then fetches at most
+    // kBatchGroup nodes, those hops first, then lookahead leaves
+    // round-robin over the cursors. A hop to an already-fetched leaf is a
+    // visit without a stall.
     while (live > 0) {
-      std::size_t arrived = 0;
+      std::size_t misses = 0;
+      std::size_t covered = 0;
       for (std::size_t j = 0; j < g; ++j) {
-        const NodeT* leaf = cur[j];
-        if (leaf == nullptr) continue;
+        Cursor& c = cur[j];
+        if (c.leaf == nullptr) continue;
         const ScanOp& op = ops[base + j];
-        const int c = Ops::CollectValid(m, leaf, buf);
-        for (int i = 0; i < c && got[j] < op.cap; ++i) {
+        const int cnt = Ops::CollectValid(m, c.leaf, buf);
+        for (int i = 0; i < cnt && c.got < op.cap; ++i) {
           if (buf[i].key < op.min_key) continue;
-          if (have_last[j] && buf[i].key <= last[j]) continue;  // split copy
-          op.out[got[j]++] = buf[i];
-          last[j] = buf[i].key;
-          have_last[j] = true;
+          if (c.have_last && buf[i].key <= c.last) continue;  // split copy
+          op.out[c.got++] = buf[i];
+          c.last = buf[i].key;
+          c.have_last = true;
         }
-        // Sibling load before the cap check, exactly like the scalar
-        // loop's tail: per-op visited-node accounting stays identical to
-        // ScanRange's, so scalar-vs-batched counter ratios compare pure
-        // stall amortization.
-        const NodeT* s = Resolve(Ops::LoadSibling(m, leaf));
-        if (s != nullptr) {
-          PrefetchNode(s);
-          ++arrived;
-        }
-        if (s == nullptr || got[j] >= op.cap) {
-          cur[j] = nullptr;
+        // A full cursor stops before its sibling, as ScanRange does, so
+        // per-op visit counts stay equal to the scalar scan's.
+        c.leaf =
+            c.got < op.cap ? Resolve(Ops::LoadSibling(m, c.leaf)) : nullptr;
+        if (c.leaf == nullptr) {
           --live;
-          continue;
+        } else if (hop(c, c.leaf)) {
+          ++covered;
+        } else {
+          PrefetchNode(c.leaf);
+          ++misses;
         }
-        cur[j] = s;
       }
-      pm::AnnotateReadGroup(arrived);
+      if (misses > 0) {
+        // Spare fetch slots: each cursor's next unfetched lookahead leaf in
+        // turn. A used-up lookahead is refilled here, at most once a wave,
+        // so waves without spare slots never pay for route reads.
+        std::size_t slots = kBatchGroup - misses;
+        bool refilled[kBatchGroup] = {};
+        for (bool progress = true; slots > 0 && progress;) {
+          progress = false;
+          for (std::size_t j = 0; j < g && slots > 0; ++j) {
+            Cursor& c = cur[j];
+            if (c.leaf == nullptr) continue;
+            if (c.next >= c.count && !refilled[j]) {
+              refilled[j] = true;
+              refill(c, ops[base + j]);
+            }
+            if (c.fetched >= c.count) continue;
+            PrefetchNode(c.ahead[c.fetched++]);
+            --slots;
+            progress = true;
+          }
+        }
+        pm::AnnotateReadGroup(misses);
+      }
+      pm::AnnotateCoveredReads(covered);
     }
-    for (std::size_t j = 0; j < g; ++j) out_counts[base + j] = got[j];
+    for (std::size_t j = 0; j < g; ++j) out_counts[base + j] = cur[j].got;
   }
 }
 
@@ -1168,7 +1259,7 @@ void BTreeT<P>::ScanBatch(const BTreeT* const* trees, const ScanOp* ops,
 
 template <std::size_t P>
 int BTreeT<P>::Height() const {
-  return Root()->hdr.level + 1;
+  return Root()->level() + 1;
 }
 
 template <std::size_t P>
@@ -1252,7 +1343,7 @@ void BTreeT<P>::AdoptRootChain() {
   if (Ops::LoadSibling(m, root) == 0) return;
   // A crash separated the root from freshly split-off siblings before the
   // new root was installed. Build the new root over the whole chain.
-  NodeT* nr = AllocNode(static_cast<std::uint16_t>(root->hdr.level + 1));
+  NodeT* nr = AllocNode(static_cast<std::uint16_t>(root->level() + 1));
   Ops::StoreLeftmost(m, nr, reinterpret_cast<std::uint64_t>(root));
   int adopted = 0;
   for (NodeT* s = AsNode(Ops::LoadSibling(m, root)); s != nullptr;
@@ -1284,9 +1375,9 @@ bool BTreeT<P>::CheckInvariants(std::string* msg) const {
   // nodes, level tags, and that internal records point at children whose
   // first keys match the separators.
   const NodeT* first = Root();
-  int expect_level = first->hdr.level;
+  int expect_level = first->level();
   while (true) {
-    if (first->hdr.level != expect_level) {
+    if (first->level() != expect_level) {
       return fail("level tag mismatch on leftmost chain");
     }
     bool have_prev = false;
@@ -1295,7 +1386,7 @@ bool BTreeT<P>::CheckInvariants(std::string* msg) const {
     Key prev_fence = 0;
     for (const NodeT* n = first; n != nullptr;
          n = Resolve(Ops::LoadSibling(m, n))) {
-      if (n->hdr.level != expect_level) return fail("level tag mismatch");
+      if (n->level() != expect_level) return fail("level tag mismatch");
       // The persistent low fence partitions each level: strictly ascending
       // along the chain, and never above the node's own keys.
       const Key fence = Ops::LoadFence(m, n);
@@ -1326,7 +1417,7 @@ bool BTreeT<P>::CheckInvariants(std::string* msg) const {
         if (!n->is_leaf()) {
           const auto* child =
               Resolve(Ops::LoadPtrAt(m, const_cast<NodeT*>(n), i));
-          if (child->hdr.level != expect_level - 1) {
+          if (child->level() != expect_level - 1) {
             return fail("child level mismatch");
           }
           const int cfirst =
@@ -1340,7 +1431,7 @@ bool BTreeT<P>::CheckInvariants(std::string* msg) const {
       }
       if (!n->is_leaf() && Ops::LoadLeftmost(m, n) != 0) {
         const auto* lm = Resolve(Ops::LoadLeftmost(m, n));
-        if (lm->hdr.level != expect_level - 1) {
+        if (lm->level() != expect_level - 1) {
           return fail("leftmost child level mismatch");
         }
       }

@@ -162,7 +162,20 @@ struct Node {
     hdr.level = level;
   }
 
-  bool is_leaf() const { return hdr.level == 0; }
+  /// The level tag. It shares an 8-byte word with the switch counter and
+  /// the flags, which BumpSwitch and MarkDead store whole through
+  /// std::atomic_ref, so it is read with one relaxed 8-byte atomic load of
+  /// that word, never a plain 2-byte load. Init is the only writer.
+  std::uint16_t level() const {
+    const void* word = &hdr.switch_counter;
+    return static_cast<std::uint16_t>(
+        std::atomic_ref<const std::uint64_t>(
+            *static_cast<const std::uint64_t*>(word))
+            .load(std::memory_order_relaxed) >>
+        32);
+  }
+
+  bool is_leaf() const { return level() == 0; }
 };
 
 // A 512-byte node (the paper's default) must hold >= 24 entries to keep the

@@ -33,6 +33,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "common/defs.h"
 #include "core/node.h"
@@ -131,9 +132,16 @@ struct NodeOps {
 
   /// Number of used slots including any slot-0 hole (i.e. index of the
   /// terminator).  Writer-side usage assumes the node was fixed first.
+  /// Slot 0's ptr is loaded once: a lock-free reader that saw it live must
+  /// not load it again and meet the zero-ptr hole of a slot-0 delete
+  /// committing in between, which would count a live node as empty.
   static int CountRaw(Mem& m, const N* n) {
-    int i = FirstValidSlot(m, n);
-    while (i <= kCap && LoadPtrAt(m, n, i) != 0) ++i;
+    const std::uint64_t p0 = LoadPtrAt(m, n, 0);
+    int i = FirstValidSlot(m, n, p0);
+    if (i == 0 && p0 == 0) return 0;
+    do {
+      ++i;
+    } while (i <= kCap && LoadPtrAt(m, n, i) != 0);
     return i;
   }
 
@@ -479,41 +487,82 @@ struct NodeOps {
 
   /// Snapshot of the valid records of a node (sorted), for range scans and
   /// crash-image validation. Returns the number of records written to `out`
-  /// (at most kCap). Retries on direction flips.
+  /// (at most kCap). Retries on direction flips. Like SearchLeaf (paper
+  /// Alg 3) it reads against the phase's writer: the insert shift writes
+  /// right to left, so the insert phase reads left to right; the delete
+  /// shift writes left to right, so the delete phase reads right to left.
   static int CollectValid(Mem& m, const N* n, Record* out) {
     for (;;) {
       const std::uint32_t sw = LoadSwitch(m, n);
-      int cnt = 0;
       bool stable = true;
-      std::uint64_t prev = n->is_leaf() ? 0 : LoadLeftmost(m, n);
-      Key last_key = 0;
-      for (int i = 0; i <= kCap; ++i) {
-        Key k;
-        std::uint64_t p;
-        if (!StableRecord(m, n, i, &k, &p)) {
-          stable = false;
-          break;
-        }
-        if (p == 0) {
-          if (i == 0 && FirstValidSlot(m, n, p) == 1) continue;  // hole
-          break;
-        }
-        if (p == prev) continue;
-        if (cnt > 0 && k == last_key) {
-          // Duplicate key from an in-flight/crashed delete shift: the
-          // rightmost copy is authoritative.
-          out[cnt - 1].ptr = p;
-          prev = p;
-          continue;
-        }
-        out[cnt].key = k;
-        out[cnt].ptr = p;
-        last_key = k;
-        prev = p;
-        ++cnt;
-      }
+      const int cnt = sw % 2 == 0 ? CollectForward(m, n, out, &stable)
+                                  : CollectBackward(m, n, out, &stable);
       if (stable && LoadSwitch(m, n) == sw) return cnt;
     }
+  }
+
+  /// Insert-phase CollectValid pass, left to right.
+  static int CollectForward(Mem& m, const N* n, Record* out, bool* stable) {
+    int cnt = 0;
+    std::uint64_t prev = n->is_leaf() ? 0 : LoadLeftmost(m, n);
+    Key last_key = 0;
+    for (int i = 0; i <= kCap; ++i) {
+      Key k;
+      std::uint64_t p;
+      if (!StableRecord(m, n, i, &k, &p)) {
+        *stable = false;
+        break;
+      }
+      if (p == 0) {
+        if (i == 0 && FirstValidSlot(m, n, p) == 1) continue;  // hole
+        break;
+      }
+      if (p == prev) continue;
+      if (cnt > 0 && k == last_key) {
+        // Duplicate key from an in-flight/crashed delete shift: the
+        // rightmost copy is authoritative.
+        out[cnt - 1].ptr = p;
+        prev = p;
+        continue;
+      }
+      out[cnt].key = k;
+      out[cnt].ptr = p;
+      last_key = k;
+      prev = p;
+      ++cnt;
+    }
+    return cnt;
+  }
+
+  /// Delete-phase CollectValid pass, right to left. A delete shift (or a
+  /// FixNode compaction) that overtakes the reader can only show it a
+  /// record a second time, one slot further left, never hide one; a key at
+  /// or above the last one taken is that second copy (or the stale left
+  /// copy of a torn shift, whose rightmost copy is authoritative) and is
+  /// skipped. The output is collected descending, then reversed.
+  static int CollectBackward(Mem& m, const N* n, Record* out, bool* stable) {
+    int cnt = 0;
+    Key last_key = 0;
+    for (int i = CountRaw(m, n) - 1; i >= 0; --i) {
+      Key k;
+      std::uint64_t p;
+      if (!StableRecord(m, n, i, &k, &p)) {
+        *stable = false;
+        break;
+      }
+      if (p == 0) continue;  // slot-0 hole, or a terminator moved left
+      const std::uint64_t left = i > 0        ? LoadPtrAt(m, n, i - 1)
+                                 : n->is_leaf() ? 0
+                                                : LoadLeftmost(m, n);
+      if (p == left) continue;  // invalid
+      if (cnt > 0 && k >= last_key) continue;
+      out[cnt].key = k;
+      out[cnt].ptr = p;
+      last_key = k;
+      ++cnt;
+    }
+    for (int i = 0, j = cnt - 1; i < j; ++i, --j) std::swap(out[i], out[j]);
+    return cnt;
   }
 
   // --- lazy recovery (paper §4.2) ----------------------------------------------

@@ -34,13 +34,13 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
   // bump offset has handed out.
   const std::uint64_t max_nodes = pool->used() / P + 2;
   const NodeT* first = node_at(root);
-  int level = first->hdr.level;
+  int level = first->level();
   r->levels = static_cast<std::uint64_t>(level) + 1;
   PtrSet routed;  // children the level above routes to
   for (;;) {
-    if (first->hdr.level != level) {
+    if (first->level() != level) {
       err("leftmost descent reached a node tagged level " +
-          std::to_string(first->hdr.level) + " where level " +
+          std::to_string(first->level()) + " where level " +
           std::to_string(level) + " was expected");
       return;
     }
@@ -66,7 +66,7 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
       r->node_bytes += P;
       if (n->is_leaf()) ++r->leaves;
       if ((n->hdr.flags & core::kNodeDead) != 0) ++r->dead_nodes;
-      if (n->hdr.level != level) {
+      if (n->level() != level) {
         err("level tag mismatch on the level-" + std::to_string(level) +
             " chain");
       }

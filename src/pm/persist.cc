@@ -341,6 +341,10 @@ void AnnotateReadGroup(std::size_t nodes) {
   if (lat != 0) SpinNs(lat);
 }
 
+void AnnotateCoveredReads(std::size_t nodes) {
+  t_stats.read_annotations += nodes;
+}
+
 FlushScope::FlushScope() {
   if (g_persistency.load(std::memory_order_relaxed) != Persistency::kRelaxed ||
       !g_coalesce.load(std::memory_order_relaxed)) {

@@ -134,6 +134,11 @@ void AnnotateRead(const void* node);
 /// one read_stall, one latency spin. No-op when nodes == 0.
 void AnnotateReadGroup(std::size_t nodes);
 
+/// Visits to `nodes` PM nodes whose fetch an earlier stall already paid
+/// for: a grouped wave that fetched them ahead of use (DESIGN.md §5.1,
+/// §8.2b). Counts `nodes` read_annotations and no read_stall; no latency.
+void AnnotateCoveredReads(std::size_t nodes);
+
 /// Write-combining flush scope (DESIGN.md §8.2). While the innermost
 /// engaged scope on this thread is open, Clflush/FlushRange record their
 /// cache lines into a thread-local buffer (duplicates dedupe; counted in

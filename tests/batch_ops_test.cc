@@ -29,6 +29,33 @@ namespace {
 
 Value ValueFor(Key k) { return 2 * k + 1; }
 
+// One ScanBatch call under the budget rule (DESIGN.md §8.1, §8.2b): each
+// grouped stall covers at most kBatchGroup node fetches, and every node a
+// scan visits was fetched, so stalls x kBatchGroup >= visits. Returns
+// whether the call kept it.
+bool ScanBatchWithinBudget(const core::BTree& tree, const ScanOp* ops,
+                           std::size_t n, std::size_t* counts) {
+  const auto before = pm::Stats();
+  tree.ScanBatch(ops, n, counts);
+  const auto d = pm::Stats() - before;
+  return d.read_stalls * core::BTree::kBatchGroup >= d.read_annotations;
+}
+
+// Checks every op of a ScanBatch result against the scalar Scan.
+void ExpectMatchesScalar(const core::BTree& tree, const ScanOp* ops,
+                         std::size_t n, const std::size_t* counts) {
+  std::vector<core::Record> want;
+  for (std::size_t i = 0; i < n; ++i) {
+    want.resize(ops[i].cap);
+    const std::size_t wn = tree.Scan(ops[i].min_key, ops[i].cap, want.data());
+    ASSERT_EQ(counts[i], wn) << "start " << ops[i].min_key;
+    for (std::size_t j = 0; j < wn; ++j) {
+      ASSERT_EQ(ops[i].out[j].key, want[j].key) << "start " << ops[i].min_key;
+      ASSERT_EQ(ops[i].out[j].ptr, want[j].ptr) << "start " << ops[i].min_key;
+    }
+  }
+}
+
 TEST(BatchOps, EmptyBatchIsANoOp) {
   pm::Pool pool(std::size_t{64} << 20);
   core::BTree tree(&pool);
@@ -328,7 +355,8 @@ TEST(ScanBatch, MatchesScalarWithDuplicateAndUnsortedStarts) {
   // Odd batch sizes so groups of every residue size run.
   for (std::size_t i = 0; i < ops.size(); i += 13) {
     const std::size_t n = std::min<std::size_t>(13, ops.size() - i);
-    tree.ScanBatch(ops.data() + i, n, counts.data() + i);
+    EXPECT_TRUE(ScanBatchWithinBudget(tree, ops.data() + i, n,
+                                      counts.data() + i));
   }
   core::Record want[kCap];
   for (std::size_t i = 0; i < starts.size(); ++i) {
@@ -373,6 +401,134 @@ TEST(ScanBatch, GroupedStallAccounting) {
   // per hop per scan). >= 2x is the CI perf-smoke gate's contract.
   EXPECT_EQ(batched.read_annotations, scalar.read_annotations);
   EXPECT_GE(scalar.read_stalls, 2 * batched.read_stalls);
+  EXPECT_GE(batched.read_stalls * core::BTree::kBatchGroup,
+            batched.read_annotations);
+}
+
+TEST(ScanBatch, FullScanChargesNoUnvisitedSibling) {
+  // The cap fills inside the first leaf, which has a right sibling: both
+  // scans stop before loading that sibling, so the one leaf they visit is
+  // the one read annotation they charge.
+  pm::Pool pool(std::size_t{64} << 20);
+  core::BTree tree(&pool);
+  for (Key k = 1; k <= 400; ++k) tree.Insert(k, ValueFor(k));
+  ASSERT_GE(tree.Height(), 2);
+  core::Record out[4];
+  auto before = pm::Stats();
+  ASSERT_EQ(tree.Scan(1, 4, out), 4u);
+  EXPECT_EQ((pm::Stats() - before).read_annotations, 1u);
+  const ScanOp op{1, 4, out};
+  std::size_t count = 0;
+  before = pm::Stats();
+  tree.ScanBatch(&op, 1, &count);
+  ASSERT_EQ(count, 4u);
+  EXPECT_EQ((pm::Stats() - before).read_annotations, 1u);
+}
+
+TEST(ScanBatch, LoneScanPaysAtMostHalfTheScalarStalls) {
+  // A batch of one has no group to share a wave with: its savings come
+  // from the lookahead alone. Its first paid drain wave fetches the next
+  // leaves its level-1 parent routes to, within the kBatchGroup budget.
+  pm::Pool pool(std::size_t{256} << 20);
+  core::BTree tree(&pool);
+  const auto keys = bench::UniformKeys(50000, 5);
+  for (const Key k : keys) tree.Insert(k, ValueFor(k));
+  constexpr std::size_t kScans = 256;
+  constexpr std::size_t kCap = 100;
+  std::vector<core::Record> out(kCap);
+
+  const auto before_scalar = pm::Stats();
+  for (std::size_t i = 0; i < kScans; ++i) tree.Scan(keys[i], kCap, out.data());
+  const auto scalar = pm::Stats() - before_scalar;
+
+  pm::ThreadStats batched;
+  for (std::size_t i = 0; i < kScans; ++i) {
+    const ScanOp op{keys[i], kCap, out.data()};
+    std::size_t count = 0;
+    const auto before = pm::Stats();
+    tree.ScanBatch(&op, 1, &count);
+    const auto d = pm::Stats() - before;
+    EXPECT_GE(d.read_stalls * core::BTree::kBatchGroup, d.read_annotations);
+    batched += d;
+    ExpectMatchesScalar(tree, &op, 1, &count);
+  }
+  EXPECT_EQ(batched.read_annotations, scalar.read_annotations);
+  EXPECT_LE(2 * batched.read_stalls, scalar.read_stalls);
+}
+
+TEST(ScanBatch, LookaheadFollowsLevelOneSiblings) {
+  // A scan that starts in the last child of a level-1 node continues into
+  // leaves routed by that node's right sibling. The lookahead reads them
+  // there, so the drain still pays one stall: two in all with the descent.
+  using NodeT = core::BTree::NodeT;
+  using Ops = core::BTree::Ops;
+  pm::Pool pool(std::size_t{256} << 20);
+  core::BTree tree(&pool);
+  const auto keys = bench::UniformKeys(50000, 5);
+  for (const Key k : keys) tree.Insert(k, ValueFor(k));
+  ASSERT_GE(tree.Height(), 3);  // level-1 nodes have siblings
+  core::RealMem m;
+  const auto* p = reinterpret_cast<const NodeT*>(tree.meta()->root);
+  while (p->level() > 1) p = reinterpret_cast<const NodeT*>(p->hdr.leftmost);
+  ASSERT_NE(Ops::LoadSibling(m, p), 0u);
+  core::Record routes[core::BTree::kNodeCapacity];
+  const int r = Ops::CollectValid(m, p, routes);
+  ASSERT_GT(r, 0);
+  const Key start = routes[r - 1].key;  // first key of p's last child
+
+  constexpr std::size_t kCap = 100;
+  core::Record out[kCap];
+  const ScanOp op{start, kCap, out};
+  std::size_t count = 0;
+  const auto before = pm::Stats();
+  tree.ScanBatch(&op, 1, &count);
+  const auto d = pm::Stats() - before;
+  ASSERT_EQ(count, kCap);
+  EXPECT_GT(d.read_annotations, 4u);  // the scan left p's last child
+  EXPECT_LE(d.read_stalls, 2u);
+  EXPECT_GE(d.read_stalls * core::BTree::kBatchGroup, d.read_annotations);
+  ExpectMatchesScalar(tree, &op, 1, &count);
+}
+
+TEST(ScanBatch, SparseLeavesAndSingleLeafTreeMatchScalar) {
+  // Sparse leaves: a cap that needs far more leaves than the lookahead
+  // array holds refills it many times over. A height-1 tree has no level-1
+  // parent and so no lookahead at all. Both must match scalar Scan, at
+  // every group size, within the budget.
+  pm::Pool pool(std::size_t{256} << 20);
+  core::BTree sparse(&pool);
+  for (Key k = 1; k <= 40000; ++k) sparse.Insert(k, ValueFor(k));
+  for (Key k = 1; k <= 40000; ++k) {
+    if (k % 16 != 0) sparse.Remove(k);
+  }
+  core::BTree single(&pool);
+  for (Key k = 10; k <= 100; k += 10) single.Insert(k, ValueFor(k));
+  ASSERT_EQ(single.Height(), 1);
+
+  for (const core::BTree* tree : {&sparse, &single}) {
+    constexpr std::size_t kCap = 300;
+    std::vector<Key> starts;
+    Rng rng(17);
+    const Key span = tree == &single ? 120 : 40000;
+    for (std::size_t i = 0; i < 24; ++i) {
+      starts.push_back(rng.NextBounded(span));
+    }
+    std::vector<core::Record> got(starts.size() * kCap);
+    std::vector<ScanOp> ops;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      ops.push_back({starts[i], kCap, got.data() + i * kCap});
+    }
+    std::vector<std::size_t> counts(starts.size());
+    for (const std::size_t group : {std::size_t{1}, std::size_t{3},
+                                    core::BTree::kBatchGroup}) {
+      for (std::size_t i = 0; i < ops.size(); i += group) {
+        const std::size_t n = std::min(group, ops.size() - i);
+        EXPECT_TRUE(ScanBatchWithinBudget(*tree, ops.data() + i, n,
+                                          counts.data() + i));
+      }
+      ExpectMatchesScalar(*tree, ops.data(), ops.size(), counts.data());
+    }
+  }
 }
 
 TEST(ScanBatch, SpansShardSeams) {
@@ -492,7 +648,11 @@ TEST(ScanBatch, RacesSplitsAndUnlinks) {
         ops[j] = {anchors[rng.Below(anchors.size())], kCap,
                   out.data() + j * kCap};
       }
-      tree.ScanBatch(ops, kGroup, counts);
+      // Stale lookahead (a split not yet in the parent, an unlinked
+      // leaf) may cost stalls, never the budget or a record.
+      if (!ScanBatchWithinBudget(tree, ops, kGroup, counts)) {
+        violations.fetch_add(1);
+      }
       for (std::size_t j = 0; j < kGroup; ++j) {
         const core::Record* r = out.data() + j * kCap;
         std::uint64_t bad = 0;

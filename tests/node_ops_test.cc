@@ -409,6 +409,96 @@ TEST(FixNode, CompletesUntruncatedSplit) {
   EXPECT_EQ(O::SearchLeaf(m, &left, static_cast<Key>(median + 1)), kNoValue);
 }
 
+// --- lock-free collect vs. a delete in flight --------------------------------
+
+// Memory policy for one CollectValid call: at the reader's `fire_at`-th
+// load it runs RealMem deletes of `victims` on the same node, so the FAST
+// delete's left shift lands between two reader loads. Sweeping `fire_at`
+// over every load of the call puts the shift at every point of the pass.
+struct DeleteAtLoad {
+  NodeT* node = nullptr;
+  std::vector<Key> victims;
+  int fire_at = 0;
+  int loads = 0;
+
+  std::uint64_t Load64(const void* addr) {
+    if (++loads == fire_at) {
+      RealMem m;
+      for (const Key k : victims) Ops::DeleteKey(m, node, k);
+    }
+    return RealMem::Load64(addr);
+  }
+};
+
+// Sweeps 1-3 adjacent deletes at every position of a 20-record node in the
+// delete phase, each fired at every load of one CollectValid call. Every
+// result must be sorted, carry each key's own value, and hold every key
+// that was never deleted. Returns the number of interleavings that lost a
+// live key (sortedness and values are asserted directly).
+int SweepCollectAgainstDeletes(bool internal) {
+  constexpr int kRecords = 20;
+  const auto value_of = [](Key k) -> Value { return k * 16 + 3; };
+  const auto build = [&](NodeT* node) {
+    RealMem m;
+    node->Init(internal ? 1 : 0);
+    if (internal) Ops::StoreLeftmost(m, node, 0xfff0);
+    for (int i = 1; i <= kRecords; ++i) {
+      Ops::InsertKey(m, node, Key(i) * 10, value_of(Key(i) * 10));
+    }
+    Ops::EnsureDeleteDirection(m, node);
+  };
+  using Probe = NodeOps<NodeT, DeleteAtLoad>;
+  alignas(64) NodeT node;
+  int lost = 0;
+  for (int burst = 1; burst <= 3; ++burst) {
+    for (int pos = 0; pos + burst <= kRecords; ++pos) {
+      DeleteAtLoad quiet;
+      build(&node);
+      Record buf[kCap];
+      Probe::CollectValid(quiet, &node, buf);
+      for (int k = 1; k <= quiet.loads; ++k) {
+        build(&node);
+        DeleteAtLoad mem;
+        mem.node = &node;
+        mem.fire_at = k;
+        for (int i = pos; i < pos + burst; ++i) {
+          mem.victims.push_back(Key(i + 1) * 10);
+        }
+        const int n = Probe::CollectValid(mem, &node, buf);
+        std::vector<Key> got;
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(buf[i].ptr, value_of(buf[i].key))
+              << "burst " << burst << " pos " << pos << " load " << k;
+          if (i > 0) {
+            EXPECT_LT(buf[i - 1].key, buf[i].key)
+                << "burst " << burst << " pos " << pos << " load " << k;
+          }
+          got.push_back(buf[i].key);
+        }
+        for (int i = 1; i <= kRecords; ++i) {
+          const Key key = Key(i) * 10;
+          const bool deleted = i - 1 >= pos && i - 1 < pos + burst;
+          if (!deleted && !std::binary_search(got.begin(), got.end(), key)) {
+            ++lost;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return lost;
+}
+
+TEST(CollectValidRace, LeafDeleteShiftNeverHidesALiveKey) {
+  EXPECT_EQ(SweepCollectAgainstDeletes(false), 0)
+      << "interleavings that lost a never-deleted key";
+}
+
+TEST(CollectValidRace, InternalDeleteShiftNeverHidesALiveRoute) {
+  EXPECT_EQ(SweepCollectAgainstDeletes(true), 0)
+      << "interleavings that lost a never-deleted route";
+}
+
 // --- node size sweep (the Fig 3 node geometries) ---------------------------------
 
 template <typename T>
