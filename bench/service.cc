@@ -1,8 +1,9 @@
 // Service-tier loadgen (DESIGN.md §10): drives the in-process KV service
-// with thousands of logical clients and compares scalar per-op dispatch
-// against cross-client batch formation on the same index.
+// with thousands of logical clients and compares unbatched execution
+// (max_batch = 1: every request is a group of one) against cross-client
+// batch formation on the same index.
 //
-// Two phases per dispatch mode, each against its own KvService instance
+// Two phases per mode, each against its own KvService instance
 // (worker PM-counter deltas are finalized at Stop, so every phase gets an
 // isolated read-stall ledger):
 //
@@ -14,16 +15,16 @@
 //   low-load   — open-loop at a fixed arrival rate far below capacity,
 //     latency measured from the *scheduled* arrival (coordinated-omission
 //     free). With the rings nearly always empty, groups flush on the
-//     empty-poll path, so service p999 must stay near scalar dispatch —
+//     empty-poll path, so service p999 must stay near unbatched —
 //     the admission-control/timeout design is what this phase gates.
 //
 // Gates (stderr + non-zero exit):
-//   * read stalls/op: scalar must pay >= 2x the batched mode's (counter
-//     ratio — deterministic under PM emulation; the CI service job runs
-//     exactly this).
-//   * batched saturation throughput >= 1.5x scalar (wall time; skipped
+//   * read stalls/op: unbatched must pay >= 2x the batched mode's
+//     (counter ratio — deterministic under PM emulation; the CI service
+//     job runs exactly this).
+//   * batched saturation throughput >= 1.5x unbatched (wall time; skipped
 //     under --no-wall-gates for loaded machines).
-//   * batched low-load p999 <= 2x scalar p999 + 50 us slack (wall time;
+//   * batched low-load p999 <= 2x unbatched p999 + 50 us slack (wall time;
 //     same skip flag).
 //
 // Extra flags beyond bench/options.h: --json=<path> emits the run as one
@@ -200,10 +201,10 @@ void RunOpenLoop(std::vector<server::Session*>& sessions,
   }
 }
 
-ModeResult RunMode(bool scalar, const bench::Options& opt,
+ModeResult RunMode(bool batched, const bench::Options& opt,
                    const std::vector<Key>& preload, Key stride) {
   ModeResult r;
-  r.name = scalar ? "scalar" : "batched";
+  r.name = batched ? "batched" : "unbatched";
   const std::size_t n = preload.size();
   const auto scan_per_mille =
       static_cast<std::uint32_t>(opt.scan_frac * 1000.0);
@@ -232,11 +233,10 @@ ModeResult RunMode(bool scalar, const bench::Options& opt,
   server::ServiceOptions sopts;
   sopts.workers = opt.service_workers;
   sopts.queue_depth = 128;
-  sopts.max_batch = 256;
+  sopts.max_batch = batched ? 256 : 1;
   sopts.batch_timeout_us = opt.batch_timeout_us;
   sopts.quota_ops_per_sec = opt.quota;
   sopts.max_sessions = num_sessions;
-  sopts.scalar_dispatch = scalar;
 
   // Saturation phase.
   {
@@ -374,9 +374,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(opt.quota), opt.skew);
 
   std::vector<ModeResult> modes;
-  modes.push_back(RunMode(/*scalar=*/true, opt, preload, stride));
-  modes.push_back(RunMode(/*scalar=*/false, opt, preload, stride));
-  const ModeResult& sc = modes[0];
+  modes.push_back(RunMode(/*batched=*/false, opt, preload, stride));
+  modes.push_back(RunMode(/*batched=*/true, opt, preload, stride));
+  const ModeResult& ub = modes[0];
   const ModeResult& ba = modes[1];
 
   const bool with_scans = opt.scan_frac > 0.0;
@@ -414,10 +414,10 @@ int main(int argc, char** argv) {
   }
 
   const double stall_ratio =
-      ba.stalls_per_op == 0.0 ? 0.0 : sc.stalls_per_op / ba.stalls_per_op;
-  const double tput_ratio = sc.kops == 0.0 ? 0.0 : ba.kops / sc.kops;
-  std::printf("stall ratio (scalar/batched): %.2fx, throughput ratio "
-              "(batched/scalar): %.2fx\n",
+      ba.stalls_per_op == 0.0 ? 0.0 : ub.stalls_per_op / ba.stalls_per_op;
+  const double tput_ratio = ub.kops == 0.0 ? 0.0 : ba.kops / ub.kops;
+  std::printf("stall ratio (unbatched/batched): %.2fx, throughput ratio "
+              "(batched/unbatched): %.2fx\n",
               stall_ratio, tput_ratio);
 
   if (!json_path.empty() &&
@@ -430,27 +430,27 @@ int main(int argc, char** argv) {
   // PM read stalls at least 2x (the CI service job's contract).
   if (stall_ratio < 2.0) {
     std::fprintf(stderr,
-                 "GATE FAIL service: scalar read stalls/op %.3f not >= 2x "
-                 "batched %.3f\n",
-                 sc.stalls_per_op, ba.stalls_per_op);
+                 "GATE FAIL service: unbatched read stalls/op %.3f not >= "
+                 "2x batched %.3f\n",
+                 ub.stalls_per_op, ba.stalls_per_op);
     rc = 1;
   }
   if (wall_gates) {
     if (tput_ratio < 1.5) {
       std::fprintf(stderr,
                    "GATE FAIL service: batched throughput %.1f Kops not >= "
-                   "1.5x scalar %.1f Kops\n",
-                   ba.kops, sc.kops);
+                   "1.5x unbatched %.1f Kops\n",
+                   ba.kops, ub.kops);
       rc = 1;
     }
-    const std::uint64_t sp999 = sc.lat.PercentileNs(99.9);
+    const std::uint64_t up999 = ub.lat.PercentileNs(99.9);
     const std::uint64_t bp999 = ba.lat.PercentileNs(99.9);
-    if (bp999 > 2 * sp999 + 50000) {
+    if (bp999 > 2 * up999 + 50000) {
       std::fprintf(stderr,
                    "GATE FAIL service: batched low-load p999 %.1f us not "
-                   "<= 2x scalar %.1f us + 50 us\n",
+                   "<= 2x unbatched %.1f us + 50 us\n",
                    static_cast<double>(bp999) / 1e3,
-                   static_cast<double>(sp999) / 1e3);
+                   static_cast<double>(up999) / 1e3);
       rc = 1;
     }
   }

@@ -203,8 +203,7 @@ class BTreeT {
     int height = 0;
     std::size_t entries = 0;
     std::vector<std::size_t> nodes_per_level;  // [0] = leaves
-    std::size_t dead_leaves = 0;  // emptied + unlinked, awaiting GC
-    double leaf_fill = 0.0;       // live entries / leaf capacity
+    double leaf_fill = 0.0;  // live entries / leaf capacity
   };
   TreeStats GetTreeStats() const;
 
@@ -346,11 +345,6 @@ class BTreeT {
   /// range's lower bound). Only with Options::reclaim_empty_leaves.
   /// Returns the number of leaves unlinked (the sweep task's work metric).
   int TryUnlinkEmptySibling(NodeT* n, Key op_key);
-
-  /// Removes the parent separator routing to `dead` (found via `hint_key`,
-  /// the key whose traversal hit the dead node). Idempotent.
-  void RemoveChildFromParent(const NodeT* dead, std::uint16_t parent_level,
-                             Key hint_key);
 
   /// True when locked internal `p` routes to no live child.
   bool AllRoutesDead(NodeT* p);

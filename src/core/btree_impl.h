@@ -234,7 +234,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
     // parent lazily and have the caller retry from the root.
     const std::uint16_t parent_level = n->level() + 1;
     n->hdr.lock.unlock();
-    RemoveChildFromParent(n, parent_level, key);
+    RepairDeadRoutes(parent_level, key, key);
     return nullptr;
   }
   for (std::uint64_t su;
@@ -253,7 +253,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
       // sibling pointer and taking its lock; writing into it would lose the
       // update. Repair and retry from the root like the entry check above.
       next->hdr.lock.unlock();
-      RemoveChildFromParent(next, parent_level, key);
+      RepairDeadRoutes(parent_level, key, key);
       return nullptr;
     }
     n = next;
@@ -636,10 +636,6 @@ void BTreeT<P>::AdoptSibling(NodeT* right, std::uint16_t parent_level) {
   // separator would route the [fence, first key) gap to the left child
   // while the chain mapping assigns it here.
   const Key fence = Ops::LoadFence(m, right);
-  if (Root()->level() < parent_level) {
-    // `right` is a sibling of the current root; AdoptRootChain-style growth
-    // happens through InsertInternal's root path.
-  }
   InsertInternal(fence, right, parent_level);
 }
 
@@ -771,14 +767,6 @@ typename BTreeT<P>::SweepResult BTreeT<P>::SweepDrainedRanges(Key cursor,
     }
   }
   return r;
-}
-
-template <std::size_t P>
-void BTreeT<P>::RemoveChildFromParent(const NodeT* dead,
-                                      std::uint16_t parent_level,
-                                      Key hint_key) {
-  (void)dead;  // subsumed: every dead route in the covering parent is cleaned
-  RepairDeadRoutes(parent_level, hint_key, hint_key);
 }
 
 template <std::size_t P>
@@ -1286,10 +1274,6 @@ typename BTreeT<P>::TreeStats BTreeT<P>::GetTreeStats() const {
         static_cast<double>(st.entries) /
         (static_cast<double>(st.nodes_per_level.front()) * kNodeCapacity);
   }
-  // Dead leaves are unlinked from the chain; count them via the parent
-  // level's separators that still reference dead nodes (pre-repair) is
-  // unreliable, so report the chain-vs-entry discrepancy instead: walk the
-  // leaf chain and count dead flags (linked-but-dead crash remnants).
   return st;
 }
 

@@ -40,11 +40,6 @@
 
 namespace fastfair::core {
 
-/// Result of a lock-free leaf probe.
-struct LeafProbe {
-  Value value = kNoValue;  // kNoValue if the key is not in this node
-};
-
 template <class NodeT, class Mem>
 struct NodeOps {
   using N = NodeT;

@@ -45,17 +45,9 @@ class Wrap final : public Index {
   void InsertBatch(const core::Record* ops, std::size_t n,
                    InsertStatus* out) override {
     // The core tree's pipelined batch reports insert-vs-update natively;
-    // a baseline with only a plain batch entry point keeps it for the
-    // no-status call and falls back to the default Search-probe loop when
-    // the caller wants statuses.
+    // baselines keep the default per-op loop.
     if constexpr (requires { impl_.InsertBatch(ops, n, out); }) {
       impl_.InsertBatch(ops, n, out);
-    } else if constexpr (requires { impl_.InsertBatch(ops, n); }) {
-      if (out == nullptr) {
-        impl_.InsertBatch(ops, n);
-      } else {
-        Index::InsertBatch(ops, n, out);
-      }
     } else {
       Index::InsertBatch(ops, n, out);
     }

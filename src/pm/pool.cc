@@ -279,11 +279,6 @@ Pool::~Pool() {
 
 Pool::Header* Pool::header() const { return static_cast<Header*>(base_); }
 
-Pool& Pool::Global() {
-  static Pool pool(Options{});
-  return pool;
-}
-
 std::size_t Pool::ReserveGlobal(std::size_t size, std::size_t align,
                                 bool nothrow) {
   auto* h = header();

@@ -113,9 +113,6 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  /// Process-wide default pool (anonymous, lazily created).
-  static Pool& Global();
-
   /// Allocates `size` bytes aligned to `align` (power of two, >= 8).
   /// Thread-safe and, for small blocks, contention-free (per-thread arena or
   /// per-thread free-list cache). Throws std::bad_alloc when the pool is

@@ -263,16 +263,14 @@ void KvService::WorkerLoop(std::size_t w) {
       continue;
     }
     idle_spins = 0;
-    if (!opts_.scalar_dispatch && opts_.max_batch > 1) {
-      if (reqs.size() >= opts_.max_batch) {
-        ++wk.full;
-      } else if (!stop_seen) {
-        switch (GatherGroup(w, &reqs)) {
-          case FlushReason::kFull: ++wk.full; break;
-          case FlushReason::kTimeout: ++wk.timeout; break;
-          case FlushReason::kIdle: ++wk.idle; break;
-          case FlushReason::kStop: break;
-        }
+    if (reqs.size() >= opts_.max_batch) {
+      ++wk.full;
+    } else if (!stop_seen) {
+      switch (GatherGroup(w, &reqs)) {
+        case FlushReason::kFull: ++wk.full; break;
+        case FlushReason::kTimeout: ++wk.timeout; break;
+        case FlushReason::kIdle: ++wk.idle; break;
+        case FlushReason::kStop: break;
       }
     }
     ExecuteGroup(wk, reqs);
@@ -297,7 +295,7 @@ KvService::FlushReason KvService::GatherGroup(
   // at most batch_timeout_us while requests keep arriving, but flush as
   // soon as a few consecutive polls find the rings dry — waiting longer
   // cannot grow the group, and this is what keeps a lone request's latency
-  // near scalar dispatch instead of a full timeout.
+  // near a group of one's instead of a full timeout.
   constexpr std::size_t kIdlePollLimit = 4;
   const std::uint64_t deadline =
       pm::NowNs() + opts_.batch_timeout_us * 1000;
@@ -321,7 +319,10 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
   // Deadline pass: requests that expired while queued (ring wait plus
   // group formation) complete as kDeadlineExceeded right here and never
   // occupy a batch slot. The clock is read at most once, and only when
-  // some request actually carries a deadline.
+  // some request actually carries a deadline. The pass also sizes each
+  // class's span for the ordering below: class c (OpType's declaration
+  // order) will occupy [span[c], span[c + 1]).
+  std::size_t span[5] = {};
   {
     std::uint64_t now = 0;
     std::size_t kept = 0;
@@ -338,6 +339,7 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
                               std::memory_order_release);
         ++wk.deadline_hits;
       } else {
+        ++span[static_cast<int>(r.type) + 1];
         if (kept != i) reqs[kept] = reqs[i];
         ++kept;
       }
@@ -346,158 +348,89 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
   }
   const std::size_t n = reqs.size();
   if (n == 0) return;
+  // Order the group once into contiguous put, delete, get and scan spans,
+  // keeping submission order within each class: writes run before reads
+  // (header ordering contract), each class goes through its batch entry
+  // point (the sharded adapters route once, the core tree interleaves
+  // descents), and every result maps back by position.
+  for (int c = 1; c < 5; ++c) span[c] += span[c - 1];
+  std::vector<detail::Request>& q = wk.ordered;
+  q.resize(n);
+  {
+    std::size_t at[4] = {span[0], span[1], span[2], span[3]};
+    for (const detail::Request& r : reqs) q[at[static_cast<int>(r.type)]++] = r;
+  }
+  const std::size_t puts = span[1], dels = span[2] - span[1],
+                    gets = span[3] - span[2], scans = n - span[3];
   std::vector<ReqStatus>& st = wk.req_st;
   st.assign(n, ReqStatus::kOk);
   // One reader pin for the whole group; the index's own batch pins nest
   // reentrantly inside it.
   pm::EpochGuard guard;
-  if (opts_.scalar_dispatch) {
-    // Baseline shape: every request goes through the scalar entry points,
-    // one at a time — no descent interleaving, no shared grouped stalls.
-    for (std::size_t i = 0; i < n; ++i) {
-      const detail::Request& r = reqs[i];
-      switch (r.type) {
-        case detail::OpType::kGet: {
-          const Value v = index_->Search(r.key);
-          r.done->value_ = v;
-          st[i] = v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
-          ++wk.gets;
-          break;
-        }
-        case detail::OpType::kPut: {
-          const core::Record rec{r.key, r.value};
-          InsertStatus is;
-          index_->InsertBatch(&rec, 1, &is);
-          if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
-            st[i] = ReqStatus::kRejectedCapacity;
-            r.done->retry_after_us_ =
-                static_cast<std::uint32_t>(opts_.capacity_backoff_us);
-            EnterDegraded();
-          } else {
-            st[i] = is == InsertStatus::kInserted ? ReqStatus::kInserted
-                                                  : ReqStatus::kUpdated;
-          }
-          ++wk.puts;
-          break;
-        }
-        case detail::OpType::kDel:
-          st[i] = index_->Remove(r.key) ? ReqStatus::kOk
-                                        : ReqStatus::kNotFound;
-          ++wk.dels;
-          break;
-        case detail::OpType::kScan:
-          r.done->scan_n_ = static_cast<std::uint32_t>(
-              index_->Scan(r.key, r.scan_cap, r.scan_out));
-          ++wk.scans;
-          break;
+  if (puts != 0) {
+    wk.put_recs.clear();
+    for (std::size_t i = 0; i < puts; ++i) {
+      wk.put_recs.push_back({q[i].key, q[i].value});
+    }
+    wk.put_st.resize(puts);
+    index_->InsertBatch(wk.put_recs.data(), puts, wk.put_st.data());
+    for (std::size_t i = 0; i < puts; ++i) {
+      const InsertStatus is = wk.put_st[i];
+      if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
+        st[i] = ReqStatus::kRejectedCapacity;
+        q[i].done->retry_after_us_ =
+            static_cast<std::uint32_t>(opts_.capacity_backoff_us);
+        EnterDegraded();
+      } else {
+        st[i] = is == InsertStatus::kInserted ? ReqStatus::kInserted
+                                              : ReqStatus::kUpdated;
       }
     }
-    wk.groups += n;  // each op is its own "group": AvgGroupOps stays 1
-  } else {
-    // Writes before reads (header ordering contract): puts, then deletes,
-    // then gets and scans, each class through its batch entry point so the
-    // sharded adapters route once and the core tree interleaves descents.
-    std::vector<core::Record>& put_recs = wk.put_recs;
-    std::vector<std::uint32_t>& put_pos = wk.put_pos;
-    put_recs.clear();
-    put_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kPut) {
-        put_recs.push_back({reqs[i].key, reqs[i].value});
-        put_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!put_recs.empty()) {
-      wk.put_st.resize(put_recs.size());
-      index_->InsertBatch(put_recs.data(), put_recs.size(),
-                          wk.put_st.data());
-      for (std::size_t j = 0; j < put_pos.size(); ++j) {
-        const InsertStatus is = wk.put_st[j];
-        if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
-          st[put_pos[j]] = ReqStatus::kRejectedCapacity;
-          reqs[put_pos[j]].done->retry_after_us_ =
-              static_cast<std::uint32_t>(opts_.capacity_backoff_us);
-          EnterDegraded();
-        } else {
-          st[put_pos[j]] = is == InsertStatus::kInserted
-                               ? ReqStatus::kInserted
-                               : ReqStatus::kUpdated;
-        }
-      }
-      wk.puts += put_recs.size();
-    }
-    std::vector<Key>& del_keys = wk.del_keys;
-    std::vector<std::uint32_t>& del_pos = wk.del_pos;
-    del_keys.clear();
-    del_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kDel) {
-        del_keys.push_back(reqs[i].key);
-        del_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!del_keys.empty()) {
-      index_->RemoveBatch(del_keys.data(), del_keys.size(), wk.del_ok.get());
-      for (std::size_t j = 0; j < del_pos.size(); ++j) {
-        st[del_pos[j]] = wk.del_ok[j] ? ReqStatus::kOk : ReqStatus::kNotFound;
-      }
-      wk.dels += del_keys.size();
-    }
-    std::vector<Key>& get_keys = wk.get_keys;
-    std::vector<std::uint32_t>& get_pos = wk.get_pos;
-    get_keys.clear();
-    get_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kGet) {
-        get_keys.push_back(reqs[i].key);
-        get_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!get_keys.empty()) {
-      wk.get_vals.resize(get_keys.size());
-      index_->SearchBatch(get_keys.data(), get_keys.size(),
-                          wk.get_vals.data());
-      for (std::size_t j = 0; j < get_pos.size(); ++j) {
-        const Value v = wk.get_vals[j];
-        reqs[get_pos[j]].done->value_ = v;
-        st[get_pos[j]] =
-            v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
-      }
-      wk.gets += get_keys.size();
-    }
-    // Scans join the grouped execution too: the group's kScan requests
-    // form one Index::ScanBatch call — grouped descents to the start
-    // leaves and interleaved leaf-chain drains (core/btree.h) instead of
-    // one scalar walk per request — still under this group's single pin.
-    std::vector<ScanOp>& scan_ops = wk.scan_ops;
-    std::vector<std::uint32_t>& scan_pos = wk.scan_pos;
-    scan_ops.clear();
-    scan_pos.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (reqs[i].type == detail::OpType::kScan) {
-        scan_ops.push_back(
-            {reqs[i].key, reqs[i].scan_cap, reqs[i].scan_out});
-        scan_pos.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    if (!scan_ops.empty()) {
-      wk.scan_counts.resize(scan_ops.size());
-      index_->ScanBatch(scan_ops.data(), scan_ops.size(),
-                        wk.scan_counts.data());
-      for (std::size_t j = 0; j < scan_pos.size(); ++j) {
-        reqs[scan_pos[j]].done->scan_n_ =
-            static_cast<std::uint32_t>(wk.scan_counts[j]);
-      }
-      wk.scans += scan_ops.size();
-    }
-    wk.groups += 1;
   }
+  // The delete and get spans are adjacent, so one key vector serves both.
+  wk.keys.clear();
+  for (std::size_t i = span[1]; i < span[3]; ++i) wk.keys.push_back(q[i].key);
+  if (dels != 0) {
+    index_->RemoveBatch(wk.keys.data(), dels, wk.del_ok.get());
+    for (std::size_t j = 0; j < dels; ++j) {
+      st[span[1] + j] = wk.del_ok[j] ? ReqStatus::kOk : ReqStatus::kNotFound;
+    }
+  }
+  if (gets != 0) {
+    wk.get_vals.resize(gets);
+    index_->SearchBatch(wk.keys.data() + dels, gets, wk.get_vals.data());
+    for (std::size_t j = 0; j < gets; ++j) {
+      const Value v = wk.get_vals[j];
+      q[span[2] + j].done->value_ = v;
+      st[span[2] + j] = v == kNoValue ? ReqStatus::kNotFound : ReqStatus::kOk;
+    }
+  }
+  // Scans form one Index::ScanBatch call: grouped descents to the start
+  // leaves and interleaved leaf-chain drains (core/btree.h), still under
+  // this group's single pin.
+  if (scans != 0) {
+    wk.scan_ops.clear();
+    for (std::size_t i = span[3]; i < n; ++i) {
+      wk.scan_ops.push_back({q[i].key, q[i].scan_cap, q[i].scan_out});
+    }
+    wk.scan_counts.resize(scans);
+    index_->ScanBatch(wk.scan_ops.data(), scans, wk.scan_counts.data());
+    for (std::size_t j = 0; j < scans; ++j) {
+      q[span[3] + j].done->scan_n_ =
+          static_cast<std::uint32_t>(wk.scan_counts[j]);
+    }
+  }
+  wk.puts += puts;
+  wk.dels += dels;
+  wk.gets += gets;
+  wk.scans += scans;
+  wk.groups += 1;
   // One clock read per group; the status store is the publication point
   // for every result field written above.
   const std::uint64_t now = pm::NowNs();
   for (std::size_t i = 0; i < n; ++i) {
-    reqs[i].done->complete_ns_ = now;
-    reqs[i].done->status_.store(st[i], std::memory_order_release);
+    q[i].done->complete_ns_ = now;
+    q[i].done->status_.store(st[i], std::memory_order_release);
   }
   wk.executed += n;
 }

@@ -24,8 +24,8 @@
 //     pass finds nothing new (the rings are empty, so waiting longer cannot
 //     grow the group); under low load a lone request pays the execution
 //     latency plus at most one poll cycle, not the full timeout, which is
-//     what keeps service p999 within sight of scalar dispatch
-//     (bench/bench_service.cc gates it).
+//     what keeps service p999 within sight of unbatched execution
+//     (max_batch = 1; bench/service.cc gates it).
 //   * degraded mode — a Put the index answers with InsertStatus::kNoSpace
 //     (pool exhausted) completes as kRejectedCapacity, and for the next
 //     capacity_backoff_us further writes are shed at submit time with a
@@ -136,7 +136,9 @@ class Completion {
 
 namespace detail {
 
-enum class OpType : std::uint8_t { kGet, kPut, kDel, kScan };
+/// Declaration order is execution order within a group: writes before
+/// reads (the ordering contract above).
+enum class OpType : std::uint8_t { kPut, kDel, kGet, kScan };
 
 struct Request {
   OpType type;
@@ -222,8 +224,9 @@ struct ServiceOptions {
   /// Per-session ring capacity (rounded up to a power of two); a full
   /// ring rejects with kRejectedQueueFull.
   std::size_t queue_depth = 1024;
-  /// Flush a group at this many ops. 1 disables batch formation (each
-  /// request still flows through the batch entry points individually).
+  /// Flush a group at this many ops. 1 disables batch formation: each
+  /// request runs alone through its class's batch entry point, in
+  /// submission order per session (the service's sequential mode).
   std::size_t max_batch = 256;
   /// Longest a worker holds a partial group while requests keep
   /// trickling in; an empty poll pass flushes immediately regardless.
@@ -243,17 +246,13 @@ struct ServiceOptions {
   /// remaining window is published to shed clients as
   /// Completion::retry_after_us().
   std::uint64_t capacity_backoff_us = 1000;
-  /// Baseline mode for benchmarks/tests: workers execute each drained
-  /// request individually through the scalar Index entry points — the
-  /// pre-batching service shape bench_service gates against.
-  bool scalar_dispatch = false;
 };
 
 struct ServiceStats {
   std::uint64_t submitted = 0;  // requests admitted into rings
   std::uint64_t executed = 0;
   std::uint64_t gets = 0, puts = 0, dels = 0, scans = 0;
-  std::uint64_t groups = 0;           // executed groups (incl. scalar "groups")
+  std::uint64_t groups = 0;           // executed groups
   std::uint64_t full_flushes = 0;     // group reached max_batch
   std::uint64_t timeout_flushes = 0;  // batch_timeout_us expired
   std::uint64_t idle_flushes = 0;     // empty poll pass — rings drained dry
@@ -319,17 +318,13 @@ class KvService {
     std::uint64_t deadline_hits = 0;  // ops expired before execution
     pm::ThreadStats pm_delta;  // set once at worker exit
     std::vector<detail::Request> reqs;
+    std::vector<detail::Request> ordered;  // reqs in class spans
     std::vector<core::Record> put_recs;
     std::vector<InsertStatus> put_st;
-    std::vector<std::uint32_t> put_pos;
-    std::vector<Key> del_keys;
-    std::vector<std::uint32_t> del_pos;
+    std::vector<Key> keys;           // the delete span, then the get span
     std::unique_ptr<bool[]> del_ok;  // max_batch slots, the group bound
-    std::vector<Key> get_keys;
     std::vector<Value> get_vals;
-    std::vector<std::uint32_t> get_pos;
     std::vector<ScanOp> scan_ops;
-    std::vector<std::uint32_t> scan_pos;
     std::vector<std::size_t> scan_counts;
     std::vector<ReqStatus> req_st;
   };

@@ -430,44 +430,54 @@ struct DeleteAtLoad {
   }
 };
 
-// Sweeps 1-3 adjacent deletes at every position of a 20-record node in the
-// delete phase, each fired at every load of one CollectValid call. Every
-// result must be sorted, carry each key's own value, and hold every key
-// that was never deleted. Returns the number of interleavings that lost a
-// live key (sortedness and values are asserted directly).
+// The race sweeps below fire 1-3 adjacent deletes (keys 10*(pos+1) on)
+// at every position of a 20-record node in the delete phase.
+constexpr int kSweepRecords = 20;
+
+Value SweepValue(Key k) { return k * 16 + 3; }
+
+void BuildDeletePhaseNode(NodeT* node, bool internal) {
+  RealMem m;
+  node->Init(internal ? 1 : 0);
+  if (internal) Ops::StoreLeftmost(m, node, 0xfff0);
+  for (int i = 1; i <= kSweepRecords; ++i) {
+    Ops::InsertKey(m, node, Key(i) * 10, SweepValue(Key(i) * 10));
+  }
+  Ops::EnsureDeleteDirection(m, node);
+}
+
+DeleteAtLoad ArmDeletes(NodeT* node, int fire_at, int pos, int burst) {
+  DeleteAtLoad mem;
+  mem.node = node;
+  mem.fire_at = fire_at;
+  for (int i = pos; i < pos + burst; ++i) {
+    mem.victims.push_back(Key(i + 1) * 10);
+  }
+  return mem;
+}
+
+using Probe = NodeOps<NodeT, DeleteAtLoad>;
+
+// Fires the deletes at every load of one CollectValid call. Every result
+// must be sorted, carry each key's own value, and hold every key that was
+// never deleted. Returns the number of interleavings that lost a live key
+// (sortedness and values are asserted directly).
 int SweepCollectAgainstDeletes(bool internal) {
-  constexpr int kRecords = 20;
-  const auto value_of = [](Key k) -> Value { return k * 16 + 3; };
-  const auto build = [&](NodeT* node) {
-    RealMem m;
-    node->Init(internal ? 1 : 0);
-    if (internal) Ops::StoreLeftmost(m, node, 0xfff0);
-    for (int i = 1; i <= kRecords; ++i) {
-      Ops::InsertKey(m, node, Key(i) * 10, value_of(Key(i) * 10));
-    }
-    Ops::EnsureDeleteDirection(m, node);
-  };
-  using Probe = NodeOps<NodeT, DeleteAtLoad>;
   alignas(64) NodeT node;
   int lost = 0;
   for (int burst = 1; burst <= 3; ++burst) {
-    for (int pos = 0; pos + burst <= kRecords; ++pos) {
+    for (int pos = 0; pos + burst <= kSweepRecords; ++pos) {
       DeleteAtLoad quiet;
-      build(&node);
+      BuildDeletePhaseNode(&node, internal);
       Record buf[kCap];
       Probe::CollectValid(quiet, &node, buf);
       for (int k = 1; k <= quiet.loads; ++k) {
-        build(&node);
-        DeleteAtLoad mem;
-        mem.node = &node;
-        mem.fire_at = k;
-        for (int i = pos; i < pos + burst; ++i) {
-          mem.victims.push_back(Key(i + 1) * 10);
-        }
+        BuildDeletePhaseNode(&node, internal);
+        DeleteAtLoad mem = ArmDeletes(&node, k, pos, burst);
         const int n = Probe::CollectValid(mem, &node, buf);
         std::vector<Key> got;
         for (int i = 0; i < n; ++i) {
-          EXPECT_EQ(buf[i].ptr, value_of(buf[i].key))
+          EXPECT_EQ(buf[i].ptr, SweepValue(buf[i].key))
               << "burst " << burst << " pos " << pos << " load " << k;
           if (i > 0) {
             EXPECT_LT(buf[i - 1].key, buf[i].key)
@@ -475,7 +485,7 @@ int SweepCollectAgainstDeletes(bool internal) {
           }
           got.push_back(buf[i].key);
         }
-        for (int i = 1; i <= kRecords; ++i) {
+        for (int i = 1; i <= kSweepRecords; ++i) {
           const Key key = Key(i) * 10;
           const bool deleted = i - 1 >= pos && i - 1 < pos + burst;
           if (!deleted && !std::binary_search(got.begin(), got.end(), key)) {
@@ -497,6 +507,35 @@ TEST(CollectValidRace, LeafDeleteShiftNeverHidesALiveKey) {
 TEST(CollectValidRace, InternalDeleteShiftNeverHidesALiveRoute) {
   EXPECT_EQ(SweepCollectAgainstDeletes(true), 0)
       << "interleavings that lost a never-deleted route";
+}
+
+TEST(CollectValidRace, SearchLeafNeverMissesALiveKeyDuringDeletes) {
+  // SearchLeaf as the reader: every never-deleted key of a leaf is probed
+  // with the deletes fired at every load of its one SearchLeaf call, and
+  // must come back with its own value.
+  alignas(64) NodeT node;
+  int interleavings = 0;
+  int lost = 0;
+  for (int burst = 1; burst <= 3; ++burst) {
+    for (int pos = 0; pos + burst <= kSweepRecords; ++pos) {
+      for (int i = 1; i <= kSweepRecords; ++i) {
+        if (i - 1 >= pos && i - 1 < pos + burst) continue;  // a victim
+        const Key key = Key(i) * 10;
+        DeleteAtLoad quiet;
+        BuildDeletePhaseNode(&node, /*internal=*/false);
+        Probe::SearchLeaf(quiet, &node, key);
+        for (int k = 1; k <= quiet.loads; ++k) {
+          BuildDeletePhaseNode(&node, /*internal=*/false);
+          DeleteAtLoad mem = ArmDeletes(&node, k, pos, burst);
+          ++interleavings;
+          if (Probe::SearchLeaf(mem, &node, key) != SweepValue(key)) ++lost;
+        }
+      }
+    }
+  }
+  EXPECT_GT(interleavings, 0);
+  EXPECT_EQ(lost, 0) << "of " << interleavings
+                     << " interleavings lost a never-deleted key";
 }
 
 // --- node size sweep (the Fig 3 node geometries) ---------------------------------

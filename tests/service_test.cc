@@ -1,10 +1,11 @@
 // KV service tier (DESIGN.md §10): batch-formation equivalence against
-// scalar dispatch across every registry kind (and for one grouped batch
-// of deletes with repeated and absent keys), admission control (queue
-// backpressure + per-tenant quota), partial-group flush policy
-// (deadline and empty-poll paths), deterministic cross-client group
-// formation, the worker clamp for non-concurrent kinds, and the
-// multi-client shutdown race (the ASan job's main target here).
+// single-op groups (max_batch = 1) across every registry kind (and for
+// one grouped batch of deletes with repeated and absent keys), admission
+// control (queue backpressure + per-tenant quota), partial-group flush
+// policy (deadline and empty-poll paths), deterministic cross-client
+// group formation and its exact read-stall accounting, the worker clamp
+// for non-concurrent kinds, and the multi-client shutdown race (the ASan
+// and TSan jobs' main target here).
 
 #include <gtest/gtest.h>
 
@@ -44,18 +45,18 @@ void ResetAll(std::vector<Completion>& cs, std::size_t n) {
 
 // Drives one service through scripted rounds — pipelined submissions,
 // waits between rounds — checking every per-op status and value against
-// what the rounds imply. Run for both dispatch modes over every kind, this
-// IS the batch-formation equivalence check: grouped execution must be
-// observationally identical to scalar dispatch at round boundaries.
-void RunScript(Index* idx, bool scalar) {
+// what the rounds imply. Run with single-op groups and with max_batch 16
+// over every kind, this IS the batch-formation equivalence check: grouped
+// execution must be observationally identical to sequential execution at
+// round boundaries.
+void RunScript(Index* idx, bool single) {
   SCOPED_TRACE(std::string(idx->name()) +
-               (scalar ? " scalar" : " batched"));
+               (single ? " single-op" : " batched"));
   ServiceOptions so;
   so.workers = 2;
   so.queue_depth = 512;
-  so.max_batch = 16;
+  so.max_batch = single ? 1 : 16;
   so.batch_timeout_us = 50;
-  so.scalar_dispatch = scalar;
   KvService svc(idx, so);
   Session* s = svc.OpenSession();
   ASSERT_NE(s, nullptr);
@@ -129,7 +130,7 @@ void RunScript(Index* idx, bool scalar) {
 
   // Round 6: pipelined scans — many outstanding kScan requests land in the
   // same cross-client groups, and the batched mode runs each group through
-  // one Index::ScanBatch call (scalar dispatch executes them one by one).
+  // one Index::ScanBatch call (single-op groups execute them one by one).
   // Either way each scan must see exactly the survivors from its start,
   // cap-limited and sorted. Starts sweep the survivor list with duplicates,
   // plus 0 and a past-the-end start that must return zero records.
@@ -184,17 +185,17 @@ void RunScript(Index* idx, bool scalar) {
   const auto st = svc.Stats();
   EXPECT_EQ(st.executed, st.submitted);
   EXPECT_EQ(st.rejected_queue_full, 0u);
-  if (scalar) {
+  if (single) {
     EXPECT_DOUBLE_EQ(st.AvgGroupOps(), 1.0);
   }
 }
 
 TEST(Service, EquivalenceAcrossEveryKindAndDispatchMode) {
   for (const auto& kind : AllIndexKinds()) {
-    for (const bool scalar : {true, false}) {
+    for (const bool single : {true, false}) {
       pm::Pool pool(std::size_t{256} << 20);
       auto idx = MakeIndex(kind, &pool);
-      RunScript(idx.get(), scalar);
+      RunScript(idx.get(), single);
     }
   }
 }
@@ -231,25 +232,65 @@ TEST(Service, CrossClientGroupFormationIsDeterministicWhenPrefilled) {
   EXPECT_EQ(idx->CountEntries(), 4 * kPer);
 }
 
-TEST(Service, GroupedDeletesMatchScalarDispatch) {
+TEST(Service, PrefilledGroupPaysExactReadStalls) {
+  // The host-independent form of bench_service's stall gate: one
+  // prefilled round of 64 Gets on one worker. As one group they reach
+  // their leaves in waves of kBatchGroup = 8, one stall per wave; as 64
+  // single-op groups each pays its own leaf stall. The leaf visits
+  // (read_annotations) are the same either way.
+  for (const char* kind :
+       {"fastfair", "hashed-fastfair:8", "sharded-fastfair:8"}) {
+    for (const std::size_t max_batch : {std::size_t{64}, std::size_t{1}}) {
+      SCOPED_TRACE(std::string(kind) + " max_batch " +
+                   std::to_string(max_batch));
+      pm::Pool pool(std::size_t{64} << 20);
+      auto idx = MakeIndex(kind, &pool);
+      constexpr Key kKeys = 4000;
+      for (Key k = 1; k <= kKeys; ++k) idx->Insert(k, V1(k));
+      ServiceOptions so;
+      so.workers = 1;
+      so.queue_depth = 64;
+      so.max_batch = max_batch;
+      KvService svc(idx.get(), so);
+      Session* s = svc.OpenSession();
+      constexpr std::size_t kGets = 64;
+      std::vector<Completion> cs(kGets);
+      for (std::size_t i = 0; i < kGets; ++i) {
+        ASSERT_TRUE(s->Get(static_cast<Key>(i) * 61 + 7, &cs[i]));
+      }
+      svc.Start();
+      WaitAll(cs, kGets);
+      svc.Stop();
+      for (std::size_t i = 0; i < kGets; ++i) {
+        EXPECT_EQ(cs[i].value(), V1(static_cast<Key>(i) * 61 + 7)) << i;
+      }
+      const auto st = svc.Stats();
+      EXPECT_EQ(st.groups, max_batch == 1 ? kGets : 1u);
+      EXPECT_EQ(st.pm.read_stalls, max_batch == 1 ? kGets : kGets / 8);
+      EXPECT_EQ(st.pm.read_annotations, kGets);
+    }
+  }
+}
+
+TEST(Service, GroupedDeletesMatchSingleOpGroups) {
   // One prefilled group of deletes — repeated keys and keys never
   // inserted among them — then Gets of the same keys. Batched mode runs
   // the deletes as one RemoveBatch (before the Gets, as submitted), so
-  // every status must equal scalar dispatch's: kOk for the first delete
-  // of a present key, kNotFound for repeats, absent keys and the Gets.
+  // every status must equal those of single-op groups: kOk for the first
+  // delete of a present key, kNotFound for repeats, absent keys and the
+  // Gets.
   const std::vector<Key> dels = {3, 9, 3, 200, 17, 9, 64, 65, 1, 1, 40, 300};
   for (const char* kind :
        {"fastfair", "hashed-fastfair:4", "sharded-fastfair-reclaim:4"}) {
     std::vector<ReqStatus> want;
-    for (const bool scalar : {true, false}) {
-      SCOPED_TRACE(std::string(kind) + (scalar ? " scalar" : " batched"));
+    for (const bool single : {true, false}) {
+      SCOPED_TRACE(std::string(kind) + (single ? " single-op" : " batched"));
       pm::Pool pool(std::size_t{64} << 20);
       auto idx = MakeIndex(kind, &pool);
       for (Key k = 1; k <= 64; ++k) idx->Insert(k, V1(k));
       ServiceOptions so;
       so.workers = 1;
-      so.max_batch = 64;
-      so.scalar_dispatch = scalar;
+      so.max_batch = single ? 1 : 64;
       KvService svc(idx.get(), so);
       Session* s = svc.OpenSession();
       std::vector<Completion> cs(2 * dels.size());
@@ -264,7 +305,8 @@ TEST(Service, GroupedDeletesMatchScalarDispatch) {
       svc.Stop();
       std::vector<ReqStatus> got;
       for (const auto& c : cs) got.push_back(c.status());
-      if (scalar) {
+      if (single) {
+        EXPECT_EQ(svc.Stats().groups, cs.size());
         want = got;
         for (std::size_t i = 0; i < dels.size(); ++i) {
           const bool first =
@@ -427,15 +469,15 @@ TEST(Service, SessionTableCapacityIsEnforced) {
 // Per-request deadlines: ops whose deadline passed while queued complete
 // as kDeadlineExceeded without executing; everything else is untouched.
 // Prefilling before Start makes the expiry deterministic (no sleeps racing
-// a live worker) and covers both the grouped and the scalar execution path.
-void RunDeadlineScript(bool scalar) {
-  SCOPED_TRACE(scalar ? "scalar" : "batched");
+// a live worker) and covers both grouped and single-op groups.
+void RunDeadlineScript(bool single) {
+  SCOPED_TRACE(single ? "single-op" : "batched");
   pm::Pool pool(std::size_t{64} << 20);
   auto idx = MakeIndex("fastfair", &pool);
   ServiceOptions so;
   so.workers = 1;
   so.queue_depth = 256;
-  so.scalar_dispatch = scalar;
+  if (single) so.max_batch = 1;
   KvService svc(idx.get(), so);
   Session* s = svc.OpenSession();
 
@@ -499,7 +541,7 @@ void RunDeadlineScript(bool scalar) {
 }
 
 TEST(Service, DeadlineExpiredOpsCompleteWithoutExecuting) {
-  for (const bool scalar : {false, true}) RunDeadlineScript(scalar);
+  for (const bool single : {false, true}) RunDeadlineScript(single);
 }
 
 // Degraded mode under pool exhaustion (simulated via the fault injector's
@@ -507,8 +549,8 @@ TEST(Service, DeadlineExpiredOpsCompleteWithoutExecuting) {
 // capacity_backoff_us shed window — further Puts are rejected at submit
 // time with a retry-after hint while Gets, Scans, and Dels keep serving —
 // and the window expires on its own once the injector is disarmed.
-void RunCapacityScript(bool scalar) {
-  SCOPED_TRACE(scalar ? "scalar" : "batched");
+void RunCapacityScript(bool single) {
+  SCOPED_TRACE(single ? "single-op" : "batched");
   pm::FaultInjector& inj = pm::FaultInjector::Instance();
   inj.Reset();
   pm::Pool pool(std::size_t{64} << 20);
@@ -516,7 +558,7 @@ void RunCapacityScript(bool scalar) {
   ServiceOptions so;
   so.workers = 1;
   so.queue_depth = 512;
-  so.scalar_dispatch = scalar;
+  if (single) so.max_batch = 1;
   so.capacity_backoff_us = 100'000;  // wide enough to assert inside it
   KvService svc(idx.get(), so);
   Session* s = svc.OpenSession();
@@ -604,7 +646,7 @@ void RunCapacityScript(bool scalar) {
 }
 
 TEST(Service, CapacityExhaustionShedsWritesKeepsServingReads) {
-  for (const bool scalar : {false, true}) RunCapacityScript(scalar);
+  for (const bool single : {false, true}) RunCapacityScript(single);
 }
 
 TEST(Service, MultiClientShutdownRace) {
