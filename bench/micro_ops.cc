@@ -14,7 +14,8 @@
 // serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch and
 // BM_TreeScanBatchOne (a batch of one scan) >= 2x fewer per scan than the
 // scalar BM_TreeScan100 loop, and the index-tier BM_IndexSearchBatch >= 2x
-// fewer than BM_IndexSearch.
+// fewer than BM_IndexSearch. The index-tier hashed scan rows
+// (BM_IndexScan, BM_IndexScanBatch) are trajectory only.
 
 #include <benchmark/benchmark.h>
 
@@ -396,6 +397,57 @@ void BM_IndexSearchBatch(benchmark::State& state) {
   SetPmCounters(state, pm::Stats() - before, items);
 }
 BENCHMARK(BM_IndexSearchBatch);
+
+// Index-tier hashed scans, trajectory only (no gate): 100-record scans
+// from uniform starts on hashed-fastfair:8, one Index::Scan per op against
+// Index::ScanBatch over batches of kBatchGroup ops. Both rows run the
+// adapter's one k-way merge (DESIGN.md §4.2), whose first fill runs the
+// eight shards' first batches as one cross-tree ScanBatch; the batch row
+// is the default Scan loop, so its per-op counters equal the scalar row's.
+void BM_IndexScan(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 5);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  core::Record out[100];
+  Rng rng(7);
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx->Scan(rng.Next(), 100, out));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_IndexScan);
+
+void BM_IndexScanBatch(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 5);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  constexpr std::size_t kGroup = core::BTree::kBatchGroup;
+  constexpr std::size_t kScanLen = 100;
+  std::vector<core::Record> out(kGroup * kScanLen);
+  ScanOp ops[kGroup];
+  std::size_t counts[kGroup];
+  Rng rng(7);
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < kGroup; ++j) {
+      ops[j] = {rng.Next(), kScanLen, out.data() + j * kScanLen};
+    }
+    idx->ScanBatch(ops, kGroup, counts);
+    benchmark::DoNotOptimize(counts);
+  }
+  const double items =
+      static_cast<double>(state.iterations()) * static_cast<double>(kGroup);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  SetPmCounters(state, pm::Stats() - before, items);
+}
+BENCHMARK(BM_IndexScanBatch);
 
 // --- reporting ---------------------------------------------------------------
 

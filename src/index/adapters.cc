@@ -91,7 +91,7 @@ class Wrap final : public Index {
   }
 
   void CollectMaintenanceTasks(
-      const maint::TaskOptions& opts,
+      const maint::TaskOptions& /*opts*/,
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out) override {
     // A reclaiming tree contributes the background drained-range sweep;
     // every other wrapped structure has nothing to maintain.
@@ -100,11 +100,10 @@ class Wrap final : public Index {
                     impl_.options();
                   }) {
       if (impl_.options().reclaim_empty_leaves) {
-        out->push_back(std::make_unique<maint::SweepTask<T>>(
-            "sweep:" + name_, &impl_, opts));
+        out->push_back(
+            std::make_unique<maint::SweepTask<T>>("sweep:" + name_, &impl_));
       }
     } else {
-      (void)opts;
       (void)out;
     }
   }
@@ -272,66 +271,36 @@ std::size_t Index::CountEntries() const {
   }
 }
 
-namespace {
+namespace detail {
 
-// Default streaming scan: pulls batches through the virtual Scan entry
-// point and restarts one past the last key seen, so every adapter (the
-// Wrap<T> baselines included) gets an iterator without a native cursor.
-// Batches start small and double per refill: consumers that take only a
-// few entries (a bounded TPC-C scan through the k-way merge, which pulls
-// one iterator per shard) don't pay for a full batch, while long scans
-// amortize to kMaxBatch within a few refills.
-class BatchedScanIterator final : public ScanIterator {
- public:
-  BatchedScanIterator(const Index* idx, Key min_key)
-      : idx_(idx), next_key_(min_key) {}
-
-  bool Next(core::Record* out) override {
-    if (pos_ == n_) {
-      if (done_) return false;
-      Refill();
-      if (n_ == 0) return false;
-    }
-    *out = buf_[pos_++];
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kFirstBatch = 16;
-  static constexpr std::size_t kMaxBatch = 256;
-
-  void Refill() {
+bool BatchedScanIterator::Next(core::Record* out) {
+  if (pos_ == n_) {
+    if (done_) return false;
     // Route through the batched entry point (a one-op batch) so kinds with
     // a native ScanBatch pipeline serve iterator refills from it too.
-    const ScanOp op{next_key_, batch_, buf_};
-    idx_->ScanBatch(&op, 1, &n_);
-    pos_ = 0;
-    if (n_ < batch_) {
-      done_ = true;
-    } else {
-      const Key last = buf_[n_ - 1].key;
-      if (last == ~Key{0}) {
-        done_ = true;  // key space exhausted
-      } else {
-        next_key_ = last + 1;
-      }
-    }
-    if (batch_ < kMaxBatch) batch_ *= 2;
+    const ScanOp op = NextScan();
+    std::size_t n = 0;
+    idx_->ScanBatch(&op, 1, &n);
+    Take(n);
+    if (n_ == 0) return false;
   }
+  *out = buf_[pos_++];
+  return true;
+}
 
-  const Index* idx_;
-  Key next_key_;
-  core::Record buf_[kMaxBatch];
-  std::size_t batch_ = kFirstBatch;
-  std::size_t pos_ = 0;
-  std::size_t n_ = 0;
-  bool done_ = false;
-};
+void BatchedScanIterator::Take(std::size_t n) {
+  n_ = n;
+  pos_ = 0;
+  // A short batch ends the scan, and so does the last key of the space.
+  done_ = n < batch_ || buf_[n - 1].key == ~Key{0};
+  if (!done_) next_key_ = buf_[n - 1].key + 1;
+  batch_ = std::min(batch_ * 2, kMaxBatch);
+}
 
-}  // namespace
+}  // namespace detail
 
 std::unique_ptr<ScanIterator> Index::NewScanIterator(Key min_key) const {
-  return std::make_unique<BatchedScanIterator>(this, min_key);
+  return std::make_unique<detail::BatchedScanIterator>(this, min_key);
 }
 
 }  // namespace fastfair

@@ -1,7 +1,9 @@
 #include "index/hash_sharded.h"
 
+#include <algorithm>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "core/btree.h"
 
@@ -78,30 +80,43 @@ void HashShardedIndex::RemoveBatch(const Key* keys, std::size_t n,
 
 namespace {
 
-// Bounded k-way merge: one streaming iterator per shard plus an N-entry
-// min-heap of their current heads. Keys are unique across shards (hash
-// routing), so ties can only pair distinct sources; src breaks them for
-// determinism anyway.
+// Bounded k-way merge: one default batched cursor per shard plus an
+// N-entry min-heap of their current heads. Keys are unique across shards
+// (hash routing), so ties can only pair distinct sources; src breaks them
+// for determinism anyway.
 class MergeScanIterator final : public ScanIterator {
  public:
+  // When every shard is a core tree (`core` non-empty), the first fill
+  // runs all shards' first batches as one cross-tree ScanBatch, so the N
+  // descents share grouped read stalls; otherwise, and for every later
+  // refill, each cursor refills itself.
   MergeScanIterator(const std::vector<std::unique_ptr<Index>>& shards,
-                    Key min_key) {
-    its_.reserve(shards.size());
+                    const std::vector<core::BTree*>& core, Key min_key,
+                    std::size_t first_batch) {
+    const std::size_t n = shards.size();
+    cur_.reserve(n);
     for (const auto& shard : shards) {
-      auto it = shard->NewScanIterator(min_key);
-      core::Record rec;
-      if (it->Next(&rec)) heap_.push({rec, its_.size()});
-      its_.push_back(std::move(it));
+      cur_.emplace_back(shard.get(), min_key, first_batch);
     }
+    if (!core.empty()) {
+      std::vector<ScanOp> ops(n);
+      std::vector<std::size_t> counts(n);
+      for (std::size_t s = 0; s < n; ++s) ops[s] = cur_[s].NextScan();
+      core::BTree::ScanBatch(core.data(), ops.data(), n, counts.data());
+      for (std::size_t s = 0; s < n; ++s) cur_[s].Take(counts[s]);
+    }
+    for (std::size_t s = 0; s < n; ++s) Advance(s);
   }
 
   bool Next(core::Record* out) override {
+    // Lazy advance: the source popped last moves on only now, so a caller
+    // that stops at its cap never refills a shard it will not read.
+    if (popped_ != kNone) Advance(std::exchange(popped_, kNone));
     if (heap_.empty()) return false;
     const Head head = heap_.top();
     heap_.pop();
     *out = head.rec;
-    core::Record rec;
-    if (its_[head.src]->Next(&rec)) heap_.push({rec, head.src});
+    popped_ = head.src;
     return true;
   }
 
@@ -115,94 +130,41 @@ class MergeScanIterator final : public ScanIterator {
       return a.rec.key != b.rec.key ? a.rec.key > b.rec.key : a.src > b.src;
     }
   };
+  static constexpr std::size_t kNone = ~std::size_t{0};
 
-  std::vector<std::unique_ptr<ScanIterator>> its_;
+  void Advance(std::size_t src) {
+    core::Record rec;
+    if (cur_[src].Next(&rec)) heap_.push({rec, src});
+  }
+
+  std::vector<detail::BatchedScanIterator> cur_;
   std::priority_queue<Head, std::vector<Head>, Greater> heap_;
+  std::size_t popped_ = kNone;
 };
 
 }  // namespace
 
 std::unique_ptr<ScanIterator> HashShardedIndex::NewScanIterator(
     Key min_key) const {
-  return std::make_unique<MergeScanIterator>(shards_, min_key);
+  return std::make_unique<MergeScanIterator>(
+      shards_, core_, min_key, detail::BatchedScanIterator::kFirstBatch);
 }
 
 std::size_t HashShardedIndex::Scan(Key min_key, std::size_t max_results,
                                    core::Record* out) const {
-  auto it = NewScanIterator(min_key);
+  if (max_results == 0) return 0;
+  // First batch per shard: twice a shard's expected share of the cap, so
+  // most shards never refill (a refill is one more stall); at least
+  // kFirstBatch, at most the cap (and the cursor's kMaxBatch).
+  const std::size_t share =
+      (2 * max_results + shards_.size() - 1) / shards_.size();
+  MergeScanIterator it(
+      shards_, core_, min_key,
+      std::min(max_results,
+               std::max(detail::BatchedScanIterator::kFirstBatch, share)));
   std::size_t n = 0;
-  while (n < max_results && it->Next(&out[n])) ++n;
+  while (n < max_results && it.Next(&out[n])) ++n;
   return n;
-}
-
-void HashShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
-                                 std::size_t* out_counts) const {
-  if (core_.empty()) {
-    Index::ScanBatch(ops, n, out_counts);
-    return;
-  }
-  // Every shard may hold keys of every range, so the bounded merge
-  // over-fetches up to `cap` candidates per shard per entry. Materializing
-  // those runs lets the whole batch — n entries times N shards — run as
-  // ONE cross-tree ScanBatch, grouped descents and hand-over-hand drains
-  // mixing shards, at the price of scratch memory; a batch too large for
-  // the budget keeps the streaming per-op merge (identical results).
-  constexpr std::size_t kMergeScratchMax = std::size_t{1} << 16;  // records
-  const std::size_t n_shards = shards_.size();
-  std::size_t total_cap = 0;
-  for (std::size_t i = 0; i < n; ++i) total_cap += ops[i].cap;
-  if (total_cap == 0) {
-    for (std::size_t i = 0; i < n; ++i) out_counts[i] = 0;
-    return;
-  }
-  if (total_cap > kMergeScratchMax / n_shards) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out_counts[i] = Scan(ops[i].min_key, ops[i].cap, ops[i].out);
-    }
-    return;
-  }
-  // Scratch layout: sub-scan s * n + i is shard s's run for entry i, at
-  // runs[s * total_cap + prefix[i]], length run_len[s * n + i].
-  std::vector<std::size_t> prefix(n);
-  for (std::size_t i = 0, off = 0; i < n; ++i) {
-    prefix[i] = off;
-    off += ops[i].cap;
-  }
-  std::vector<core::Record> runs(n_shards * total_cap);
-  std::vector<std::size_t> run_len(n_shards * n);
-  std::vector<ScanOp> sub(n_shards * n);
-  std::vector<const core::BTree*> trees(n_shards * n);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sub[s * n + i] = {ops[i].min_key, ops[i].cap,
-                        runs.data() + s * total_cap + prefix[i]};
-      trees[s * n + i] = core_[s];
-    }
-  }
-  core::BTree::ScanBatch(trees.data(), sub.data(), sub.size(),
-                         run_len.data());
-  // Per-entry k-way merge of its per-shard sorted runs. Keys are unique
-  // across shards (hash routing), so a plain min-select suffices.
-  std::vector<std::size_t> cur(n_shards);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fill(cur.begin(), cur.end(), 0);
-    std::size_t got = 0;
-    while (got < ops[i].cap) {
-      std::size_t best = n_shards;
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        if (cur[s] >= run_len[s * n + i]) continue;
-        const Key k = runs[s * total_cap + prefix[i] + cur[s]].key;
-        if (best == n_shards ||
-            k < runs[best * total_cap + prefix[i] + cur[best]].key) {
-          best = s;
-        }
-      }
-      if (best == n_shards) break;
-      ops[i].out[got++] = runs[best * total_cap + prefix[i] + cur[best]];
-      ++cur[best];
-    }
-    out_counts[i] = got;
-  }
 }
 
 std::size_t HashShardedIndex::CountEntries() const {

@@ -7,8 +7,9 @@
 // the property range partitioning loses under zipfian or sequential keys.
 // The price is paid by Scan: per-shard results are each sorted but
 // interleave globally, so a cross-shard scan runs a bounded k-way merge
-// (one streaming ScanIterator per shard + an N-entry min-heap; memory is
-// O(N · batch), never the result set).
+// (one default batched cursor per shard + an N-entry min-heap; memory is
+// O(N · batch), never the result set). Scan, NewScanIterator and the
+// Index::ScanBatch default loop all run that one merge.
 //
 // Registry grammar mirrors the range adapter: "hashed-<kind>[:N]" (default
 // 8 shards), e.g. "hashed-fastfair:8", parsed by TryParseHashedKind. Pick
@@ -57,18 +58,10 @@ class HashShardedIndex final : public Index {
 
   /// Bounded k-way merge across the per-shard scans: globally sorted, same
   /// result as any other kind's Scan (hash routing never duplicates a key
-  /// across shards).
+  /// across shards). The shards' first batches run as one cross-tree
+  /// ScanBatch; `max_results == 0` touches no shard.
   std::size_t Scan(Key min_key, std::size_t max_results,
                    core::Record* out) const override;
-
-  /// Batched scans: hash routing interleaves every range across all
-  /// shards, so every batch entry scans every shard — the n x N sub-scans
-  /// run as one cross-tree ScanBatch into per-op scratch runs, then each
-  /// entry k-way-merges its per-shard runs. A batch whose scratch would
-  /// exceed a bounded budget falls back to the streaming per-op merge
-  /// (same results, scalar descents).
-  void ScanBatch(const ScanOp* ops, std::size_t n,
-                 std::size_t* out_counts) const override;
 
   /// Same relaxed concurrent semantics as ShardedIndex::CountEntries:
   /// shard sums taken non-atomically, exact only at quiescence.

@@ -26,6 +26,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -118,9 +119,9 @@ class Index {
   /// the per-op output buffers must not alias. Same default-loop / native-
   /// override contract as SearchBatch: the default is a plain Scan loop
   /// (adapters.cc), the core tree interleaves grouped descents and
-  /// hand-over-hand leaf-chain drains (core/btree.h), the range-sharded
-  /// adapter routes each start key once and drains merge-free, and the
-  /// hash-sharded adapter k-way-merges per batch entry (DESIGN.md §8.3).
+  /// hand-over-hand leaf-chain drains (core/btree.h), and the range-sharded
+  /// adapter routes each start key once and drains merge-free; the
+  /// hash-sharded adapter keeps the default loop (DESIGN.md §8.3).
   virtual void ScanBatch(const ScanOp* ops, std::size_t n,
                          std::size_t* out_counts) const;
 
@@ -141,11 +142,11 @@ class Index {
   virtual std::size_t CountEntries() const;
 
   /// Streaming scan starting at the first key >= `min_key`. The default
-  /// adapts the batched Scan entry point (adapters.cc), so every registered
-  /// kind gets an iterator for free; composite indexes override it to
-  /// stream across sub-indexes without materializing (sharded: shard
-  /// chaining; hashed: bounded k-way merge). The iterator borrows the
-  /// index — it must not outlive it.
+  /// is detail::BatchedScanIterator over the batched Scan entry point, so
+  /// every registered kind gets an iterator for free; composite indexes
+  /// override it to stream across sub-indexes without materializing
+  /// (sharded: shard chaining; hashed: bounded k-way merge). The iterator
+  /// borrows the index — it must not outlive it.
   virtual std::unique_ptr<ScanIterator> NewScanIterator(Key min_key) const;
 
   /// Maintenance integration (src/maint, DESIGN.md §6): appends this
@@ -159,6 +160,47 @@ class Index {
       const maint::TaskOptions& opts,
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out);
 };
+
+namespace detail {
+
+/// The default streaming scan (Index::NewScanIterator): pulls batches
+/// through the index's ScanBatch entry point and restarts one past the
+/// last key seen. Batches start at `first_batch` records (at least 1,
+/// capped at kMaxBatch) and double per refill up to kMaxBatch, so
+/// consumers that take only a few entries (one cursor per shard under
+/// the hashed merge) don't pay for a full batch. A refill is two steps,
+/// NextScan() then Take(), so a caller holding several cursors can run
+/// their refills as one batch.
+class BatchedScanIterator final : public ScanIterator {
+ public:
+  static constexpr std::size_t kFirstBatch = 16;
+  static constexpr std::size_t kMaxBatch = 256;
+
+  BatchedScanIterator(const Index* idx, Key min_key,
+                      std::size_t first_batch = kFirstBatch)
+      : idx_(idx),
+        next_key_(min_key),
+        batch_(std::min(first_batch, kMaxBatch)) {}
+
+  bool Next(core::Record* out) override;
+
+  /// The scan the next refill runs, into this cursor's buffer; valid once
+  /// the buffered records are used up, until the cursor is done.
+  ScanOp NextScan() { return {next_key_, batch_, buf_}; }
+  /// Takes the `n` records the NextScan() op returned.
+  void Take(std::size_t n);
+
+ private:
+  const Index* idx_;
+  Key next_key_;
+  std::size_t batch_;
+  std::size_t pos_ = 0;
+  std::size_t n_ = 0;
+  bool done_ = false;
+  core::Record buf_[kMaxBatch];
+};
+
+}  // namespace detail
 
 /// Factory over the registry above; throws std::invalid_argument for an
 /// unknown kind. Node sizes follow each paper's best setting (wB+-tree and

@@ -73,19 +73,13 @@ struct TaskStats {
 };
 
 /// Knobs shared by the built-in tasks; carried by
-/// Index::CollectMaintenanceTasks so every layer reads one struct.
+/// Index::CollectMaintenanceTasks so every layer reads one struct. The
+/// per-quantum budgets are constants of the tasks themselves
+/// (maint/tasks.h).
 struct TaskOptions {
   // ImbalancePolicyTask: trigger Rebalance() when the live per-shard
   // imbalance ratio exceeds this (must be > 1.0).
   double rebalance_threshold = 1.2;
-  // ImbalancePolicyTask: skip indexes smaller than this many entries per
-  // shard on average — quantile boundaries over a handful of keys are
-  // noise, not signal.
-  std::size_t rebalance_min_entries_per_shard = 64;
-  // SweepTask: leaves visited per quantum.
-  int sweep_leaves_per_quantum = 32;
-  // PoolDrainTask: limbo blocks recycled per quantum.
-  std::size_t drain_blocks_per_quantum = 256;
 };
 
 /// One unit of background work. Implementations live in maint/tasks.h; any

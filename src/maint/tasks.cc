@@ -13,7 +13,7 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
   MaintenanceThread::Options mo;
   mo.interval = interval;
   auto mt = std::make_unique<MaintenanceThread>(mo);
-  mt->AddTask(std::make_unique<PoolDrainTask>(pool, opts));
+  mt->AddTask(std::make_unique<PoolDrainTask>(pool));
   std::vector<std::unique_ptr<MaintenanceTask>> tasks;
   for (Index* idx : indexes) {
     if (idx != nullptr) idx->CollectMaintenanceTasks(opts, &tasks);
@@ -22,16 +22,13 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
   return mt;
 }
 
-PoolDrainTask::PoolDrainTask(pm::Pool* pool, const TaskOptions& opts)
-    : pool_(pool), budget_(opts.drain_blocks_per_quantum) {}
-
 QuantumResult PoolDrainTask::RunQuantum() {
   // Advance the epoch first: entries stamped at the previous epoch become
   // recyclable as soon as every reader pinned at it unpins, without any
   // foreground free having to notice.
   pm::epoch::TryAdvance();
   QuantumResult q;
-  q.bytes = pool_->DrainLimboQuantum(budget_);
+  q.bytes = pool_->DrainLimboQuantum(kBlocksPerQuantum);
   q.items = q.bytes != 0 ? 1 : 0;
   // limbo_empty is the lock-free mirror: entries still epoch-pinned keep
   // it false, which is right — they are pending work for a later quantum.
@@ -43,7 +40,7 @@ ImbalancePolicyTask::ImbalancePolicyTask(ShardedIndex* idx,
                                          const TaskOptions& opts)
     : idx_(idx),
       threshold_(std::max(opts.rebalance_threshold, 1.01)),
-      min_entries_(opts.rebalance_min_entries_per_shard * idx->num_shards()),
+      min_entries_(kMinEntriesPerShard * idx->num_shards()),
       name_("rebalance:" + std::string(idx->name())) {}
 
 QuantumResult ImbalancePolicyTask::RunQuantum() {

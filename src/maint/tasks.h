@@ -46,18 +46,25 @@ std::unique_ptr<MaintenanceThread> MakeMaintenanceThread(
 
 class PoolDrainTask final : public MaintenanceTask {
  public:
-  explicit PoolDrainTask(pm::Pool* pool, const TaskOptions& opts = {});
+  /// Limbo blocks recycled per quantum.
+  static constexpr std::size_t kBlocksPerQuantum = 256;
+
+  explicit PoolDrainTask(pm::Pool* pool) : pool_(pool) {}
 
   std::string_view name() const override { return "pool-drain"; }
   QuantumResult RunQuantum() override;
 
  private:
   pm::Pool* pool_;
-  std::size_t budget_;
 };
 
 class ImbalancePolicyTask final : public MaintenanceTask {
  public:
+  /// Indexes smaller than this many entries per shard on average are
+  /// skipped: quantile boundaries over a handful of keys are noise, not
+  /// signal.
+  static constexpr std::size_t kMinEntriesPerShard = 64;
+
   explicit ImbalancePolicyTask(ShardedIndex* idx, const TaskOptions& opts = {});
 
   std::string_view name() const override { return name_; }
@@ -87,10 +94,11 @@ class ImbalancePolicyTask final : public MaintenanceTask {
 template <class Tree>
 class SweepTask final : public MaintenanceTask {
  public:
-  SweepTask(std::string name, Tree* tree, const TaskOptions& opts = {})
-      : tree_(tree),
-        budget_(opts.sweep_leaves_per_quantum),
-        name_(std::move(name)) {}
+  /// Leaves visited per quantum.
+  static constexpr int kLeavesPerQuantum = 32;
+
+  SweepTask(std::string name, Tree* tree)
+      : tree_(tree), name_(std::move(name)) {}
 
   std::string_view name() const override { return name_; }
 
@@ -104,7 +112,7 @@ class SweepTask final : public MaintenanceTask {
   }
 
   QuantumResult RunQuantum() override {
-    const auto r = tree_->SweepDrainedRanges(cursor_, budget_);
+    const auto r = tree_->SweepDrainedRanges(cursor_, kLeavesPerQuantum);
     unlinked_this_wrap_ += r.unlinked;
     if (r.wrapped) {
       last_wrap_clean_ = unlinked_this_wrap_ == 0;
@@ -132,7 +140,6 @@ class SweepTask final : public MaintenanceTask {
   Key cursor_ = 0;
   std::size_t unlinked_this_wrap_ = 0;
   bool last_wrap_clean_ = false;
-  int budget_;
   std::string name_;
 };
 

@@ -21,6 +21,7 @@ namespace fastfair::pm {
 namespace {
 constexpr std::uint64_t kMagic = 0xfa57fa1243ull;  // "fastfair" pool, v2 layout
 constexpr std::size_t kNoSpace = static_cast<std::size_t>(-1);
+constexpr std::size_t kArenaChunk = std::size_t{1} << 20;  // per thread
 constexpr std::size_t kMinChunk = 4096;  // below this, arenas are off
 
 // Free-list size classes: class c holds blocks of size [2^c, 2^(c+1)).
@@ -149,7 +150,7 @@ Pool::Pool(const Options& opts)
   }
   // Arenas make sense only when the pool comfortably fits several chunks;
   // otherwise fall back to the exact direct path (tiny test pools).
-  chunk_size_ = opts.arena_chunk;
+  chunk_size_ = kArenaChunk;
   if (chunk_size_ > capacity_ / 8) chunk_size_ = capacity_ / 8;
   chunk_size_ &= ~(kCacheLineSize - 1);
   if (chunk_size_ < kMinChunk) chunk_size_ = 0;

@@ -13,12 +13,12 @@
 //
 // Allocation path (DESIGN.md §3): the pool header holds a single global bump
 // offset, but threads do not contend on it per allocation.  Each thread
-// reserves an *arena chunk* (Options::arena_chunk, default 1 MiB) from the
-// global offset with one CAS, then bump-allocates thread-locally with zero
-// shared-memory traffic until the chunk is exhausted.  Allocations larger
-// than half a chunk bypass the arena and hit the global offset directly;
-// pools too small for chunking (< 8 chunks) degrade to the direct path
-// entirely, so tiny test pools behave exactly like the original allocator.
+// reserves a 1 MiB *arena chunk* from the global offset with one CAS,
+// then bump-allocates thread-locally with zero shared-memory traffic
+// until the chunk is exhausted.  Allocations larger than half a chunk
+// bypass the arena and hit the global offset directly; pools too small
+// for chunking (< 8 chunks) degrade to the direct path entirely, so tiny
+// test pools behave exactly like the original allocator.
 //
 // Reclamation path (DESIGN.md §3.1): Free() is a real two-level reclaimer.
 // Freed blocks are stamped with the global reclamation epoch (pm/reclaim.h)
@@ -98,11 +98,6 @@ class Pool {
     // reopened pool resumes recycling. Off by default for the same
     // flush-count-neutrality reason as persist_metadata.
     bool persist_free_lists = false;
-    // Per-thread arena chunk size (0 disables arenas; all allocations then
-    // CAS the global offset directly, the pre-arena behaviour). The
-    // effective chunk is capped at capacity/8 and disabled below 4 KiB so
-    // small pools keep exact accounting.
-    std::size_t arena_chunk = std::size_t{1} << 20;  // 1 MiB
   };
 
   explicit Pool(const Options& opts);
@@ -218,7 +213,8 @@ class Pool {
   /// Bytes served from the free lists instead of the bump path (monotonic).
   std::size_t recycled_bytes() const;
 
-  /// Effective arena chunk size for this pool (0 = arenas disabled).
+  /// Effective arena chunk size for this pool: 1 MiB, capped at
+  /// capacity/8; 0 (arenas disabled) when that falls below 4 KiB.
   std::size_t chunk_size() const { return chunk_size_; }
 
   /// Read-only audit of the shared per-size-class free lists for the

@@ -51,7 +51,7 @@ bool TokenBucket::TryAcquire() {
   const std::uint64_t now = pm::NowNs();
   if (now > last_ns_) {
     tokens_ = std::min(
-        burst_, tokens_ + static_cast<double>(now - last_ns_) * 1e-9 * rate_);
+        rate_, tokens_ + static_cast<double>(now - last_ns_) * 1e-9 * rate_);
     last_ns_ = now;
   }
   if (tokens_ < 1.0) return false;
@@ -187,11 +187,8 @@ Session* KvService::OpenSession(std::uint64_t tenant) {
   if (opts_.quota_ops_per_sec > 0) {
     auto& slot = tenants_[tenant];
     if (slot == nullptr) {
-      const double rate = static_cast<double>(opts_.quota_ops_per_sec);
-      const double burst = opts_.quota_burst != 0
-                               ? static_cast<double>(opts_.quota_burst)
-                               : rate;
-      slot = std::make_unique<detail::TokenBucket>(rate, burst);
+      slot = std::make_unique<detail::TokenBucket>(
+          static_cast<double>(opts_.quota_ops_per_sec));
     }
     bucket = slot.get();
   }

@@ -150,14 +150,13 @@ struct Request {
   std::uint64_t deadline_ns;  // absolute pm::NowNs deadline; 0 = none
 };
 
-/// Per-tenant token bucket: `rate` tokens/sec refill up to `burst`. A
-/// mutex suffices — only the tenant's own sessions contend on it, and only
-/// when a quota is configured at all.
+/// Per-tenant token bucket: `rate` tokens/sec refill up to a burst of
+/// one second's worth (== the rate). A mutex suffices — only the tenant's
+/// own sessions contend on it, and only when a quota is configured at all.
 class TokenBucket {
  public:
-  TokenBucket(double rate_per_sec, double burst)
-      : tokens_(burst), last_ns_(pm::NowNs()), rate_(rate_per_sec),
-        burst_(burst) {}
+  explicit TokenBucket(double rate_per_sec)
+      : tokens_(rate_per_sec), last_ns_(pm::NowNs()), rate_(rate_per_sec) {}
 
   bool TryAcquire();
 
@@ -166,7 +165,6 @@ class TokenBucket {
   double tokens_;
   std::uint64_t last_ns_;
   const double rate_;
-  const double burst_;
 };
 
 }  // namespace detail
@@ -231,10 +229,9 @@ struct ServiceOptions {
   /// Longest a worker holds a partial group while requests keep
   /// trickling in; an empty poll pass flushes immediately regardless.
   std::uint64_t batch_timeout_us = 100;
-  /// Per-tenant token-bucket rate; 0 = unlimited.
+  /// Per-tenant token-bucket rate; 0 = unlimited. The bucket's burst is
+  /// one second's worth (== the rate).
   std::uint64_t quota_ops_per_sec = 0;
-  /// Bucket burst capacity; 0 = one second's worth (== the rate).
-  std::uint64_t quota_burst = 0;
   /// Session table capacity (fixed at construction so workers can walk it
   /// lock-free while OpenSession runs).
   std::size_t max_sessions = 1024;

@@ -1,24 +1,28 @@
 // Tests for the hash-sharded index tier (index/hash_sharded.h): routing
 // balance under clustered keys, the streaming k-way merge Scan (ordering
-// and completeness, including under interleaved inserts/deletes), the
-// ScanIterator API (merge iterator and the default batched adapter),
-// point and batch write visibility (scalar and concurrent), and the
-// "hashed-<kind>[:N]" registry grammar.
+// and completeness, including under interleaved inserts/deletes; batched
+// scans paying exactly the scalar merge's reads), the ScanIterator API
+// (merge iterator and the default batched adapter), point and batch write
+// visibility (scalar and concurrent), and the "hashed-<kind>[:N]"
+// registry grammar.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "bench/workload.h"
 #include "common/rng.h"
 #include "index/hash_sharded.h"
 #include "index/index.h"
 #include "index/sharded.h"
+#include "pm/persist.h"
 #include "pm/pool.h"
 
 namespace fastfair {
@@ -112,6 +116,78 @@ TEST(HashShardedIndex, ScanStaysCompleteUnderInterleavedInsertsAndDeletes) {
     }
     ASSERT_EQ(mit, model.end()) << "merge lost trailing keys";
     ASSERT_EQ(n, model.size());
+  }
+}
+
+TEST(HashShardedIndex, ScanBatchPaysExactlyTheScalarMergesReads) {
+  // One merge serves every hashed scan: ScanBatch is the default Scan
+  // loop, and each Scan runs every shard's first batch as one cross-tree
+  // ScanBatch sized from the cap (DESIGN.md §4.2). So a batch of scans
+  // returns the same records and pays exactly the read stalls and leaf
+  // visits of the same scans one by one, and both stay near the ~3
+  // stalls per Scan(100) the grouped first fill costs, far from a merge
+  // that pays one stall per shard. Bounds carry ~10 % margin over the
+  // counts measured on this data.
+  struct Case {
+    const char* kind;
+    double max_stalls;  // per scan
+    double max_visits;  // leaf visits (read annotations) per scan
+  };
+  for (const Case& c : {Case{"hashed-fastfair:4", 3.3, 16.0},
+                        Case{"hashed-fastfair:8", 3.3, 20.5},
+                        Case{"hashed-fastfair:16", 4.6, 32.5}}) {
+    SCOPED_TRACE(c.kind);
+    pm::Pool pool(std::size_t{1} << 30);
+    auto idx = MakeIndex(c.kind, &pool);
+    const std::vector<Key> keys = bench::UniformKeys(200000, 5);
+    for (const Key k : keys) idx->Insert(k, k + 7);
+    const std::set<Key> model(keys.begin(), keys.end());
+
+    constexpr std::size_t kScans = 512;
+    constexpr std::size_t kCap = 100;
+    constexpr std::size_t kBatch = 64;
+    std::vector<core::Record> scalar(kScans * kCap);
+    std::vector<core::Record> batched(kScans * kCap);
+    std::vector<std::size_t> scalar_n(kScans);
+    std::vector<std::size_t> batched_n(kScans);
+    std::vector<ScanOp> ops(kScans);
+    Rng rng(7);
+    for (std::size_t i = 0; i < kScans; ++i) {
+      ops[i] = {rng.Next(), kCap, batched.data() + i * kCap};
+    }
+
+    auto before = pm::Stats();
+    for (std::size_t i = 0; i < kScans; ++i) {
+      scalar_n[i] = idx->Scan(ops[i].min_key, kCap, scalar.data() + i * kCap);
+    }
+    const auto scan = pm::Stats() - before;
+    before = pm::Stats();
+    for (std::size_t i = 0; i < kScans; i += kBatch) {
+      idx->ScanBatch(ops.data() + i, kBatch, batched_n.data() + i);
+    }
+    const auto batch = pm::Stats() - before;
+
+    for (std::size_t i = 0; i < kScans; ++i) {
+      auto it = model.lower_bound(ops[i].min_key);
+      ASSERT_EQ(batched_n[i], scalar_n[i]) << "scan " << i;
+      for (std::size_t j = 0; j < scalar_n[i]; ++j, ++it) {
+        ASSERT_NE(it, model.end()) << "scan " << i << " pos " << j;
+        const core::Record& s = scalar[i * kCap + j];
+        ASSERT_EQ(s.key, *it) << "scan " << i << " pos " << j;
+        ASSERT_EQ(s.ptr, *it + 7);
+        ASSERT_EQ(batched[i * kCap + j].key, s.key);
+        ASSERT_EQ(batched[i * kCap + j].ptr, s.ptr);
+      }
+      if (scalar_n[i] < kCap) ASSERT_EQ(it, model.end()) << "scan " << i;
+    }
+    EXPECT_EQ(batch.read_stalls, scan.read_stalls);
+    EXPECT_EQ(batch.read_annotations, scan.read_annotations);
+    const double stalls = static_cast<double>(scan.read_stalls) / kScans;
+    const double visits = static_cast<double>(scan.read_annotations) / kScans;
+    EXPECT_LE(stalls, c.max_stalls);
+    EXPECT_LE(visits, c.max_visits);
+    std::printf("%s Scan(100): %.3f stalls, %.2f leaf visits per scan\n",
+                c.kind, stalls, visits);
   }
 }
 

@@ -112,7 +112,7 @@ TEST(PoolDrain, BackgroundThreadRetiresParkedLimboWithoutAWriter) {
   MaintenanceThread::Options mo;
   mo.interval = std::chrono::microseconds(100);
   MaintenanceThread mt(mo);
-  mt.AddTask(std::make_unique<maint::PoolDrainTask>(&pool, TaskOptions{}));
+  mt.AddTask(std::make_unique<maint::PoolDrainTask>(&pool));
   mt.Start();
   const bool drained =
       testutil::PollUntil([&] { return pool.limbo_bytes() == 0; });
@@ -174,7 +174,7 @@ TEST(SweepTask, ReclaimsAbandonedDrainedRuns) {
   pm::ResetStats();
   const pm::ThreadStats start = pm::Stats();
   // Drive the sweep through the task (cursor persistence across quanta).
-  maint::SweepTask<core::BTree> task("sweep:test", &tree, TaskOptions{});
+  maint::SweepTask<core::BTree> task("sweep:test", &tree);
   std::size_t unlinked = 0;
   for (int q = 0; q < 100000; ++q) {
     const QuantumResult r = task.RunQuantum();
@@ -218,8 +218,8 @@ TEST(SweepTask, RunPassRecoversRunsAbandonedAfterARest) {
   for (std::uint64_t i = 1; i <= kN; ++i) tree.Insert(i << 8, i);
 
   MaintenanceThread mt;
-  mt.AddTask(std::make_unique<maint::SweepTask<core::BTree>>(
-      "sweep:test", &tree, TaskOptions{}));
+  mt.AddTask(
+      std::make_unique<maint::SweepTask<core::BTree>>("sweep:test", &tree));
   mt.RunPass();  // full clean wrap: the task now remembers itself at rest
 
   // Strand a run deep in the chain — far beyond one quantum's budget from

@@ -25,11 +25,6 @@ TEST(PoolArena, EffectiveChunkSizeAdaptsToCapacity) {
   EXPECT_EQ(Pool(std::size_t{1} << 20).chunk_size(), std::size_t{1} << 17);
   // Tiny pool: arenas off, exact direct accounting.
   EXPECT_EQ(Pool(4096).chunk_size(), 0u);
-  // Explicit opt-out.
-  Pool::Options opts;
-  opts.capacity = std::size_t{1} << 30;
-  opts.arena_chunk = 0;
-  EXPECT_EQ(Pool(opts).chunk_size(), 0u);
 }
 
 TEST(PoolArena, SmallAllocationsShareOneChunkReservation) {
