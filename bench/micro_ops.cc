@@ -14,8 +14,9 @@
 // serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch and
 // BM_TreeScanBatchOne (a batch of one scan) >= 2x fewer per scan than the
 // scalar BM_TreeScan100 loop, and the index-tier BM_IndexSearchBatch >= 2x
-// fewer than BM_IndexSearch. The index-tier hashed scan rows
-// (BM_IndexScan, BM_IndexScanBatch) are trajectory only.
+// fewer than BM_IndexSearch. BM_TreeScanBatch64 (the index tier's 64-op
+// route chunk per call) and the index-tier hashed scan rows (BM_IndexScan,
+// BM_IndexScanBatch) are trajectory only.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +34,7 @@
 #include "core/node_ops.h"
 #include "core/node_search_simd.h"
 #include "index/index.h"
+#include "index/sharded.h"
 
 namespace {
 
@@ -293,43 +295,58 @@ void BM_TreeScan100(benchmark::State& state) {
 BENCHMARK(BM_TreeScan100);
 
 // Same workload as BM_TreeScan100 — 100-record scans from random starts —
-// but kBatchGroup scans per ScanBatch call: grouped descents to the start
-// leaves plus interleaved leaf-chain drains, so the group pays one grouped
+// but `batch` scans per ScanBatch call: grouped descents to the start
+// leaves plus interleaved leaf-chain drains, so the batch pays one grouped
 // read stall per wave of sibling hops where the scalar loop pays one per
-// hop per scan. The perf-smoke gate reads these two rows' read_stalls_per_op
-// (>= 2x apart, deterministic counters).
-void BM_TreeScanBatch(benchmark::State& state) {
+// hop per scan.
+void TreeScanBatch(benchmark::State& state, std::size_t batch) {
   pm::SetConfig(pm::Config{});
   pm::Pool pool(std::size_t{4} << 30);
   core::BTree tree(&pool);
   const auto keys = bench::UniformKeys(200000, 5);
   for (const Key k : keys) tree.Insert(k, 2 * k + 1);
-  constexpr std::size_t kGroup = core::BTree::kBatchGroup;
   constexpr std::size_t kScanLen = 100;
-  std::vector<core::Record> out(kGroup * kScanLen);
-  ScanOp ops[kGroup];
-  std::size_t counts[kGroup];
+  std::vector<core::Record> out(batch * kScanLen);
+  std::vector<ScanOp> ops(batch);
+  std::vector<std::size_t> counts(batch);
   Rng rng(7);
   const auto before = pm::Stats();
   for (auto _ : state) {
-    for (std::size_t j = 0; j < kGroup; ++j) {
+    for (std::size_t j = 0; j < batch; ++j) {
       ops[j] = {rng.Next(), kScanLen, out.data() + j * kScanLen};
     }
-    tree.ScanBatch(ops, kGroup, counts);
-    benchmark::DoNotOptimize(counts);
+    tree.ScanBatch(ops.data(), batch, counts.data());
+    benchmark::DoNotOptimize(counts.data());
   }
   const double items =
-      static_cast<double>(state.iterations()) * static_cast<double>(kGroup);
+      static_cast<double>(state.iterations()) * static_cast<double>(batch);
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
   SetPmCounters(state, pm::Stats() - before, items);
 }
+
+// kBatchGroup scans per call, one window's worth. The perf-smoke gate reads
+// this row's read_stalls_per_op against BM_TreeScan100's (>= 2x apart,
+// deterministic counters).
+void BM_TreeScanBatch(benchmark::State& state) {
+  TreeScanBatch(state, core::BTree::kBatchGroup);
+}
 BENCHMARK(BM_TreeScanBatch);
+
+// 64 scans per call, the index tier's route chunk: the rolling window
+// admits the next scan into each finished scan's slot, so the call
+// approaches one stall per kBatchGroup leaf visits (DESIGN.md §8.2b).
+// Trajectory only, no gate.
+void BM_TreeScanBatch64(benchmark::State& state) {
+  TreeScanBatch(state, detail::kRouteChunk);
+}
+BENCHMARK(BM_TreeScanBatch64);
 
 // BM_TreeScan100's tree and starts, one scan per ScanBatch call: a lone
 // scan has no group to share a wave with, so what it saves over the scalar
-// loop comes from the parent-routed lookahead alone — its first paid drain
-// wave fetches the next leaves its level-1 parent routes to (DESIGN.md
-// §8.2b). The perf-smoke gate reads this row against BM_TreeScan100 too.
+// loop comes from the parent-routed lookahead alone — the wave that
+// fetches its start leaf also fetches the next leaves its level-1 parent
+// routes to, one stall per scan (DESIGN.md §8.2b). The perf-smoke gate
+// reads this row against BM_TreeScan100 too.
 void BM_TreeScanBatchOne(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
   pm::Pool pool(std::size_t{4} << 30);

@@ -169,14 +169,16 @@ class BTreeT {
   /// Batched range scans: out_counts[i] = Scan(ops[i].min_key, ops[i].cap,
   /// ops[i].out) for every i, same per-op semantics and thread-safety as
   /// Scan. Start keys need not be sorted or distinct; output buffers must
-  /// not alias. Descents to the start leaves run interleaved in groups of
-  /// kBatchGroup (DescendGroup), then the leaf chains drain hand-over-hand:
-  /// each wave collects one leaf per live cursor and prefetches the
-  /// siblings together, charging one grouped read stall per wave
+  /// not alias. The ops run through a rolling window of kBatchGroup
+  /// cursors: each wave collects one leaf per live cursor and prefetches
+  /// the siblings together, admits the next ops into the slots finished
+  /// cursors freed (their descents interleaved, DescendGroup, their start
+  /// leaves fetched in the same wave), and charges one grouped read stall
   /// (pm::AnnotateReadGroup) instead of one per leaf hop per scan. Spare
   /// slots of a paid wave, up to kBatchGroup fetches, go to leaves the
   /// cursors' level-1 parents route to next, so later hops to them pay no
-  /// stall (DESIGN.md §8.2b).
+  /// stall: a lone scan pays one stall, a long batch about one per
+  /// kBatchGroup leaf visits (DESIGN.md §8.2b).
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const;
 
@@ -294,9 +296,12 @@ class BTreeT {
   /// level. When `parents` is non-null, parents[j] receives the level-1
   /// node that routed slot j to its leaf (nullptr when the root is a
   /// leaf): the scan drain's lookahead reads the next leaves from it.
+  /// With `charge_leaves` false no arrival is charged: ScanBatch counts
+  /// the start leaves among the fetches of its own wave.
   static void DescendGroup(const BTreeT* const* trees, const Key* keys,
                            std::size_t g, NodeT** leaves,
-                           const NodeT** parents = nullptr);
+                           const NodeT** parents = nullptr,
+                           bool charge_leaves = true);
 
   /// The batch pipelines behind both the member and the cross-tree entry
   /// points: op i runs on tree_at(i). One epoch pin spans the call when

@@ -184,7 +184,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
 template <std::size_t P>
 void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
                              std::size_t g, NodeT** leaves,
-                             const NodeT** parents) {
+                             const NodeT** parents, bool charge_leaves) {
   RealMem m;
   // Each slot starts at its own tree's root. A root that is itself a leaf
   // has already arrived: those slots form the level-0 wave.
@@ -194,14 +194,15 @@ void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
     if (leaves[j]->is_leaf()) ++arrived;
     if (parents != nullptr) parents[j] = nullptr;
   }
-  pm::AnnotateReadGroup(arrived);
+  if (charge_leaves) pm::AnnotateReadGroup(arrived);
   // One wave advances every pending descent one level: while slot j's
   // child search runs, the children prefetched for slots j+1..g-1 (and
   // next wave's for 0..j) are in flight, so the per-level PM fetches of
   // the whole group overlap instead of serializing — whichever trees the
   // slots descend. The leaf arrivals of a wave are charged as ONE grouped
   // read stall: their addresses were all known (and prefetched) before
-  // any was dereferenced.
+  // any was dereferenced. Without `charge_leaves` the caller charges the
+  // arrivals, all levels' together, in a wave of its own.
   std::size_t pending = g - arrived;
   while (pending > 0) {
     arrived = 0;
@@ -220,7 +221,7 @@ void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
         if (parents != nullptr) parents[j] = n;
       }
     }
-    pm::AnnotateReadGroup(arrived);
+    if (charge_leaves) pm::AnnotateReadGroup(arrived);
     pending -= arrived;
   }
 }
@@ -1088,7 +1089,8 @@ void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
   // and the lookahead is a prefetch and accounting hint matched by pointer.
   constexpr int kLookahead = 16;
   struct Cursor {
-    const NodeT* leaf;        // collected next wave; nullptr when done
+    const NodeT* leaf;        // collected next wave; nullptr: slot is free
+    std::size_t op;           // index of the op this cursor runs
     std::size_t got;
     Key last;
     bool have_last;
@@ -1138,95 +1140,112 @@ void BTreeT<P>::ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
     c.route_bound = bound;
     hop(c, c.leaf);  // the leaf a miss just fetched heads the new entries
   };
-  for (std::size_t base = 0; base < n; base += kBatchGroup) {
-    const std::size_t g = std::min(kBatchGroup, n - base);
-    // Grouped descent to the start leaves: one wave per level, leaf
-    // arrivals charged as one grouped stall (exactly SearchBatch's front).
+  // A rolling window of up to kBatchGroup cursor slots (AMAC-style: a
+  // finished scan's slot goes to the next op at once). Each wave
+  //  - drains: collects one leaf per live cursor and moves it along the
+  //    B-link chain (dead nodes collect zero records and the chain
+  //    continues right, so live splits, unlinks and migration windows are
+  //    handled exactly like the scalar walk);
+  //  - admits the next ops into the slots that are free and descends them
+  //    together (DescendGroup, which charges no internal level), leaving
+  //    their start leaves for this wave to charge;
+  //  - gives its spare fetch slots to lookahead leaves.
+  // Budget rule (DESIGN.md §8.1, §8.2b): a wave pays one grouped stall only
+  // when it fetches a leaf some cursor needs next, i.e. a hop to a leaf no
+  // earlier paid wave fetched or an admitted start leaf. A live cursor hops
+  // at most once and an admitted one takes a free slot, so those fetches
+  // never exceed kBatchGroup; the wave fills the rest with lookahead leaves
+  // round-robin over the cursors. A hop to an already-fetched leaf is a
+  // visit without a stall.
+  Cursor cur[kBatchGroup];
+  const std::size_t width = std::min(kBatchGroup, n);  // slots in use
+  for (std::size_t j = 0; j < width; ++j) cur[j].leaf = nullptr;
+  std::size_t live = 0;
+  std::size_t next_op = 0;
+  while (live > 0 || next_op < n) {
+    std::size_t misses = 0;
+    std::size_t covered = 0;
+    for (std::size_t j = 0; j < width; ++j) {
+      Cursor& c = cur[j];
+      if (c.leaf == nullptr) continue;
+      const ScanOp& op = ops[c.op];
+      const int cnt = Ops::CollectValid(m, c.leaf, buf);
+      for (int i = 0; i < cnt && c.got < op.cap; ++i) {
+        if (buf[i].key < op.min_key) continue;
+        if (c.have_last && buf[i].key <= c.last) continue;  // split copy
+        op.out[c.got++] = buf[i];
+        c.last = buf[i].key;
+        c.have_last = true;
+      }
+      // A full cursor stops before its sibling, as ScanRange does, so
+      // per-op visit counts stay equal to the scalar scan's.
+      c.leaf = c.got < op.cap ? Resolve(Ops::LoadSibling(m, c.leaf)) : nullptr;
+      if (c.leaf == nullptr) {
+        out_counts[c.op] = c.got;
+        --live;
+      } else if (hop(c, c.leaf)) {
+        ++covered;
+      } else {
+        PrefetchNode(c.leaf);
+        ++misses;
+      }
+    }
+    // Admission. An op with cap 0 is finished before it starts.
     const BTreeT* trees[kBatchGroup];
     Key keys[kBatchGroup];
-    for (std::size_t j = 0; j < g; ++j) {
-      trees[j] = tree_at(base + j);
-      keys[j] = ops[base + j].min_key;
+    std::size_t slot[kBatchGroup];
+    std::size_t g = 0;
+    for (std::size_t j = 0; j < width; ++j) {
+      if (cur[j].leaf != nullptr) continue;
+      while (next_op < n && ops[next_op].cap == 0) out_counts[next_op++] = 0;
+      if (next_op == n) break;
+      cur[j].op = next_op;
+      trees[g] = tree_at(next_op);
+      keys[g] = ops[next_op].min_key;
+      slot[g++] = j;
+      ++next_op;
     }
-    NodeT* leaves[kBatchGroup];
-    const NodeT* parents[kBatchGroup];
-    DescendGroup(trees, keys, g, leaves, parents);
-    Cursor cur[kBatchGroup];
-    std::size_t live = 0;
-    for (std::size_t j = 0; j < g; ++j) {
-      Cursor& c = cur[j];
-      c.leaf = ops[base + j].cap > 0 ? leaves[j] : nullptr;
-      c.got = 0;
-      c.last = 0;
-      c.have_last = false;
-      c.route_node = parents[j];
-      c.route_bound = ops[base + j].min_key;
-      c.count = c.next = c.fetched = 0;
-      if (c.leaf != nullptr) ++live;
-    }
-    // Interleaved leaf-chain drain: a wave collects one leaf per live cursor
-    // and moves each along the B-link chain (dead nodes collect zero records
-    // and the chain continues right, so live splits, unlinks and migration
-    // windows are handled exactly like the scalar walk). Budget rule
-    // (DESIGN.md §8.1): a wave pays one grouped stall only when some cursor
-    // hops to a leaf no earlier paid wave fetched; it then fetches at most
-    // kBatchGroup nodes, those hops first, then lookahead leaves
-    // round-robin over the cursors. A hop to an already-fetched leaf is a
-    // visit without a stall.
-    while (live > 0) {
-      std::size_t misses = 0;
-      std::size_t covered = 0;
-      for (std::size_t j = 0; j < g; ++j) {
-        Cursor& c = cur[j];
-        if (c.leaf == nullptr) continue;
-        const ScanOp& op = ops[base + j];
-        const int cnt = Ops::CollectValid(m, c.leaf, buf);
-        for (int i = 0; i < cnt && c.got < op.cap; ++i) {
-          if (buf[i].key < op.min_key) continue;
-          if (c.have_last && buf[i].key <= c.last) continue;  // split copy
-          op.out[c.got++] = buf[i];
-          c.last = buf[i].key;
-          c.have_last = true;
-        }
-        // A full cursor stops before its sibling, as ScanRange does, so
-        // per-op visit counts stay equal to the scalar scan's.
-        c.leaf =
-            c.got < op.cap ? Resolve(Ops::LoadSibling(m, c.leaf)) : nullptr;
-        if (c.leaf == nullptr) {
-          --live;
-        } else if (hop(c, c.leaf)) {
-          ++covered;
-        } else {
-          PrefetchNode(c.leaf);
-          ++misses;
-        }
+    if (g > 0) {
+      NodeT* leaves[kBatchGroup];
+      const NodeT* parents[kBatchGroup];
+      DescendGroup(trees, keys, g, leaves, parents, /*charge_leaves=*/false);
+      for (std::size_t k = 0; k < g; ++k) {
+        Cursor& c = cur[slot[k]];
+        c.leaf = leaves[k];
+        c.got = 0;
+        c.last = 0;
+        c.have_last = false;
+        c.route_node = parents[k];
+        c.route_bound = keys[k];
+        c.count = c.next = c.fetched = 0;
       }
-      if (misses > 0) {
-        // Spare fetch slots: each cursor's next unfetched lookahead leaf in
-        // turn. A used-up lookahead is refilled here, at most once a wave,
-        // so waves without spare slots never pay for route reads.
-        std::size_t slots = kBatchGroup - misses;
-        bool refilled[kBatchGroup] = {};
-        for (bool progress = true; slots > 0 && progress;) {
-          progress = false;
-          for (std::size_t j = 0; j < g && slots > 0; ++j) {
-            Cursor& c = cur[j];
-            if (c.leaf == nullptr) continue;
-            if (c.next >= c.count && !refilled[j]) {
-              refilled[j] = true;
-              refill(c, ops[base + j]);
-            }
-            if (c.fetched >= c.count) continue;
-            PrefetchNode(c.ahead[c.fetched++]);
-            --slots;
-            progress = true;
+      live += g;
+      misses += g;
+    }
+    if (misses > 0) {
+      // Spare fetch slots: each cursor's next unfetched lookahead leaf in
+      // turn. A used-up lookahead is refilled here, at most once a wave,
+      // so waves without spare slots never pay for route reads.
+      std::size_t slots = kBatchGroup - misses;
+      bool refilled[kBatchGroup] = {};
+      for (bool progress = true; slots > 0 && progress;) {
+        progress = false;
+        for (std::size_t j = 0; j < width && slots > 0; ++j) {
+          Cursor& c = cur[j];
+          if (c.leaf == nullptr) continue;
+          if (c.next >= c.count && !refilled[j]) {
+            refilled[j] = true;
+            refill(c, ops[c.op]);
           }
+          if (c.fetched >= c.count) continue;
+          PrefetchNode(c.ahead[c.fetched++]);
+          --slots;
+          progress = true;
         }
-        pm::AnnotateReadGroup(misses);
       }
-      pm::AnnotateCoveredReads(covered);
+      pm::AnnotateReadGroup(misses);
     }
-    for (std::size_t j = 0; j < g; ++j) out_counts[base + j] = cur[j].got;
+    pm::AnnotateCoveredReads(covered);
   }
 }
 

@@ -60,7 +60,9 @@ TEST(FPTree, FingerprintCollisionsStillResolve) {
   ASSERT_TRUE(t.Remove(keys[1]));
   EXPECT_EQ(t.Search(keys[1]), kNoValue);
   for (const Key k : keys) {
-    if (k != keys[1]) ASSERT_EQ(t.Search(k), k + 1);
+    if (k != keys[1]) {
+      ASSERT_EQ(t.Search(k), k + 1);
+    }
   }
 }
 

@@ -76,7 +76,9 @@ TEST(HashShardedIndex, ScanMergesShardsIntoGlobalOrder) {
     for (std::size_t i = 0; i < n; ++i, ++it) {
       ASSERT_EQ(out[i].key, it->first) << "position " << i;
       ASSERT_EQ(out[i].ptr, it->second);
-      if (i > 0) ASSERT_LT(out[i - 1].key, out[i].key) << "must be sorted";
+      if (i > 0) {
+        ASSERT_LT(out[i - 1].key, out[i].key) << "must be sorted";
+      }
     }
   }
 }
@@ -178,7 +180,9 @@ TEST(HashShardedIndex, ScanBatchPaysExactlyTheScalarMergesReads) {
         ASSERT_EQ(batched[i * kCap + j].key, s.key);
         ASSERT_EQ(batched[i * kCap + j].ptr, s.ptr);
       }
-      if (scalar_n[i] < kCap) ASSERT_EQ(it, model.end()) << "scan " << i;
+      if (scalar_n[i] < kCap) {
+        ASSERT_EQ(it, model.end()) << "scan " << i;
+      }
     }
     EXPECT_EQ(batch.read_stalls, scan.read_stalls);
     EXPECT_EQ(batch.read_annotations, scan.read_annotations);

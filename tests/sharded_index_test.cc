@@ -76,7 +76,9 @@ TEST(ShardedIndex, ScanAcrossShardBoundariesIsGloballySorted) {
     for (std::size_t i = 0; i < n; ++i, ++it) {
       ASSERT_EQ(out[i].key, it->first) << "position " << i;
       ASSERT_EQ(out[i].ptr, it->second);
-      if (i > 0) ASSERT_LT(out[i - 1].key, out[i].key) << "must be sorted";
+      if (i > 0) {
+        ASSERT_LT(out[i - 1].key, out[i].key) << "must be sorted";
+      }
     }
   }
 }
