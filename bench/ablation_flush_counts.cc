@@ -3,11 +3,9 @@
 // DESIGN.md calls out the flush discipline as the core design lever; this
 // ablation reports flushes and fences per insert for every index, plus a
 // "naive shift" strawman (flush after every 8-byte store) to show what FAST
-// saves by flushing only at cache-line boundaries, and a "fastfair-wc" row
-// (relaxed persistency + per-op FlushScope coalescing, DESIGN.md §8.2).
-// Exits non-zero when the deterministic count gates fail: fastfair must
-// stay within 6 flushes/fences per insert, and the wc run must flush and
-// fence strictly less than the eager one (CI perf-smoke job).
+// saves by flushing only at cache-line boundaries. Exits non-zero when the
+// deterministic count gate fails: fastfair must stay within 6
+// flushes/fences per insert (CI perf-smoke job).
 
 #include <cstdio>
 
@@ -52,9 +50,7 @@ int main(int argc, char** argv) {
   bench::Table table(
       {"index", "flushes_per_insert", "fences_per_insert", "insert_us"});
 
-  // Deterministic gates (CI perf-smoke): count-based, never wall time.
-  std::uint64_t fastfair_flushes = 0;
-  std::uint64_t fastfair_fences = 0;
+  // Deterministic gate (CI perf-smoke): count-based, never wall time.
   bool gate_ok = true;
   for (const auto& kind : AllIndexKinds()) {
     pm::Pool pool(std::size_t{4} << 30);
@@ -71,8 +67,6 @@ int main(int argc, char** argv) {
       // The gate's reference row: verify its contents (batched lookups,
       // outside the measured phase) before trusting its counts.
       bench::VerifyIndex(idx.get(), keys);
-      fastfair_flushes = phase.pm.flush_lines;
-      fastfair_fences = phase.pm.fences;
       // FAST's line-boundary flush discipline keeps a median insert at a
       // couple of flushes; 6 per op is far above any legitimate count and
       // catches a regression to per-store flushing.
@@ -90,50 +84,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Write-combining variant: same inserts under relaxed persistency with
-  // per-operation FlushScope coalescing (DESIGN.md §8.2). Must flush and
-  // fence strictly less than the eager fastfair run above.
-  {
-    pm::Config cfg;
-    cfg.persistency = pm::Persistency::kRelaxed;
-    cfg.coalesce_flushes = true;
-    pm::SetConfig(cfg);
-    pm::Pool pool(std::size_t{4} << 30);
-    auto idx = MakeIndex("fastfair", &pool);
-    pm::ResetStats();
-    const auto phase = bench::MeasurePhase(
-        [&] { bench::LoadIndex(idx.get(), keys, opt.batch); });
-    pm::SetConfig(pm::Config{});
-    // Coalesced inserts must leave the same logical contents behind.
-    bench::VerifyIndex(idx.get(), keys);
-    table.AddRow({"fastfair-wc (relaxed + FlushScope)",
-                  bench::Table::Num(phase.FlushPerOp(n), 2),
-                  bench::Table::Num(static_cast<double>(phase.pm.fences) /
-                                        static_cast<double>(n),
-                                    2),
-                  bench::Table::Num(phase.PerOpUs(n))});
-    if (phase.pm.flush_lines >= fastfair_flushes ||
-        phase.pm.fences >= fastfair_fences ||
-        phase.pm.wc_lines_saved == 0) {
-      std::fprintf(stderr,
-                   "GATE FAIL ablation: fastfair-wc %llu flushes / %llu "
-                   "fences (saved %llu lines) not strictly below eager "
-                   "%llu/%llu\n",
-                   static_cast<unsigned long long>(phase.pm.flush_lines),
-                   static_cast<unsigned long long>(phase.pm.fences),
-                   static_cast<unsigned long long>(phase.pm.wc_lines_saved),
-                   static_cast<unsigned long long>(fastfair_flushes),
-                   static_cast<unsigned long long>(fastfair_fences));
-      gate_ok = false;
-    }
-  }
-
   // Naive strawman at node level: repeated single-node fills.
   {
     using NodeT = core::Node<512>;
     alignas(64) NodeT node;
     NaiveMem nm;
-    core::RealMem rm;
     pm::ResetStats();
     const auto before = pm::Stats();
     std::size_t ops = 0;
@@ -148,7 +103,6 @@ int main(int argc, char** argv) {
       }
     }
     const auto delta = pm::Stats() - before;
-    (void)rm;
     table.AddRow(
         {"naive-flush-per-store (node-level strawman)",
          bench::Table::Num(static_cast<double>(delta.flush_lines) /

@@ -95,13 +95,6 @@ int main(int argc, char** argv) {
   pm::Config pmcfg;
   pmcfg.read_latency_ns = 300;
   pmcfg.write_latency_ns = 300;
-  if (opt.wc) {
-    // Measured mixes run with per-operation write combining (DESIGN.md
-    // §8.2): the core-tree tables dedupe their flushes and fence once per
-    // Insert/Remove.
-    pmcfg.persistency = pm::Persistency::kRelaxed;
-    pmcfg.coalesce_flushes = true;
-  }
 
   const std::vector<std::string> kinds = {"fastfair", opt.ShardedKind(),
                                           "fptree", "wbtree", "wort",
@@ -142,8 +135,9 @@ int main(int argc, char** argv) {
           // Maintenance window between population and the timed mix: the
           // Db's background scheduler (pool drain + one imbalance policy
           // per sharded table) converges on its own — no foreground
-          // Rebalance call — and is stopped before the mix's writers
-          // start (the structural tasks' quiesced-writer contract).
+          // Rebalance call. The tasks are safe under live writers; the
+          // scheduler stops here only so the timed mix measures the
+          // transactions alone.
           maint::TaskOptions topts;
           topts.rebalance_threshold = opt.rebalance_threshold;
           db.StartMaintenance(topts, opt.maint_interval_us);

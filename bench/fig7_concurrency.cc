@@ -5,11 +5,12 @@
 // DRAM; threads 1..32; indexes FAST+FAIR, FAST+FAIR+LeafLock (search &
 // mixed only), FP-tree, B-link, SkipList.
 //
-// Hardware gate (EXPERIMENTS.md): this container exposes ONE CPU, so
-// absolute speed-up over threads cannot reproduce; what remains visible is
-// the *relative* cost of read locks vs lock-free search under
-// oversubscription, and that no workload loses correctness under
-// contention. Run on a multi-core box for the paper's scaling curves.
+// Hardware gate (EXPERIMENTS.md): the measurement host has 4 CPUs, so
+// thread counts past 4 time-slice and absolute speed-up over threads
+// cannot reproduce; what remains visible is the *relative* cost of read
+// locks vs lock-free search under oversubscription, and that no workload
+// loses correctness under contention. Run on a box with nproc >= 16 for
+// the paper's scaling curves.
 
 #include <algorithm>
 #include <chrono>
@@ -35,8 +36,8 @@ using namespace fastfair;
 // kinds; the hashed kind needs no rebalance by construction). With
 // --maintenance the background policy task does it instead — a scheduler
 // thread watches the histograms the load populated and rebalances on its
-// own; the bench just waits for it to report idle (writers are quiesced
-// between load and the timed phase, the structural tasks' contract).
+// own; the bench waits for it to report idle and stops it, so the timed
+// phase measures the foreground ops alone.
 void MaybeRebalance(Index* idx, pm::Pool* pool, const bench::Options& opt) {
   if (!opt.AdaptiveSharding()) return;
   auto* sharded = dynamic_cast<ShardedIndex*>(idx);

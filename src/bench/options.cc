@@ -140,8 +140,6 @@ Options ParseOptions(int argc, char** argv) {
       }
     } else if (a == "--latency") {
       o.latency = true;
-    } else if (a == "--wc") {
-      o.wc = true;
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--help" || a == "-h") {
@@ -150,7 +148,7 @@ Options ParseOptions(int argc, char** argv) {
           "--shards=S --sharding=range|hash|adaptive --skew=THETA "
           "--churn=R --maintenance --rebalance-threshold=R "
           "--maint-interval-us=N --batch=N --service-workers=N "
-          "--batch-timeout-us=N --quota=OPS --scan-frac=F --latency --wc "
+          "--batch-timeout-us=N --quota=OPS --scan-frac=F --latency "
           "--simd=scalar|avx2|avx512|auto --csv --seed=S\n");
       std::exit(0);
     } else {

@@ -32,9 +32,6 @@
 //   --batch=<N>              operate in batches of N through the batched
 //                            index entry points (SearchBatch/InsertBatch,
 //                            DESIGN.md §8); 0 (default) = scalar ops
-//   --wc                     write-combining flush scopes: run measured
-//                            phases under Persistency::kRelaxed with
-//                            Config::coalesce_flushes (DESIGN.md §8.2)
 //   --simd=ISA               pin the intra-node search kernels to one ISA
 //                            tier (scalar|avx2|avx512|auto,
 //                            DESIGN.md §9.1); unsupported tiers clamp down,
@@ -84,7 +81,6 @@ struct Options {
   std::uint64_t quota = 0;  // --quota=OPS per tenant/sec; 0 = unlimited
   double scan_frac = 0.0;   // --scan-frac=F: scan share of service op mix
   bool latency = false;     // --latency: per-op latency histograms
-  bool wc = false;        // --wc: relaxed persistency + flush coalescing
   std::string simd = "auto";  // --simd=ISA; pins search kernels (§9.1)
   bool csv = false;
   std::uint64_t seed = 20180213;  // FAST'18 opening day

@@ -275,11 +275,6 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
 
 template <std::size_t P>
 InsertStatus BTreeT<P>::InsertFrom(NodeT* leaf, Key key, Value value) {
-  // Per-operation write-combining scope (DESIGN.md §8.2): a no-op unless
-  // the global config opted into relaxed-persistency flush coalescing;
-  // then every flush this operation issues — shifts, split copies, parent
-  // updates — dedupes per line and drains once at return.
-  pm::FlushScope wc;
   RealMem m;
   for (;;) {
     leaf = LockCovering(leaf, key);
@@ -363,7 +358,6 @@ void BTreeT<P>::InsertBatch(BTreeT* const* trees, const Record* ops,
 
 template <std::size_t P>
 bool BTreeT<P>::RemoveFrom(NodeT* leaf, Key key) {
-  pm::FlushScope wc;  // same per-operation coalescing contract as InsertFrom
   RealMem m;
   for (;;) {
     leaf = LockCovering(leaf, key);

@@ -96,11 +96,12 @@ class Index {
   /// Batched upserts with per-op result codes: when `out` is non-null,
   /// out[i] reports whether op i created its key (kInserted) or overwrote
   /// an existing entry (kUpdated) — the service tier's Put replies depend
-  /// on this. The core tree reports exactly from its leaf upsert; the
-  /// sharded/hashed adapters scatter each shard group's statuses back to
-  /// batch positions; the default adapter (adapters.cc) falls back to a
-  /// Search-then-Insert probe per op, which is exact for a quiesced index
-  /// but best-effort when a concurrent writer races the same key.
+  /// on this. The core tree reports exactly from its leaf upsert; over
+  /// core-tree shards the sharded/hashed adapters run the batch as one
+  /// cross-tree call that writes each op's status in place; the default
+  /// adapter (adapters.cc) falls back to a Search-then-Insert probe per
+  /// op, which is exact for a quiesced index but best-effort when a
+  /// concurrent writer races the same key.
   virtual void InsertBatch(const core::Record* ops, std::size_t n,
                            InsertStatus* out);
 
@@ -154,8 +155,8 @@ class Index {
   /// range-sharded adapter, a drained-range sweep per reclaiming tree;
   /// composite adapters recurse into their sub-indexes. Default: no tasks
   /// (most kinds have nothing to maintain). The tasks borrow this index —
-  /// stop the scheduler before destroying it — and inherit the quiesced-
-  /// writer contract of the operations they wrap (maint/maintenance.h).
+  /// stop the scheduler before destroying it — and are safe under live
+  /// readers and writers (maint/maintenance.h).
   virtual void CollectMaintenanceTasks(
       const maint::TaskOptions& opts,
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out);

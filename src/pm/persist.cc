@@ -18,23 +18,8 @@ std::atomic<std::uint64_t> g_read_latency_ns{0};
 std::atomic<std::uint64_t> g_barrier_ns{0};
 std::atomic<MemModel> g_model{MemModel::kTso};
 std::atomic<Persistency> g_persistency{Persistency::kStrict};
-std::atomic<bool> g_coalesce{false};
 
 thread_local ThreadStats t_stats;
-
-// Write-combining capture state for FlushScope. One buffer per thread;
-// nesting only bumps the depth (the outermost scope drains). The capacity
-// bounds a single operation's distinct dirty lines — a split flushes a
-// whole node (8 lines at 512 B) plus parents and meta, well under 64; a
-// full buffer drains early (no fence) and keeps capturing.
-struct ScopeState {
-  static constexpr std::size_t kCap = 64;
-  std::uintptr_t lines[kCap];
-  std::size_t n = 0;
-  int depth = 0;
-  bool dirty = false;  // any line captured since the outermost scope opened
-};
-thread_local ScopeState t_scope;
 
 #if defined(__x86_64__)
 // Cycles per nanosecond, calibrated once at startup against the steady clock.
@@ -90,35 +75,6 @@ inline void FlushLine(const void* addr) {
 #endif
 }
 
-// Flushes every line captured by the open scope, charging the usual
-// per-line write latency, without a trailing fence (the caller decides).
-void DrainScopeLines() {
-  if (t_scope.n == 0) return;
-  const std::uint64_t t0 = NowNs();
-  const std::uint64_t lat = g_write_latency_ns.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < t_scope.n; ++i) {
-    FlushLine(reinterpret_cast<const void*>(t_scope.lines[i]));
-    t_stats.flush_lines += 1;
-    if (lat != 0) SpinNs(lat);
-  }
-  t_scope.n = 0;
-  t_stats.flush_ns += NowNs() - t0;
-}
-
-// Records `line` (already line-aligned) in the scope buffer; duplicates
-// are the write-combining win and are only counted.
-void ScopeAddLine(std::uintptr_t line) {
-  t_scope.dirty = true;
-  for (std::size_t i = 0; i < t_scope.n; ++i) {
-    if (t_scope.lines[i] == line) {
-      t_stats.wc_lines_saved += 1;
-      return;
-    }
-  }
-  if (t_scope.n == ScopeState::kCap) DrainScopeLines();
-  t_scope.lines[t_scope.n++] = line;
-}
-
 }  // namespace
 
 ThreadStats& ThreadStats::operator-=(const ThreadStats& o) {
@@ -127,8 +83,6 @@ ThreadStats& ThreadStats::operator-=(const ThreadStats& o) {
   barriers -= o.barriers;
   read_annotations -= o.read_annotations;
   read_stalls -= o.read_stalls;
-  wc_lines_saved -= o.wc_lines_saved;
-  wc_fences_saved -= o.wc_fences_saved;
   flush_ns -= o.flush_ns;
   allocs -= o.allocs;
   alloc_bytes -= o.alloc_bytes;
@@ -154,8 +108,6 @@ ThreadStats& ThreadStats::operator+=(const ThreadStats& o) {
   barriers += o.barriers;
   read_annotations += o.read_annotations;
   read_stalls += o.read_stalls;
-  wc_lines_saved += o.wc_lines_saved;
-  wc_fences_saved += o.wc_fences_saved;
   flush_ns += o.flush_ns;
   allocs += o.allocs;
   alloc_bytes += o.alloc_bytes;
@@ -181,7 +133,6 @@ void SetConfig(const Config& cfg) {
   g_barrier_ns.store(cfg.barrier_ns, std::memory_order_relaxed);
   g_model.store(cfg.model, std::memory_order_relaxed);
   g_persistency.store(cfg.persistency, std::memory_order_relaxed);
-  g_coalesce.store(cfg.coalesce_flushes, std::memory_order_relaxed);
 }
 
 Config GetConfig() {
@@ -191,7 +142,6 @@ Config GetConfig() {
   cfg.barrier_ns = g_barrier_ns.load(std::memory_order_relaxed);
   cfg.model = g_model.load(std::memory_order_relaxed);
   cfg.persistency = g_persistency.load(std::memory_order_relaxed);
-  cfg.coalesce_flushes = g_coalesce.load(std::memory_order_relaxed);
   return cfg;
 }
 
@@ -242,11 +192,6 @@ void SpinNs(std::uint64_t ns) {
 }
 
 void Clflush(const void* addr) {
-  if (t_scope.depth > 0) {
-    ScopeAddLine(reinterpret_cast<std::uintptr_t>(addr) &
-                 ~(kCacheLineSize - 1));
-    return;
-  }
   const std::uint64_t t0 = NowNs();
   FlushLine(addr);
   t_stats.flush_lines += 1;
@@ -259,16 +204,6 @@ void FlushRange(const void* addr, std::size_t len) {
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
   const std::uintptr_t first = base & ~(kCacheLineSize - 1);
   const std::uintptr_t last = (base + (len ? len : 1) - 1) & ~(kCacheLineSize - 1);
-  if (t_scope.depth > 0) {
-    // The scope also absorbs the relaxed-persistency per-line ordering
-    // fences: the whole scope is one persist epoch, so intra-range order
-    // is moot until the drain.
-    for (std::uintptr_t line = first; line <= last; line += kCacheLineSize) {
-      ScopeAddLine(line);
-      if (line != last) t_stats.wc_fences_saved += 1;
-    }
-    return;
-  }
   const std::uint64_t t0 = NowNs();
   const std::uint64_t lat = g_write_latency_ns.load(std::memory_order_relaxed);
   const bool relaxed = g_persistency.load(std::memory_order_relaxed) ==
@@ -289,11 +224,6 @@ void FlushRange(const void* addr, std::size_t len) {
 }
 
 void Sfence() {
-  if (t_scope.depth > 0) {
-    // Deferred: the open FlushScope issues one trailing fence at drain.
-    t_stats.wc_fences_saved += 1;
-    return;
-  }
 #if defined(__x86_64__)
   _mm_sfence();
 #else
@@ -344,26 +274,5 @@ void AnnotateReadGroup(std::size_t nodes) {
 void AnnotateCoveredReads(std::size_t nodes) {
   t_stats.read_annotations += nodes;
 }
-
-FlushScope::FlushScope() {
-  if (g_persistency.load(std::memory_order_relaxed) != Persistency::kRelaxed ||
-      !g_coalesce.load(std::memory_order_relaxed)) {
-    return;
-  }
-  engaged_ = true;
-  ++t_scope.depth;
-}
-
-FlushScope::~FlushScope() {
-  if (!engaged_) return;
-  if (--t_scope.depth > 0) return;
-  DrainScopeLines();
-  if (t_scope.dirty) {
-    t_scope.dirty = false;
-    Sfence();  // depth is 0: real fence
-  }
-}
-
-bool FlushScope::Active() { return t_scope.depth > 0; }
 
 }  // namespace fastfair::pm

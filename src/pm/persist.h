@@ -47,16 +47,12 @@ struct Config {
   std::uint64_t barrier_ns = 0;        // injected per FenceIfNotTso (non-TSO)
   MemModel model = MemModel::kTso;
   // Paper §VI: under relaxed persistency FAST/FAIR must issue a persist
-  // barrier per ordered cache-line flush (they already do for in-node
-  // shifts; this additionally orders multi-line persists, e.g. split
-  // copies). Enables the ablation_persistency experiment.
+  // barrier per ordered cache-line flush. They already do for in-node
+  // shifts, and a split copy needs none inside it (the sibling is
+  // unreachable until its commit); this additionally fences between the
+  // lines of every FlushRange/Persist, e.g. a new root or a baseline's
+  // node write. Enables the ablation_persistency experiment.
   Persistency persistency = Persistency::kStrict;
-  // Opt-in flush coalescing (DESIGN.md §8.2): while a FlushScope is open,
-  // same-cache-line flushes dedupe into a write-combining buffer and the
-  // scope drains as one clflushopt train plus a single trailing fence.
-  // Only honoured under Persistency::kRelaxed — strict mode keeps the
-  // paper's eager per-boundary flush order untouched.
-  bool coalesce_flushes = false;
 };
 
 /// Installs a new global emulation config. Not meant to race with operations;
@@ -76,8 +72,6 @@ struct ThreadStats {
   std::uint64_t barriers = 0;          // FenceIfNotTso count (non-TSO only)
   std::uint64_t read_annotations = 0;  // PM node visits charged read latency
   std::uint64_t read_stalls = 0;       // serialized read-latency stalls paid
-  std::uint64_t wc_lines_saved = 0;    // same-line flushes a FlushScope deduped
-  std::uint64_t wc_fences_saved = 0;   // fences a FlushScope deferred/elided
   std::uint64_t flush_ns = 0;          // wall time inside Clflush/Persist
   std::uint64_t allocs = 0;            // PM pool allocations
   std::uint64_t alloc_bytes = 0;       // bytes handed out to this thread
@@ -138,32 +132,6 @@ void AnnotateReadGroup(std::size_t nodes);
 /// for: a grouped wave that fetched them ahead of use (DESIGN.md §5.1,
 /// §8.2b). Counts `nodes` read_annotations and no read_stall; no latency.
 void AnnotateCoveredReads(std::size_t nodes);
-
-/// Write-combining flush scope (DESIGN.md §8.2). While the innermost
-/// engaged scope on this thread is open, Clflush/FlushRange record their
-/// cache lines into a thread-local buffer (duplicates dedupe; counted in
-/// ThreadStats::wc_lines_saved) and Sfence defers (wc_fences_saved); the
-/// outermost scope's destructor flushes each distinct line once — charging
-/// the usual per-line write latency — and issues a single trailing fence.
-/// Engages only when the global config is Persistency::kRelaxed AND
-/// Config::coalesce_flushes, so the paper's strict-order flush argument is
-/// untouched by default; under the opt-in the durability point of an
-/// operation moves from each internal boundary to scope exit (the whole
-/// operation becomes one persist epoch — a crash mid-scope may lose the
-/// in-flight operation, never the ordering of completed ones).
-class FlushScope {
- public:
-  FlushScope();
-  ~FlushScope();
-  FlushScope(const FlushScope&) = delete;
-  FlushScope& operator=(const FlushScope&) = delete;
-
-  /// True when a scope is currently capturing on this thread (tests).
-  static bool Active();
-
- private:
-  bool engaged_ = false;
-};
 
 /// Busy-waits approximately `ns` nanoseconds (TSC-calibrated).
 void SpinNs(std::uint64_t ns);

@@ -56,10 +56,9 @@ class Db {
   /// Opt-in background maintenance (DESIGN.md §6): starts one scheduler
   /// thread over the pool's limbo-drain task plus every task the nine
   /// table indexes contribute (imbalance policies for sharded tables,
-  /// sweeps for reclaiming ones). Structural tasks inherit the quiesced-
-  /// writer contract (maint/maintenance.h): start between write bursts —
-  /// e.g. after population, before RunMix — or pair with StopMaintenance
-  /// around them. No-op if already started.
+  /// sweeps for reclaiming ones). Every task is safe under live
+  /// transactions (maint/maintenance.h), so the scheduler may run through
+  /// RunMix. No-op if already started.
   void StartMaintenance(const maint::TaskOptions& opts,
                         std::uint64_t interval_us = 1000);
 

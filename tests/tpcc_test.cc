@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "index/hash_sharded.h"
@@ -155,19 +157,44 @@ TEST(TpccDriver, MultiThreadedRunMixRejectsNonConcurrentKinds) {
   EXPECT_EQ(r.committed + r.aborted, 100u);
 }
 
-class TpccCrossIndex : public ::testing::TestWithParam<std::string> {};
+struct CrossInput {
+  std::string kind;
+  // Batched population (populate_batch = 64) and grouped range reads
+  // (batch_scans): RunDeliveryBatched and the ScanBatch Stock-Level and
+  // Order-Status reads instead of their scalar twins.
+  bool batched;
+};
+
+void PrintTo(const CrossInput& in, std::ostream* os) {
+  *os << in.kind << (in.batched ? " batched" : "");
+}
+
+class TpccCrossIndex : public ::testing::TestWithParam<CrossInput> {};
 
 TEST_P(TpccCrossIndex, SameSeedSameCommitCount) {
-  // The committed/aborted split depends only on the op stream, not on the
-  // index implementation: a strong end-to-end differential check.
+  // The committed/aborted split and every table's row count depend only on
+  // the op stream, not on the index implementation or on whether the Db
+  // runs its batched paths: a strong end-to-end differential check against
+  // a scalar Db.
+  Config cfg = SmallConfig();
+  if (GetParam().batched) {
+    cfg.populate_batch = 64;
+    cfg.batch_scans = true;
+  }
   pm::Pool pool(3u << 30);
-  Db db(GetParam(), SmallConfig(), &pool);
+  Db db(GetParam().kind, cfg, &pool);
   const auto r = RunMix(db, PaperMixes()[1], 400, 123);
   pm::Pool pool_ref(3u << 30);
   Db ref("blink", SmallConfig(), &pool_ref);
   const auto rr = RunMix(ref, PaperMixes()[1], 400, 123);
   EXPECT_EQ(r.committed, rr.committed);
   EXPECT_EQ(r.aborted, rr.aborted);
+  const auto tables = db.tables();
+  const auto ref_tables = ref.tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    EXPECT_EQ(tables[t]->CountEntries(), ref_tables[t]->CountEntries())
+        << "table " << t;
+  }
 }
 
 TEST(TpccDb, ShardedTablesSpreadRowsAcrossShards) {
@@ -224,17 +251,22 @@ TEST(TpccDriver, MultiThreadedRunMixOverHashShardedKind) {
   EXPECT_EQ(r.aborted, rr.aborted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Indexes, TpccCrossIndex,
-                         ::testing::Values("fastfair", "sharded-fastfair",
-                                           "hashed-fastfair:4", "wbtree",
-                                           "fptree", "wort", "skiplist"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (auto& c : name) {
-                             if (c == '-' || c == ':') c = '_';
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Indexes, TpccCrossIndex,
+    ::testing::Values(CrossInput{"fastfair", false},
+                      CrossInput{"sharded-fastfair", false},
+                      CrossInput{"hashed-fastfair:4", false},
+                      CrossInput{"wbtree", false}, CrossInput{"fptree", false},
+                      CrossInput{"wort", false}, CrossInput{"skiplist", false},
+                      CrossInput{"fastfair", true},
+                      CrossInput{"sharded-fastfair", true}),
+    [](const auto& info) {
+      std::string name = info.param.kind;
+      for (auto& c : name) {
+        if (c == '-' || c == ':') c = '_';
+      }
+      return info.param.batched ? name + "_batched" : name;
+    });
 
 }  // namespace
 }  // namespace fastfair::tpcc
