@@ -7,6 +7,22 @@ namespace fastfair::simd {
 
 namespace {
 
+// True when this binary carries code for `isa` (vector tiers: x86-64 only).
+bool IsaCompiled(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return true;
+    case Isa::kAvx2:
+    case Isa::kAvx512:
+#if defined(FASTFAIR_SIMD_X86)
+      return true;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
 Isa DetectBestIsa() {
 #if defined(FASTFAIR_SIMD_X86)
   __builtin_cpu_init();
@@ -56,21 +72,6 @@ bool ParseIsa(std::string_view s, Isa* out) {
       *out = isa;
       return true;
     }
-  }
-  return false;
-}
-
-bool IsaCompiled(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-    case Isa::kAvx512:
-#if defined(FASTFAIR_SIMD_X86)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }

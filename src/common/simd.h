@@ -55,10 +55,8 @@ const char* IsaName(Isa isa);
 /// Returns false on an unknown spelling.
 bool ParseIsa(std::string_view s, Isa* out);
 
-/// True when this binary carries code for `isa` (vector tiers: x86-64 only).
-bool IsaCompiled(Isa isa);
-
-/// IsaCompiled and the running CPU reports the feature.
+/// True when this binary carries code for `isa` (vector tiers: x86-64
+/// only) and the running CPU reports the feature.
 bool IsaSupported(Isa isa);
 
 /// Best supported ISA in preference order avx512 > avx2 > scalar.

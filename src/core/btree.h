@@ -232,8 +232,10 @@ class BTreeT {
   };
   SweepResult SweepDrainedRanges(Key cursor, int max_leaves);
 
-  /// Structural validation for tests: sortedness, fences, level links,
-  /// global leaf-chain order. Quiescent trees only. Returns true if OK.
+  /// Structural validation: runs the reopen-time fsck's tree walk
+  /// (pm::CheckTree, DESIGN.md §11.4) on this tree, so the states the
+  /// paper calls endurable pass and defects are reported. Quiescent trees
+  /// only. Returns true if OK; on failure `msg` gets the report.
   bool CheckInvariants(std::string* msg = nullptr) const;
 
  private:

@@ -8,6 +8,7 @@
 #include <new>
 #include <optional>
 
+#include "pm/check.h"
 #include "pm/fault.h"
 
 namespace fastfair::core {
@@ -1363,83 +1364,9 @@ void BTreeT<P>::AdoptRootChain() {
 
 template <std::size_t P>
 bool BTreeT<P>::CheckInvariants(std::string* msg) const {
-  RealMem m;
-  auto fail = [&](const std::string& s) {
-    if (msg != nullptr) *msg = s;
-    return false;
-  };
-  // Per level: walk the sibling chain; check sortedness within and across
-  // nodes, level tags, and that internal records point at children whose
-  // first keys match the separators.
-  const NodeT* first = Root();
-  int expect_level = first->level();
-  while (true) {
-    if (first->level() != expect_level) {
-      return fail("level tag mismatch on leftmost chain");
-    }
-    bool have_prev = false;
-    Key prev = 0;
-    bool have_fence = false;
-    Key prev_fence = 0;
-    for (const NodeT* n = first; n != nullptr;
-         n = Resolve(Ops::LoadSibling(m, n))) {
-      if (n->level() != expect_level) return fail("level tag mismatch");
-      // The persistent low fence partitions each level: strictly ascending
-      // along the chain, and never above the node's own keys.
-      const Key fence = Ops::LoadFence(m, n);
-      if (have_fence && fence <= prev_fence) {
-        return fail("fences not strictly ascending at level " +
-                    std::to_string(expect_level));
-      }
-      if (have_prev && fence <= prev && n != first) {
-        return fail("fence at or below left neighbour's keys at level " +
-                    std::to_string(expect_level));
-      }
-      prev_fence = fence;
-      have_fence = true;
-      const int cnt = Ops::CountRaw(m, const_cast<NodeT*>(n));
-      for (int i = Ops::HasHoleAtZero(m, const_cast<NodeT*>(n)) ? 1 : 0;
-           i < cnt; ++i) {
-        const Key k = Ops::LoadKeyAt(m, const_cast<NodeT*>(n), i);
-        if (k < fence) {
-          return fail("key below the node's low fence at level " +
-                      std::to_string(expect_level));
-        }
-        if (have_prev && k <= prev) {
-          return fail("keys not strictly ascending at level " +
-                      std::to_string(expect_level));
-        }
-        prev = k;
-        have_prev = true;
-        if (!n->is_leaf()) {
-          const auto* child =
-              Resolve(Ops::LoadPtrAt(m, const_cast<NodeT*>(n), i));
-          if (child->level() != expect_level - 1) {
-            return fail("child level mismatch");
-          }
-          const int cfirst =
-              Ops::HasHoleAtZero(m, const_cast<NodeT*>(child)) ? 1 : 0;
-          if (Ops::LoadPtrAt(m, const_cast<NodeT*>(child), cfirst) != 0) {
-            const Key ck =
-                Ops::LoadKeyAt(m, const_cast<NodeT*>(child), cfirst);
-            if (ck < k) return fail("child first key below separator");
-          }
-        }
-      }
-      if (!n->is_leaf() && Ops::LoadLeftmost(m, n) != 0) {
-        const auto* lm = Resolve(Ops::LoadLeftmost(m, n));
-        if (lm->level() != expect_level - 1) {
-          return fail("leftmost child level mismatch");
-        }
-      }
-    }
-    if (first->is_leaf()) break;
-    const std::uint64_t lm = Ops::LoadLeftmost(m, first);
-    first = Resolve(lm != 0 ? lm : Ops::LoadPtrAt(m, const_cast<NodeT*>(first), 0));
-    --expect_level;
-  }
-  if (expect_level != 0) return fail("leftmost descent did not reach level 0");
-  return true;
+  const pm::CheckReport r = pm::CheckTree(pool_, meta_);
+  if (msg != nullptr && !r.ok()) *msg = r.ToString();
+  return r.ok();
 }
 
 }  // namespace fastfair::core

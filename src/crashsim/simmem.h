@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -136,6 +137,19 @@ class SimMem {
   // Flushes the fault injector deferred past the next fence (pm/fault.h);
   // re-emitted right after that fence so the fence no longer covers them.
   std::vector<Event> deferred_flushes_;
+};
+
+/// Read-only memory policy over a materialized crash image, for running
+/// the core/node_ops.h readers against the bytes a crash left.
+struct ImageMem {
+  const SimMem::Image* img;
+  std::uint64_t Load64(const void* a) const { return img->Read64(a); }
+  void Store64(void*, std::uint64_t) {
+    throw std::logic_error("ImageMem is read-only");
+  }
+  void Flush(const void*) {}
+  void Fence() {}
+  void FenceIfNotTso() {}
 };
 
 }  // namespace fastfair::crashsim

@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
+#include <optional>
 #include <unordered_set>
 
 #include "core/btree.h"
@@ -16,13 +18,13 @@ namespace {
 using PtrSet = std::unordered_set<std::uint64_t>;
 
 // Read-only walk of one tree, templated on the node size recorded in its
-// TreeMeta. Plain loads throughout: the pool is quiescent (reopen time),
-// and after a crash the raw bytes are all the state there is.
+// TreeMeta. Plain loads throughout: the tree is quiescent, and after a
+// crash the raw bytes are all the state there is.
 template <std::size_t P>
 void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
   using NodeT = core::Node<P>;
   auto err = [&](std::string m) { r->errors.push_back(std::move(m)); };
-  auto node_at = [&](std::uint64_t p) {
+  auto node_at = [](std::uint64_t p) {
     return reinterpret_cast<const NodeT*>(p);
   };
   const std::uint64_t root = meta->root;
@@ -38,6 +40,10 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
   r->levels = static_cast<std::uint64_t>(level) + 1;
   PtrSet routed;  // children the level above routes to
   for (;;) {
+    const std::string at = " at level " + std::to_string(level);
+    auto key_err = [&](Key k, const std::string& what) {
+      err("key " + std::to_string(k) + at + ": " + what);
+    };
     if (first->level() != level) {
       err("leftmost descent reached a node tagged level " +
           std::to_string(first->level()) + " where level " +
@@ -47,18 +53,21 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
     PtrSet chain;
     PtrSet child_routes;
     std::uint64_t walked = 0;
-    bool have_fence = false;
-    Key prev_fence = 0;
-    bool have_key = false;
-    Key prev_key = 0;
+    std::optional<Key> prev_fence;
+    // Split copies: records a left node holds at or above its sibling's
+    // fence because FAIR's truncation store never persisted; skipped, not
+    // counted. Like CountEntries and ScanRange, the walk returns a record
+    // only above the last key returned; `shown` queues the copies returned
+    // that way, and their owners' records must match them one for one.
+    std::deque<core::Record> shown;
+    std::optional<Key> last;  // the last key the scan returned
     for (const NodeT* n = first; n != nullptr;) {
       if (!pool->Contains(n)) {
-        err("sibling pointer leaves the pool at level " +
-            std::to_string(level));
+        err("sibling pointer leaves the pool" + at);
         break;
       }
       if (++walked > max_nodes) {
-        err("sibling chain cycle at level " + std::to_string(level));
+        err("sibling chain cycle" + at);
         break;
       }
       chain.insert(reinterpret_cast<std::uint64_t>(n));
@@ -73,58 +82,98 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
       // Fence monotonicity: the persistent low fences partition the level,
       // strictly ascending left to right.
       const Key fence = n->hdr.fence;
-      if (have_fence && fence <= prev_fence) {
-        err("fences not strictly ascending at level " +
-            std::to_string(level) + " (" + std::to_string(prev_fence) +
-            " then " + std::to_string(fence) + ")");
+      if (prev_fence && fence <= *prev_fence) {
+        err("fences not strictly ascending" + at + " (" +
+            std::to_string(*prev_fence) + " then " + std::to_string(fence) +
+            ")");
       }
       prev_fence = fence;
-      have_fence = true;
-      // Records: scan past a transient slot-0 hole, apply the
-      // duplicate-pointer validity rule, check order against the fence
-      // and the running maximum of the level.
-      const int start =
-          n->records[0].ptr == 0 && n->records[1].ptr != 0 ? 1 : 0;
-      std::uint64_t left = start == 0 && !n->is_leaf() ? n->hdr.leftmost : 0;
-      for (int i = start; i <= NodeT::kCapacity; ++i) {
-        const std::uint64_t p = n->records[i].ptr;
-        if (p == 0) break;
-        const bool valid = i == start ? (start == 1 || p != left)
-                                      : p != n->records[i - 1].ptr;
-        if (!valid) continue;  // paper-legal transient shift state
-        const Key k = n->records[i].key;
-        if (k < fence) {
-          err("key " + std::to_string(k) + " below its node's low fence " +
-              std::to_string(fence) + " at level " + std::to_string(level));
+      const NodeT* sib = node_at(n->hdr.sibling);
+      const bool bounded = sib != nullptr && pool->Contains(sib);
+      // Takes one valid record of `n`, in key order.
+      auto take = [&](const core::Record& rec) {
+        if (rec.key < fence) {
+          key_err(rec.key,
+                  "below its node's low fence " + std::to_string(fence));
         }
-        if (have_key && k <= prev_key) {
-          err("keys not strictly ascending at level " +
-              std::to_string(level) + " (" + std::to_string(prev_key) +
-              " then " + std::to_string(k) + ")");
+        if (bounded && rec.key >= sib->hdr.fence) {
+          if (!last || rec.key > *last) {
+            shown.push_back(rec);
+            last = rec.key;
+          }
+          return;
         }
-        prev_key = k;
-        have_key = true;
+        for (; !shown.empty() && shown.front().key < rec.key;
+             shown.pop_front()) {
+          key_err(shown.front().key, "split copy no node right of it holds");
+        }
+        if (!shown.empty() && shown.front().key == rec.key) {
+          if (shown.front().ptr != rec.ptr) {
+            key_err(rec.key, "split copy disagrees with its owner's pointer");
+          }
+          shown.pop_front();
+        } else if (last && rec.key <= *last) {
+          key_err(rec.key, "hidden by a split copy left of it");
+        } else {
+          last = rec.key;
+        }
         if (n->is_leaf()) {
           ++r->entries;
         } else {
-          child_routes.insert(p);
+          child_routes.insert(rec.ptr);
+        }
+      };
+      // One pass over the slots under the readers' validity rules: a
+      // slot-0 hole is skipped, a slot whose ptr repeats its left
+      // neighbour's (hdr.leftmost for slot 0 of an internal node) is
+      // invalid, and of two adjacent valid slots holding one key the right
+      // one is authoritative (a torn delete shift's remnant).
+      const int start =
+          n->records[0].ptr == 0 && n->records[1].ptr != 0 ? 1 : 0;
+      std::optional<core::Record> cur;
+      for (int i = start; i <= NodeT::kCapacity && n->records[i].ptr != 0;
+           ++i) {
+        const std::uint64_t p = n->records[i].ptr;
+        const std::uint64_t left = i > 0          ? n->records[i - 1].ptr
+                                   : n->is_leaf() ? 0
+                                                  : n->hdr.leftmost;
+        if (p == left) continue;
+        const Key k = n->records[i].key;
+        if (cur && k == cur->key) {
+          cur->ptr = p;
+        } else if (cur && k < cur->key) {  // the offender stays uncounted
+          err("keys not strictly ascending" + at + " (" +
+              std::to_string(cur->key) + " then " + std::to_string(k) + ")");
+        } else {
+          if (cur) take(*cur);
+          cur = core::Record{k, p};
         }
       }
+      if (cur) take(*cur);
       if (!n->is_leaf() && n->hdr.leftmost != 0) {
         child_routes.insert(n->hdr.leftmost);
       }
-      n = node_at(n->hdr.sibling);
+      n = sib;
+    }
+    for (const core::Record& c : shown) {
+      key_err(c.key, "split copy no node right of it holds");
     }
     // Reachability: every child some parent routes to must sit on this
-    // chain. (The converse is allowed — a split sibling not yet published
-    // to its parent is the crash state AdoptSibling completes lazily.)
+    // chain, or be a dead node already unlinked from it whose routes a
+    // repairer has yet to redirect. (The converse is allowed — a split
+    // sibling not yet published to its parent is the crash state
+    // AdoptSibling completes lazily.)
     for (const std::uint64_t p : routed) {
-      if (chain.count(p) == 0) {
-        err("level-" + std::to_string(level + 1) +
-            " node routes to a child not reachable on the level-" +
-            std::to_string(level) + " sibling chain");
-        break;  // one message per level is enough signal
+      const NodeT* c = node_at(p);
+      if (chain.count(p) != 0 ||
+          (pool->Contains(c) && c->level() == level &&
+           (c->hdr.flags & core::kNodeDead) != 0)) {
+        continue;
       }
+      err("level-" + std::to_string(level + 1) +
+          " node routes to a child not reachable on the level-" +
+          std::to_string(level) + " sibling chain");
+      break;  // one message per level is enough signal
     }
     if (first->is_leaf()) break;
     routed = std::move(child_routes);
@@ -146,36 +195,37 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
 
 }  // namespace
 
-CheckReport CheckPool(Pool* pool) {
+CheckReport CheckTree(const Pool* pool, const core::TreeMeta* meta) {
   CheckReport r;
+  if (!pool->Contains(meta)) {
+    r.errors.push_back("TreeMeta lies outside the pool");
+  } else if (meta->magic != core::kTreeMagic) {
+    r.errors.push_back("TreeMeta magic mismatch: the anchor is not a tree");
+  } else {
+    switch (meta->page_size) {
+      case 256:  WalkTree<256>(pool, meta, &r); break;
+      case 512:  WalkTree<512>(pool, meta, &r); break;
+      case 1024: WalkTree<1024>(pool, meta, &r); break;
+      case 2048: WalkTree<2048>(pool, meta, &r); break;
+      case 4096: WalkTree<4096>(pool, meta, &r); break;
+      default:
+        r.errors.push_back("TreeMeta carries unknown page size " +
+                           std::to_string(meta->page_size));
+    }
+  }
+  return r;
+}
+
+CheckReport CheckPool(Pool* pool) {
+  const auto* meta = static_cast<const core::TreeMeta*>(pool->GetRoot());
+  CheckReport r = meta != nullptr ? CheckTree(pool, meta) : CheckReport{};
   r.used_bytes = pool->used();
   r.capacity_bytes = pool->capacity();
   pool->AuditFreeLists(&r.errors, &r.free_blocks, &r.free_bytes);
-  std::uint64_t meta_bytes = 0;
-  if (const void* root = pool->GetRoot(); root != nullptr) {
-    const auto* meta = static_cast<const core::TreeMeta*>(root);
-    if (!pool->Contains(meta)) {
-      r.errors.push_back("pool root slot points outside the pool");
-    } else if (meta->magic != core::kTreeMagic) {
-      r.errors.push_back(
-          "pool root slot does not anchor a tree (TreeMeta magic mismatch)");
-    } else {
-      meta_bytes = sizeof(core::TreeMeta);
-      switch (meta->page_size) {
-        case 256:  WalkTree<256>(pool, meta, &r); break;
-        case 512:  WalkTree<512>(pool, meta, &r); break;
-        case 1024: WalkTree<1024>(pool, meta, &r); break;
-        case 2048: WalkTree<2048>(pool, meta, &r); break;
-        case 4096: WalkTree<4096>(pool, meta, &r); break;
-        default:
-          r.errors.push_back("TreeMeta carries unknown page size " +
-                             std::to_string(meta->page_size));
-      }
-    }
-  }
   // Leak estimate: bump-reserved bytes not explained by the header, the
   // reachable tree, or the free lists. Arena chunk tails and crash-time
   // in-transit blocks land here by design — reported, never an error.
+  const std::uint64_t meta_bytes = r.levels != 0 ? sizeof(core::TreeMeta) : 0;
   const std::uint64_t explained =
       pool->header_bytes() + meta_bytes + r.node_bytes + r.free_bytes;
   r.leaked_bytes = r.used_bytes > explained ? r.used_bytes - explained : 0;

@@ -1,14 +1,15 @@
-// Reopen-time pool verifier (DESIGN.md §11): a read-only fsck an
+// Reopen-time pool verifier (DESIGN.md §11.4): a read-only fsck an
 // application runs after attaching to an existing pool, before trusting
 // its contents. Three passes:
 //
-//  * tree walk — when the pool's root slot anchors a core::TreeMeta, every
-//    level's sibling chain is walked left to right checking level tags,
-//    strict fence monotonicity, in-node key order against the low fence,
-//    and that every child routed to by an internal node is reachable on
-//    the child level's own sibling chain (a split sibling not yet in its
-//    parent is legal — that is the crash state AdoptSibling repairs — but
-//    a routed-to node missing from the chain is not).
+//  * tree walk (CheckTree, also behind core::BTreeT::CheckInvariants) —
+//    every level's sibling chain is walked left to right checking level
+//    tags, strict fence ascent, and each node's records in one slot pass
+//    under the readers' rules, so the transient states an interrupted
+//    shift or split leaves pass (DESIGN.md §11.4 lists them). Every child
+//    an internal node routes to must sit on the child level's chain (or be
+//    a dead node awaiting route repair); a split sibling not yet in its
+//    parent is legal — that is the crash state AdoptSibling repairs.
 //  * free-list audit — each per-size-class list is walked validating
 //    alignment, bounds against the bump offset, per-block size words, and
 //    cycle-freedom, totaling the recyclable bytes.
@@ -29,6 +30,10 @@
 #include <string>
 #include <vector>
 
+namespace fastfair::core {
+struct TreeMeta;
+}
+
 namespace fastfair::pm {
 
 class Pool;
@@ -44,7 +49,7 @@ struct CheckReport {
   std::uint64_t nodes = 0;        // nodes reached via sibling chains
   std::uint64_t leaves = 0;       // level-0 subset of `nodes`
   std::uint64_t dead_nodes = 0;   // kNodeDead, awaiting unlink/reclaim
-  std::uint64_t entries = 0;      // live leaf records (duplicate-ptr rule)
+  std::uint64_t entries = 0;      // live leaf records, split copies skipped
   std::uint64_t node_bytes = 0;   // bytes of reachable nodes
 
   // Free-list audit.
@@ -62,11 +67,15 @@ struct CheckReport {
   std::string ToString() const;
 };
 
-/// Runs the fsck described above against `pool`. Quiescent pools only (no
-/// concurrent writers — the natural reopen-time condition). The pool's
-/// root slot (Pool::GetRoot) is interpreted as a core::TreeMeta* when
-/// non-null; page size is dispatched from the meta, so any registered node
-/// size is walkable.
+/// The tree walk alone, over `meta` (its bounds, magic and page size are
+/// checked first). Fills only the tree counters and errors. Quiescent
+/// trees only.
+CheckReport CheckTree(const Pool* pool, const core::TreeMeta* meta);
+
+/// Runs the fsck described above against `pool`: CheckTree on the pool's
+/// root slot (Pool::GetRoot) when non-null, the free-list audit, and leak
+/// accounting. Quiescent pools only (no concurrent writers — the natural
+/// reopen-time condition).
 CheckReport CheckPool(Pool* pool);
 
 }  // namespace fastfair::pm

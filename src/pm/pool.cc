@@ -638,77 +638,74 @@ void* Pool::TryRecycle(std::size_t size, std::size_t align) {
   return p;
 }
 
-void Pool::SanitizeFreeLists() {
-  auto* h = header();
-  const std::uint64_t used_now = h->used.load(std::memory_order_relaxed);
-  const std::uint64_t lo = AlignUp(sizeof(Header), kCacheLineSize);
-  for (int c = 0; c < kNumClasses; ++c) {
-    const std::size_t block = std::size_t{1} << (c + kMinClass);
-    std::size_t walked = 0;
-    std::uint64_t* prev_link = nullptr;  // in-block link of the previous node
-    std::uint64_t off = h->free_heads[c].load(std::memory_order_relaxed) &
-                        kOffsetMask;
-    while (off != 0) {
-      const bool valid = off % 8 == 0 && off >= lo &&
-                         off + block <= used_now &&
-                         ++walked <= capacity_ / kMinRecycle;
-      if (!valid) {
-        // Torn push (or garbage): truncate the list here.
-        if (prev_link == nullptr) {
-          h->free_heads[c].store(0, std::memory_order_relaxed);
-          Clflush(&h->free_heads[c]);
-        } else {
-          *prev_link = 0;
-          Clflush(prev_link);
-        }
-        Sfence();
-        break;
-      }
-      prev_link =
-          reinterpret_cast<std::uint64_t*>(static_cast<char*>(base_) + off);
-      off = *prev_link & kOffsetMask;
+template <class Visit>
+Pool::FreeWalk Pool::WalkFreeList(int c, Visit visit,
+                                  std::uint64_t* stop) const {
+  const std::uint64_t used_now = used();
+  const std::size_t block = std::size_t{1} << (c + kMinClass);
+  std::uint64_t off =
+      header()->free_heads[c].load(std::memory_order_relaxed) & kOffsetMask;
+  for (std::size_t walked = 0; off != 0; ++walked) {
+    *stop = off;
+    if (off % 8 != 0 || off < header_bytes() || off + block > used_now) {
+      return FreeWalk::kBadLink;
     }
+    if (walked == capacity_ / kMinRecycle) return FreeWalk::kCycle;
+    auto* words =
+        reinterpret_cast<std::uint64_t*>(static_cast<char*>(base_) + off);
+    visit(off, words);
+    off = words[0] & kOffsetMask;
+  }
+  return FreeWalk::kEnd;
+}
+
+void Pool::SanitizeFreeLists() {
+  for (int c = 0; c < kNumClasses; ++c) {
+    std::uint64_t* link = nullptr;  // in-block link of the last good block
+    std::uint64_t stop = 0;
+    const auto keep = [&](std::uint64_t, std::uint64_t* words) {
+      link = words;
+    };
+    if (WalkFreeList(c, keep, &stop) == FreeWalk::kEnd) continue;
+    // Torn push (or garbage): truncate the list here.
+    auto& head = header()->free_heads[c];
+    if (link == nullptr) {
+      head.store(0, std::memory_order_relaxed);
+      Clflush(&head);
+    } else {
+      *link = 0;
+      Clflush(link);
+    }
+    Sfence();
   }
 }
 
 void Pool::AuditFreeLists(std::vector<std::string>* errors,
                           std::uint64_t* blocks, std::uint64_t* bytes) const {
-  const auto* h = header();
-  const std::uint64_t used_now = h->used.load(std::memory_order_relaxed);
-  const std::uint64_t lo = AlignUp(sizeof(Header), kCacheLineSize);
   for (int c = 0; c < kNumClasses; ++c) {
+    const std::string cls = "free list class " + std::to_string(c + kMinClass);
     const std::size_t block = std::size_t{1} << (c + kMinClass);
-    std::size_t walked = 0;
-    std::uint64_t off = h->free_heads[c].load(std::memory_order_relaxed) &
-                        kOffsetMask;
-    while (off != 0) {
-      if (off % 8 != 0 || off < lo || off + block > used_now) {
-        errors->push_back("free list class " + std::to_string(c + kMinClass) +
-                          ": entry at offset " + std::to_string(off) +
-                          " is misaligned or outside the allocated region " +
-                          "(torn push?)");
-        break;
-      }
-      if (++walked > capacity_ / kMinRecycle) {
-        errors->push_back("free list class " + std::to_string(c + kMinClass) +
-                          ": cycle detected (walked past every block the "
-                          "pool could hold)");
-        break;
-      }
-      const auto* words = reinterpret_cast<const std::uint64_t*>(
-          static_cast<const char*>(base_) + off);
+    const auto count = [&](std::uint64_t off, const std::uint64_t* words) {
       std::uint64_t size = c == 0 ? kMinRecycle : words[1];
       if (c != 0 && (size < block || size >= 2 * block)) {
-        errors->push_back(
-            "free list class " + std::to_string(c + kMinClass) +
-            ": block at offset " + std::to_string(off) + " carries size " +
-            std::to_string(size) + " outside [" + std::to_string(block) +
-            ", " + std::to_string(2 * block) + ") (torn size word)");
+        errors->push_back(cls + ": block at offset " + std::to_string(off) +
+                          " carries size " + std::to_string(size) +
+                          " outside [" + std::to_string(block) + ", " +
+                          std::to_string(2 * block) + ") (torn size word)");
         size = block;  // the clamp PopGlobal would apply
       }
       ++*blocks;
       *bytes += size;
-      off = words[0] & kOffsetMask;
+    };
+    std::uint64_t stop = 0;
+    const FreeWalk end = WalkFreeList(c, count, &stop);
+    if (end == FreeWalk::kBadLink) {
+      errors->push_back(cls + ": entry at offset " + std::to_string(stop) +
+                        " is misaligned or outside the allocated region " +
+                        "(torn push?)");
+    } else if (end == FreeWalk::kCycle) {
+      errors->push_back(cls + ": cycle detected (walked past every block "
+                              "the pool could hold)");
     }
   }
 }

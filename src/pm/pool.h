@@ -267,6 +267,13 @@ class Pool {
                 std::uint32_t size);
   void PushGlobal(int cls, std::uint64_t off, std::uint32_t size);
   std::uint64_t PopGlobal(int cls, std::uint32_t* size);
+  /// The free-list walk recovery's sanitizer and the audit share: follows
+  /// class `c`'s links while each is aligned, leaves a whole block inside
+  /// [header, used) and stays under capacity / 8 links (else a cycle),
+  /// calling visit(offset, block words); *stop gets the last link read.
+  enum class FreeWalk { kEnd, kBadLink, kCycle };
+  template <class Visit>
+  FreeWalk WalkFreeList(int c, Visit visit, std::uint64_t* stop) const;
   void SanitizeFreeLists();
 
   void* base_ = nullptr;

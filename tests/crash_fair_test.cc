@@ -24,20 +24,10 @@
 namespace fastfair::core {
 namespace {
 
+using crashsim::ImageMem;
 using crashsim::SimMem;
 using NodeT = Node<512>;
 constexpr int kCap = NodeT::kCapacity;
-
-struct ImageMem {
-  const SimMem::Image* img;
-  std::uint64_t Load64(const void* a) const { return img->Read64(a); }
-  void Store64(void*, std::uint64_t) {
-    throw std::logic_error("read-only");
-  }
-  void Flush(const void*) {}
-  void Fence() {}
-  void FenceIfNotTso() {}
-};
 
 using RealOps = NodeOps<NodeT, RealMem>;
 using SimOps = NodeOps<NodeT, SimMem>;

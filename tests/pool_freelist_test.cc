@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "pm/check.h"
 #include "pm/persist.h"
 #include "pm/pool.h"
 #include "pm/reclaim.h"
@@ -256,6 +257,60 @@ TEST(PoolFreeList, ReopenSanitizesACorruptListHead) {
       void* p = pool.Alloc(512);
       EXPECT_TRUE(pool.Contains(p));
     }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PoolFreeList, AuditCountsSharedListsAndReportsForgedLinks) {
+  // File-backed only for its fixed base, which turns a block address into
+  // the pool offset the in-block links hold.
+  const std::string path = ::testing::TempDir() + "/freelist_audit_test.pm";
+  std::remove(path.c_str());
+  Pool::Options opts;
+  opts.capacity = std::size_t{4} << 20;
+  opts.file_path = path;
+  opts.fixed_base = 0x5800'0000'0000ull;
+  {
+    Pool pool(opts);
+    std::vector<char*> big;
+    std::vector<char*> small;
+    for (int i = 0; i < 100; ++i) {
+      big.push_back(static_cast<char*>(pool.Alloc(512)));
+    }
+    for (int i = 0; i < 30; ++i) {
+      small.push_back(static_cast<char*>(pool.Alloc(64)));
+    }
+    for (char* p : big) pool.Free(p, 512);
+    for (char* p : small) pool.Free(p, 64);
+    // Move every freed block onto the shared lists: the thread's caches
+    // spill and its limbo parks in the pool's overflow, which drains once
+    // the epoch has moved past the stamps.
+    pool.FlushThreadLimbo();
+    epoch::TryAdvance();
+    pool.DrainLimboQuantum();
+    const CheckReport clean = CheckPool(&pool);
+    EXPECT_TRUE(clean.ok()) << clean.ToString();
+    EXPECT_EQ(clean.free_blocks, 130u);
+    EXPECT_EQ(clean.free_bytes, 100u * 512 + 30u * 64);
+
+    // Forge one defect at a time into a listed block's words: word 0 is
+    // the next link, word 1 the block's size.
+    auto* words = reinterpret_cast<std::uint64_t*>(big[7]);
+    const auto self = static_cast<std::uint64_t>(
+        big[7] - reinterpret_cast<char*>(opts.fixed_base));
+    auto expect_reported = [&](std::uint64_t* word, std::uint64_t forged,
+                               const std::string& error) {
+      const std::uint64_t saved = *word;
+      *word = forged;
+      const std::string report = CheckPool(&pool).ToString();
+      *word = saved;
+      EXPECT_NE(report.find(error), std::string::npos) << report;
+    };
+    expect_reported(&words[0], self + 4, "misaligned or outside");
+    expect_reported(&words[0], pool.used(), "misaligned or outside");
+    expect_reported(&words[0], self, "cycle detected");
+    expect_reported(&words[1], 3, "torn size word");
+    EXPECT_TRUE(CheckPool(&pool).ok());
   }
   std::remove(path.c_str());
 }
