@@ -14,7 +14,9 @@
 // serialized read stalls per op than BM_TreeSearch, BM_TreeScanBatch and
 // BM_TreeScanBatchOne (a batch of one scan) >= 2x fewer per scan than the
 // scalar BM_TreeScan100 loop, and the index-tier BM_IndexSearchBatch >= 2x
-// fewer than BM_IndexSearch. BM_TreeScanBatch64 (the index tier's 64-op
+// fewer than BM_IndexSearch, and BM_IndexPointBatch (mixed-class batches
+// as one Index::PointBatch) fewer than BM_IndexPointBatchByClass (the same
+// ops as three class calls). BM_TreeScanBatch64 (the index tier's 64-op
 // route chunk per call) and the index-tier hashed scan rows (BM_IndexScan,
 // BM_IndexScanBatch) are trajectory only.
 
@@ -415,6 +417,76 @@ void BM_IndexSearchBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexSearchBatch);
 
+// Index tier, mixed classes: 12-op batches on hashed-fastfair:8 drawn at
+// mixed-zipf's 16 Get : 4 Put : 1 Del mix (uniform keys here), ordered
+// puts, deletes, gets. BM_IndexPointBatch runs each batch as one
+// Index::PointBatch, whose descent waves cut across the classes;
+// BM_IndexPointBatchByClass runs the same ops as the three class calls, a
+// wave or part wave per class. The gate in main() requires the merged row
+// to pay fewer read stalls per op.
+struct MixedBatch {
+  std::vector<core::Record> puts;
+  std::vector<Key> dels;
+  std::vector<Key> gets;
+};
+
+void RunMixedBatches(benchmark::State& state, bool merged) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 3);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  constexpr std::size_t kOps = 12;
+  std::vector<MixedBatch> batches(4096);
+  Rng rng(11);
+  for (MixedBatch& b : batches) {
+    for (std::size_t i = 0; i < kOps; ++i) {
+      const Key k = keys[rng.NextBounded(keys.size())];
+      const std::uint64_t c = rng.NextBounded(21);
+      if (c < 16) {
+        b.gets.push_back(k);
+      } else if (c < 20) {
+        b.puts.push_back({k, 2 * k + 1});
+      } else {
+        b.dels.push_back(k);
+      }
+    }
+  }
+  InsertStatus st[kOps];
+  bool removed[kOps];
+  Value vals[kOps];
+  std::size_t next = 0;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    const MixedBatch& b = batches[next];
+    next = (next + 1) % batches.size();
+    if (merged) {
+      idx->PointBatch({b.puts.data(), b.puts.size(), st, b.dels.data(),
+                       b.dels.size(), removed, b.gets.data(), b.gets.size(),
+                       vals});
+    } else {
+      idx->InsertBatch(b.puts.data(), b.puts.size(), st);
+      idx->RemoveBatch(b.dels.data(), b.dels.size(), removed);
+      idx->SearchBatch(b.gets.data(), b.gets.size(), vals);
+    }
+    benchmark::DoNotOptimize(vals);
+  }
+  const double items =
+      static_cast<double>(state.iterations()) * static_cast<double>(kOps);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  SetPmCounters(state, pm::Stats() - before, items);
+}
+
+void BM_IndexPointBatch(benchmark::State& state) {
+  RunMixedBatches(state, /*merged=*/true);
+}
+BENCHMARK(BM_IndexPointBatch);
+
+void BM_IndexPointBatchByClass(benchmark::State& state) {
+  RunMixedBatches(state, /*merged=*/false);
+}
+BENCHMARK(BM_IndexPointBatchByClass);
+
 // Index-tier hashed scans, trajectory only (no gate): 100-record scans
 // from uniform starts on hashed-fastfair:8, one Index::Scan per op against
 // Index::ScanBatch over batches of kBatchGroup ops. Both rows run the
@@ -589,6 +661,29 @@ int main(int argc, char** argv) {
                    "below %s %.3f\n",
                    batched_name, b, scalar_name, s);
       return 1;
+    }
+  }
+
+  // Mixed-class gate: the same 12-op batches pay fewer read stalls per op
+  // as one PointBatch than as three class calls, whose partial waves each
+  // pay a stall of their own.
+  {
+    const RunRecord* merged = nullptr;
+    const RunRecord* by_class = nullptr;
+    for (const auto& r : reporter.records) {
+      if (r.name == "BM_IndexPointBatch") merged = &r;
+      if (r.name == "BM_IndexPointBatchByClass") by_class = &r;
+    }
+    if (merged != nullptr && by_class != nullptr) {
+      const double m = CounterOf(*merged, "read_stalls_per_op");
+      const double c = CounterOf(*by_class, "read_stalls_per_op");
+      if (m >= c) {
+        std::fprintf(stderr,
+                     "GATE FAIL micro_ops: BM_IndexPointBatch read stalls/op "
+                     "%.3f not below BM_IndexPointBatchByClass %.3f\n",
+                     m, c);
+        return 1;
+      }
     }
   }
 

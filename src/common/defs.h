@@ -30,7 +30,13 @@ inline constexpr Value kNoValue = 0;
 enum class InsertStatus : std::uint8_t { kInserted, kUpdated, kNoSpace };
 
 namespace core {
-struct Record;  // core/node.h: {key, ptr} — the scan output unit
+/// One {key, ptr} pair: a node record (core/node.h), a scan result, an
+/// upsert op.
+struct Record {
+  std::uint64_t key;
+  std::uint64_t ptr;
+};
+static_assert(sizeof(Record) == 16);
 }  // namespace core
 
 /// One entry of a batched range scan (BTreeT::ScanBatch, Index::ScanBatch):
@@ -42,6 +48,55 @@ struct ScanOp {
   Key min_key = 0;
   std::size_t cap = 0;
   core::Record* out = nullptr;
+};
+
+/// One class-ordered batch of point ops (core::BTreeT::PointBatch,
+/// Index::PointBatch): the puts run first, in order, then the deletes, then
+/// the gets, with exactly the per-op results of InsertBatch(puts),
+/// RemoveBatch(dels) and SearchBatch(gets) called in that sequence — a get
+/// observes every put and delete of its batch. Op i of the batch is the
+/// i-th of the concatenation puts ++ dels ++ gets. `put_out` may be null.
+struct PointOps {
+  const core::Record* puts = nullptr;
+  std::size_t n_puts = 0;
+  InsertStatus* put_out = nullptr;
+  const Key* dels = nullptr;
+  std::size_t n_dels = 0;
+  bool* del_out = nullptr;
+  const Key* gets = nullptr;
+  std::size_t n_gets = 0;
+  Value* get_out = nullptr;
+
+  std::size_t size() const { return n_puts + n_dels + n_gets; }
+
+  /// The key of op i.
+  Key KeyAt(std::size_t i) const {
+    if (i < n_puts) return puts[i].key;
+    i -= n_puts;
+    return i < n_dels ? dels[i] : gets[i - n_dels];
+  }
+
+  /// Ops [i, i + g) as a batch of their own.
+  PointOps Slice(std::size_t i, std::size_t g) const {
+    // Where op x falls in the span that starts at op lo, clamped to it.
+    const auto at = [](std::size_t x, std::size_t lo, std::size_t len) {
+      return x <= lo ? 0 : x - lo < len ? x - lo : len;
+    };
+    const std::size_t e = i + g, d = n_puts, q = n_puts + n_dels;
+    const std::size_t p0 = at(i, 0, n_puts), d0 = at(i, d, n_dels),
+                      q0 = at(i, q, n_gets);
+    PointOps s = *this;
+    s.puts += p0;
+    if (s.put_out != nullptr) s.put_out += p0;
+    s.n_puts = at(e, 0, n_puts) - p0;
+    s.dels += d0;
+    s.del_out += d0;
+    s.n_dels = at(e, d, n_dels) - d0;
+    s.gets += q0;
+    s.get_out += q0;
+    s.n_gets = at(e, q, n_gets) - q0;
+    return s;
+  }
 };
 
 /// Size of a CPU cache line; the unit of transfer between cache and PM.

@@ -132,30 +132,39 @@ class BTreeT {
   /// enough to hide one emulated PM read stall behind seven peers.
   static constexpr std::size_t kBatchGroup = 8;
 
-  /// Batched point lookups: out[i] = Search(keys[i]) for every i, same
-  /// per-key semantics and thread-safety as Search. Keys need not be
-  /// sorted or distinct. Descents run interleaved in groups of
-  /// kBatchGroup with each child prefetched one level ahead, so the
-  /// emulated serial PM read stall is paid once per group of leaves
-  /// instead of once per key (pm::AnnotateReadGroup).
+  /// Batched point ops (DESIGN.md §8.1): the puts, then the deletes, then
+  /// the gets of `ops` (PointOps in common/defs.h), each with the per-op
+  /// semantics and thread-safety of Insert, Remove and Search. Keys need
+  /// not be sorted or distinct, within a class or across classes. The ops
+  /// run in chunks of kBatchGroup, cut across the class boundaries: a
+  /// chunk's descents run interleaved, each child prefetched one level
+  /// ahead, so the emulated serial PM read stall is paid once per chunk of
+  /// leaves instead of once per op (pm::AnnotateReadGroup); then the
+  /// chunk's writes run one at a time under the usual leaf locks, in
+  /// order, and then its reads. A read descends again, paying its leaf
+  /// stall, when its leaf died during the chunk (an earlier write unlinked
+  /// it and filed its key in the left neighbour), and pays its leaf's
+  /// fetch again when an earlier write of its chunk changed that leaf (the
+  /// write's flushes evicted its lines); those re-fetches of a chunk share
+  /// one grouped stall. A put reports kInserted or kUpdated in put_out
+  /// (when non-null), or kNoSpace when the pool could not supply its split
+  /// (that op alone is skipped: the tree stays valid and later ops still
+  /// run).
+  void PointBatch(const PointOps& ops);
+
+  /// Batched point lookups: PointBatch with gets only, out[i] =
+  /// Search(keys[i]) for every i.
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const;
 
-  /// Batched upserts: equivalent to Insert(ops[i].key, ops[i].ptr) in
-  /// order (duplicate keys within the batch resolve to the last
-  /// occurrence). Descents pipeline exactly like SearchBatch; the leaf
-  /// writes themselves run one at a time under the usual leaf locks.
-  /// When `out` is non-null, out[i] records whether op i created its key
-  /// or overwrote an existing entry (a duplicate key's second occurrence
-  /// reports kUpdated), or kNoSpace when the pool could not supply op i's
-  /// split (that op alone is skipped — the tree stays valid and later ops
-  /// still run; with out == nullptr a kNoSpace op is skipped silently).
+  /// Batched upserts: PointBatch with puts only, equivalent to
+  /// Insert(ops[i].key, ops[i].ptr) in order (duplicate keys within the
+  /// batch resolve to the last occurrence, whose status reads kUpdated).
   void InsertBatch(const Record* ops, std::size_t n,
                    InsertStatus* out = nullptr);
 
-  /// Batched removes: out[i] = Remove(keys[i]) for every i, in batch order
-  /// (a duplicate key's second occurrence reports false). Descents
-  /// pipeline exactly like SearchBatch; the deletes run one at a time
-  /// under the usual leaf locks.
+  /// Batched removes: PointBatch with deletes only, out[i] =
+  /// Remove(keys[i]) in batch order (a duplicate key's second occurrence
+  /// reports false).
   void RemoveBatch(const Key* keys, std::size_t n, bool* out);
 
   /// Collects up to `max_results` records with key >= min_key in ascending
@@ -183,11 +192,13 @@ class BTreeT {
                  std::size_t* out_counts) const;
 
   /// Cross-tree batches (DESIGN.md §8.3): the same pipelines over ops that
-  /// each name their tree — op i runs on trees[i] (trees need not be
-  /// distinct), with exactly the per-op semantics of the member call on
-  /// that tree. A descent wave mixes trees, so ops routed to different
-  /// shards still share one grouped read stall per wave. The member calls
-  /// are the one-tree case of the same code.
+  /// each name their tree — op i (of the concatenation puts ++ dels ++ gets
+  /// for PointBatch) runs on trees[i] (trees need not be distinct), with
+  /// exactly the per-op semantics of the member call on that tree. A
+  /// descent wave mixes trees, so ops routed to different shards still
+  /// share one grouped read stall per wave. The member calls are the
+  /// one-tree case of the same code.
+  static void PointBatch(BTreeT* const* trees, const PointOps& ops);
   static void SearchBatch(const BTreeT* const* trees, const Key* keys,
                           std::size_t n, Value* out);
   static void InsertBatch(BTreeT* const* trees, const Record* ops,
@@ -307,16 +318,11 @@ class BTreeT {
 
   /// The batch pipelines behind both the member and the cross-tree entry
   /// points: op i runs on tree_at(i). One epoch pin spans the call when
-  /// any of its trees reclaims nodes (the scalar ops' pin rule).
+  /// any of its trees reclaims nodes (the scalar ops' pin rule). The
+  /// gets-only entry points pass their const trees through tree_at as
+  /// mutable: a batch without writes never writes.
   template <class TreeAt>
-  static void SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
-                            Value* out);
-  template <class TreeAt>
-  static void InsertBatchOn(TreeAt tree_at, const Record* ops, std::size_t n,
-                            InsertStatus* out);
-  template <class TreeAt>
-  static void RemoveBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
-                            bool* out);
+  static void PointBatchOn(TreeAt tree_at, const PointOps& ops);
   template <class TreeAt>
   static void ScanBatchOn(TreeAt tree_at, const ScanOp* ops, std::size_t n,
                           std::size_t* out_counts);
@@ -326,23 +332,25 @@ class BTreeT {
   Value SearchInLeaf(NodeT* n, Key key) const;
 
   /// Insert tail: locks the covering leaf starting from hint `leaf`
-  /// (re-descending if the hint died) and performs the upsert/split.
-  /// kInserted for a fresh insert, kUpdated for an in-place update,
-  /// kNoSpace when the needed split could not allocate (key not inserted,
-  /// tree untouched).
-  InsertStatus InsertFrom(NodeT* leaf, Key key, Value value);
+  /// (re-descending if the hint died) and performs the upsert/split; on
+  /// return `leaf` is the leaf it locked. kInserted for a fresh insert,
+  /// kUpdated for an in-place update, kNoSpace when the needed split could
+  /// not allocate (key not inserted, tree untouched).
+  InsertStatus InsertFrom(NodeT*& leaf, Key key, Value value);
 
   /// Remove tail, mirroring InsertFrom: locks the covering leaf starting
-  /// from hint `leaf` (re-descending if the hint died) and deletes `key`.
-  /// Returns false if the key was absent.
-  bool RemoveFrom(NodeT* leaf, Key key);
+  /// from hint `leaf` (re-descending if the hint died), deletes `key` and
+  /// leaves `leaf` at the leaf it locked. Returns false if the key was
+  /// absent.
+  bool RemoveFrom(NodeT*& leaf, Key key);
 
-  /// Locks `n`, hopping right while the key belongs to a sibling. On a hop
-  /// triggered at leaf level, lazily completes a possibly-crashed split by
-  /// ensuring the parent knows the sibling (paper §4.2). Returns nullptr if
-  /// the locked node turned out to be dead (emptied + unlinked); the dead
-  /// node's parent separator has then been repaired and the caller must
-  /// retry from the root.
+  /// Locks `n`, hopping right while the key belongs to a sibling. Before a
+  /// hop it repairs the node it leaves (FixNode: a crash-left un-truncated
+  /// split loses its copies before the sibling takes a write), and lazily
+  /// completes a possibly-crashed split by ensuring the parent knows the
+  /// sibling (paper §4.2). Returns nullptr if the locked node turned out to
+  /// be dead (emptied + unlinked); the dead node's parent separator has
+  /// then been repaired and the caller must retry from the root.
   NodeT* LockCovering(NodeT* n, Key key);
 
   /// Lazy merge (paper §4.2), extended with reclamation: marks the maximal

@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -243,6 +244,12 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
        (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
     NodeT* next = AsNode(su);
     const std::uint16_t parent_level = n->level() + 1;
+    // A crash-left un-truncated split keeps copies of the sibling's first
+    // records here. Truncate them before any write lands in the sibling or
+    // AdoptSibling publishes its route: a copy would outlive the sibling's
+    // delete of its key, or hide the sibling's insert between two copies
+    // from chain scans.
+    Ops::FixNode(m, n, detail::ResolveNode<NodeT>);
     n->hdr.lock.unlock();
     // Having to move right means the sibling may be missing from the parent
     // (a crashed or in-flight split); lazily complete it (paper §4.2).
@@ -275,7 +282,7 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
 // --- point operations -----------------------------------------------------------
 
 template <std::size_t P>
-InsertStatus BTreeT<P>::InsertFrom(NodeT* leaf, Key key, Value value) {
+InsertStatus BTreeT<P>::InsertFrom(NodeT*& leaf, Key key, Value value) {
   RealMem m;
   for (;;) {
     leaf = LockCovering(leaf, key);
@@ -315,50 +322,12 @@ template <std::size_t P>
 InsertStatus BTreeT<P>::TryInsert(Key key, Value value) {
   assert(value != kNoValue && "kNoValue (0) is reserved");
   detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);  // pins reclaimed nodes
-  return InsertFrom(FindLeaf(key), key, value);
+  NodeT* leaf = FindLeaf(key);
+  return InsertFrom(leaf, key, value);
 }
 
 template <std::size_t P>
-template <class TreeAt>
-void BTreeT<P>::InsertBatchOn(TreeAt tree_at, const Record* ops,
-                              std::size_t n, InsertStatus* out) {
-  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
-  BTreeT* trees[kBatchGroup];
-  Key keys[kBatchGroup];
-  NodeT* leaves[kBatchGroup];
-  for (std::size_t i = 0; i < n; i += kBatchGroup) {
-    const std::size_t g = std::min(kBatchGroup, n - i);
-    for (std::size_t j = 0; j < g; ++j) {
-      trees[j] = tree_at(i + j);
-      keys[j] = ops[i + j].key;
-    }
-    DescendGroup(trees, keys, g, leaves);
-    // The writes run in batch order, one leaf lock at a time: an earlier
-    // slot's split/unlink may stale a later slot's leaf hint, which
-    // InsertFrom absorbs (move-right, or re-descend on a dead node).
-    for (std::size_t j = 0; j < g; ++j) {
-      assert(ops[i + j].ptr != kNoValue && "kNoValue (0) is reserved");
-      const InsertStatus st =
-          trees[j]->InsertFrom(leaves[j], keys[j], ops[i + j].ptr);
-      if (out != nullptr) out[i + j] = st;
-    }
-  }
-}
-
-template <std::size_t P>
-void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
-                            InsertStatus* out) {
-  InsertBatchOn([this](std::size_t) { return this; }, ops, n, out);
-}
-
-template <std::size_t P>
-void BTreeT<P>::InsertBatch(BTreeT* const* trees, const Record* ops,
-                            std::size_t n, InsertStatus* out) {
-  InsertBatchOn([trees](std::size_t i) { return trees[i]; }, ops, n, out);
-}
-
-template <std::size_t P>
-bool BTreeT<P>::RemoveFrom(NodeT* leaf, Key key) {
+bool BTreeT<P>::RemoveFrom(NodeT*& leaf, Key key) {
   RealMem m;
   for (;;) {
     leaf = LockCovering(leaf, key);
@@ -377,37 +346,8 @@ bool BTreeT<P>::RemoveFrom(NodeT* leaf, Key key) {
 template <std::size_t P>
 bool BTreeT<P>::Remove(Key key) {
   detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
-  return RemoveFrom(FindLeaf(key), key);
-}
-
-template <std::size_t P>
-template <class TreeAt>
-void BTreeT<P>::RemoveBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
-                              bool* out) {
-  detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
-  BTreeT* trees[kBatchGroup];
-  NodeT* leaves[kBatchGroup];
-  for (std::size_t i = 0; i < n; i += kBatchGroup) {
-    const std::size_t g = std::min(kBatchGroup, n - i);
-    for (std::size_t j = 0; j < g; ++j) trees[j] = tree_at(i + j);
-    DescendGroup(trees, keys + i, g, leaves);
-    // Batch order, like InsertBatchOn: a hint an earlier slot's delete (or
-    // its unlink of an emptied run) made stale is LockCovering's to absorb.
-    for (std::size_t j = 0; j < g; ++j) {
-      out[i + j] = trees[j]->RemoveFrom(leaves[j], keys[i + j]);
-    }
-  }
-}
-
-template <std::size_t P>
-void BTreeT<P>::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
-  RemoveBatchOn([this](std::size_t) { return this; }, keys, n, out);
-}
-
-template <std::size_t P>
-void BTreeT<P>::RemoveBatch(BTreeT* const* trees, const Key* keys,
-                            std::size_t n, bool* out) {
-  RemoveBatchOn([trees](std::size_t i) { return trees[i]; }, keys, n, out);
+  NodeT* leaf = FindLeaf(key);
+  return RemoveFrom(leaf, key);
 }
 
 template <std::size_t P>
@@ -439,31 +379,114 @@ Value BTreeT<P>::Search(Key key) const {
 
 template <std::size_t P>
 template <class TreeAt>
-void BTreeT<P>::SearchBatchOn(TreeAt tree_at, const Key* keys, std::size_t n,
-                              Value* out) {
+void BTreeT<P>::PointBatchOn(TreeAt tree_at, const PointOps& ops) {
+  const std::size_t n = ops.size();
+  const std::size_t writes = ops.n_puts + ops.n_dels;
   detail::MaybeEpochGuard guard(detail::AnyReclaims(tree_at, n));
-  const BTreeT* trees[kBatchGroup];
+  RealMem m;
+  BTreeT* trees[kBatchGroup];
+  Key keys[kBatchGroup];
   NodeT* leaves[kBatchGroup];
   for (std::size_t i = 0; i < n; i += kBatchGroup) {
     const std::size_t g = std::min(kBatchGroup, n - i);
-    for (std::size_t j = 0; j < g; ++j) trees[j] = tree_at(i + j);
-    DescendGroup(trees, keys + i, g, leaves);
     for (std::size_t j = 0; j < g; ++j) {
-      out[i + j] = trees[j]->SearchInLeaf(leaves[j], keys[i + j]);
+      trees[j] = tree_at(i + j);
+      keys[j] = ops.KeyAt(i + j);
+    }
+    DescendGroup(trees, keys, g, leaves);
+    // The writes run in batch order, one leaf lock at a time: an earlier
+    // slot's split/unlink may stale a later slot's leaf hint, which
+    // InsertFrom/RemoveFrom absorb (move-right, or re-descend on a dead
+    // node). Each write that changed its leaf notes it.
+    NodeT* written[kBatchGroup];
+    std::size_t n_written = 0;
+    std::size_t j = 0;
+    for (; j < g && i + j < writes; ++j) {
+      const std::size_t op = i + j;
+      NodeT* leaf = leaves[j];
+      bool wrote;
+      if (op < ops.n_puts) {
+        assert(ops.puts[op].ptr != kNoValue && "kNoValue (0) is reserved");
+        const InsertStatus st =
+            trees[j]->InsertFrom(leaf, keys[j], ops.puts[op].ptr);
+        if (ops.put_out != nullptr) ops.put_out[op] = st;
+        wrote = st != InsertStatus::kNoSpace;
+      } else {
+        wrote = ops.del_out[op - ops.n_puts] =
+            trees[j]->RemoveFrom(leaf, keys[j]);
+      }
+      if (wrote) written[n_written++] = leaf;
+    }
+    if (j == g) continue;
+    // The reads. One whose leaf died during the chunk (an earlier write
+    // unlinked it and filed its key in the left neighbour) descends again
+    // and pays its leaf stall, like a writer's retry. One whose leaf an
+    // earlier write changed fetches it again, since the write's flushes
+    // evicted its lines; those fetches overlap in one grouped stall, like
+    // a descent wave's leaf arrivals.
+    std::size_t refetched = 0;
+    for (std::size_t k = j; k < g; ++k) {
+      if (Ops::IsDead(m, leaves[k])) {
+        leaves[k] = trees[k]->FindLeaf(keys[k]);
+      } else if (std::find(written, written + n_written, leaves[k]) !=
+                 written + n_written) {
+        PrefetchNode(leaves[k]);
+        ++refetched;
+      }
+    }
+    pm::AnnotateReadGroup(refetched);
+    for (std::size_t k = j; k < g; ++k) {
+      ops.get_out[i + k - writes] = trees[k]->SearchInLeaf(leaves[k], keys[k]);
     }
   }
 }
 
 template <std::size_t P>
+void BTreeT<P>::PointBatch(const PointOps& ops) {
+  PointBatchOn([this](std::size_t) { return this; }, ops);
+}
+
+template <std::size_t P>
+void BTreeT<P>::PointBatch(BTreeT* const* trees, const PointOps& ops) {
+  PointBatchOn([trees](std::size_t i) { return trees[i]; }, ops);
+}
+
+template <std::size_t P>
 void BTreeT<P>::SearchBatch(const Key* keys, std::size_t n,
                             Value* out) const {
-  SearchBatchOn([this](std::size_t) { return this; }, keys, n, out);
+  PointBatchOn([this](std::size_t) { return const_cast<BTreeT*>(this); },
+               {.gets = keys, .n_gets = n, .get_out = out});
 }
 
 template <std::size_t P>
 void BTreeT<P>::SearchBatch(const BTreeT* const* trees, const Key* keys,
                             std::size_t n, Value* out) {
-  SearchBatchOn([trees](std::size_t i) { return trees[i]; }, keys, n, out);
+  PointBatchOn(
+      [trees](std::size_t i) { return const_cast<BTreeT*>(trees[i]); },
+      {.gets = keys, .n_gets = n, .get_out = out});
+}
+
+template <std::size_t P>
+void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
+                            InsertStatus* out) {
+  PointBatch({.puts = ops, .n_puts = n, .put_out = out});
+}
+
+template <std::size_t P>
+void BTreeT<P>::InsertBatch(BTreeT* const* trees, const Record* ops,
+                            std::size_t n, InsertStatus* out) {
+  PointBatch(trees, {.puts = ops, .n_puts = n, .put_out = out});
+}
+
+template <std::size_t P>
+void BTreeT<P>::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
+  PointBatch({.dels = keys, .n_dels = n, .del_out = out});
+}
+
+template <std::size_t P>
+void BTreeT<P>::RemoveBatch(BTreeT* const* trees, const Key* keys,
+                            std::size_t n, bool* out) {
+  PointBatch(trees, {.dels = keys, .n_dels = n, .del_out = out});
 }
 
 // --- split path ---------------------------------------------------------------

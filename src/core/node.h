@@ -111,12 +111,6 @@ class RwSpinLock {
 };
 static_assert(sizeof(RwSpinLock) == 4);
 
-struct Record {
-  std::uint64_t key;
-  std::uint64_t ptr;
-};
-static_assert(sizeof(Record) == 16);
-
 /// NodeHeader::flags bit: the node was emptied and unlinked from the leaf
 /// chain (paper §4.2 lazy merge). Persistent: a dead node stays dead.
 inline constexpr std::uint16_t kNodeDead = 1;

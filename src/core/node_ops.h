@@ -606,23 +606,22 @@ struct NodeOps {
         fixed = true;
         continue;
       }
-      // Un-truncated FAIR split: records at/after the sibling fence are
-      // still present in the source node. Complete the truncation.
+      // Un-truncated FAIR split: records at/after the sibling's persistent
+      // low fence are still present in the source node. They are copies
+      // (the node owns [fence, sibling fence), the rule pm::CheckTree
+      // enforces), whichever of them the sibling has since deleted, and
+      // however empty it is. Complete the truncation.
       const std::uint64_t sib = LoadSibling(m, n);
       if (sib != 0) {
-        const N* s = resolve(sib);
-        const int sfirst = FirstValidSlot(m, s);
-        if (LoadPtrAt(m, s, sfirst) != 0) {
-          const Key fence = LoadKeyAt(m, s, sfirst);
-          if (LoadKeyAt(m, n, cnt - 1) >= fence) {
-            int t = 0;
-            while (t < cnt && LoadKeyAt(m, n, t) < fence) ++t;
-            StorePtrAt(m, n, t, 0);
-            m.Flush(&n->records[t]);
-            m.Fence();
-            fixed = true;
-            continue;
-          }
+        const Key fence = LoadFence(m, resolve(sib));
+        if (LoadKeyAt(m, n, cnt - 1) >= fence) {
+          int t = 0;
+          while (t < cnt && LoadKeyAt(m, n, t) < fence) ++t;
+          StorePtrAt(m, n, t, 0);
+          m.Flush(&n->records[t]);
+          m.Fence();
+          fixed = true;
+          continue;
         }
       }
       break;

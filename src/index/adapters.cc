@@ -30,6 +30,15 @@ class Wrap final : public Index {
   void Insert(Key key, Value value) override { impl_.Insert(key, value); }
   bool Remove(Key key) override { return impl_.Remove(key); }
   Value Search(Key key) const override { return impl_.Search(key); }
+  void PointBatch(const PointOps& ops) override {
+    // The core tree's one class-ordered pipeline; baselines make the three
+    // class calls.
+    if constexpr (requires { impl_.PointBatch(ops); }) {
+      impl_.PointBatch(ops);
+    } else {
+      Index::PointBatch(ops);
+    }
+  }
   void SearchBatch(const Key* keys, std::size_t n,
                    Value* out) const override {
     // Forward to the structure's pipelined batch entry point when it has
@@ -216,6 +225,18 @@ std::vector<std::string> AllIndexKinds() {
 void Index::CollectMaintenanceTasks(
     const maint::TaskOptions& /*opts*/,
     std::vector<std::unique_ptr<maint::MaintenanceTask>>* /*out*/) {}
+
+void Index::PointBatch(const PointOps& ops) {
+  if (ops.n_puts != 0) InsertBatch(ops.puts, ops.n_puts, ops.put_out);
+  if (ops.n_dels != 0) RemoveBatch(ops.dels, ops.n_dels, ops.del_out);
+  if (ops.n_gets != 0) SearchBatch(ops.gets, ops.n_gets, ops.get_out);
+}
+
+void Index::PointBatchLoops(const PointOps& ops) {
+  Index::InsertBatch(ops.puts, ops.n_puts, ops.put_out);
+  Index::RemoveBatch(ops.dels, ops.n_dels, ops.del_out);
+  Index::SearchBatch(ops.gets, ops.n_gets, ops.get_out);
+}
 
 void Index::SearchBatch(const Key* keys, std::size_t n, Value* out) const {
   for (std::size_t i = 0; i < n; ++i) out[i] = Search(keys[i]);

@@ -33,49 +33,37 @@ Value HashShardedIndex::Search(Key key) const {
   return shards_[ShardOf(key)]->Search(key);
 }
 
-void HashShardedIndex::SearchBatch(const Key* keys, std::size_t n,
-                                   Value* out) const {
+void HashShardedIndex::PointBatch(const PointOps& ops) {
   if (core_.empty()) {
-    Index::SearchBatch(keys, n, out);
+    PointBatchLoops(ops);
     return;
   }
-  const core::BTree* trees[detail::kRouteChunk];
+  core::BTree* trees[detail::kRouteChunk];
+  const std::size_t n = ops.size();
   for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
     const std::size_t g = std::min(detail::kRouteChunk, n - i);
-    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
-    core::BTree::SearchBatch(trees, keys + i, g, out + i);
+    for (std::size_t j = 0; j < g; ++j) {
+      trees[j] = core_[ShardOf(ops.KeyAt(i + j))];
+    }
+    core::BTree::PointBatch(trees, ops.Slice(i, g));
   }
+}
+
+void HashShardedIndex::SearchBatch(const Key* keys, std::size_t n,
+                                   Value* out) const {
+  // A gets-only batch writes nothing.
+  const_cast<HashShardedIndex*>(this)->PointBatch(
+      {.gets = keys, .n_gets = n, .get_out = out});
 }
 
 void HashShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
                                    InsertStatus* out) {
-  if (core_.empty()) {
-    Index::InsertBatch(ops, n, out);
-    return;
-  }
-  core::BTree* trees[detail::kRouteChunk];
-  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
-    const std::size_t g = std::min(detail::kRouteChunk, n - i);
-    for (std::size_t j = 0; j < g; ++j) {
-      trees[j] = core_[ShardOf(ops[i + j].key)];
-    }
-    core::BTree::InsertBatch(trees, ops + i, g,
-                             out != nullptr ? out + i : nullptr);
-  }
+  PointBatch({.puts = ops, .n_puts = n, .put_out = out});
 }
 
 void HashShardedIndex::RemoveBatch(const Key* keys, std::size_t n,
                                    bool* out) {
-  if (core_.empty()) {
-    Index::RemoveBatch(keys, n, out);
-    return;
-  }
-  core::BTree* trees[detail::kRouteChunk];
-  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
-    const std::size_t g = std::min(detail::kRouteChunk, n - i);
-    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
-    core::BTree::RemoveBatch(trees, keys + i, g, out + i);
-  }
+  PointBatch({.dels = keys, .n_dels = n, .del_out = out});
 }
 
 namespace {

@@ -46,10 +46,12 @@ class HashShardedIndex final : public Index {
   bool Remove(Key key) override;
   Value Search(Key key) const override;
 
-  /// Native batch overrides (DESIGN.md §8.3), when every shard is a core
-  /// tree: each op is hash-routed once and the batch runs, in its original
-  /// order, as one cross-tree pipeline whose descent waves mix shards.
-  /// Other inner kinds take the Index default loops.
+  /// Native point batch (DESIGN.md §8.3), when every shard is a core
+  /// tree: each op is hash-routed once and every chunk of kRouteChunk ops
+  /// runs, in class order, as one cross-tree PointBatch whose descent
+  /// waves mix shards. Other inner kinds take the Index default loops.
+  /// The three class batch calls are its one-class cases.
+  void PointBatch(const PointOps& ops) override;
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
   using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,

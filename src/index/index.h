@@ -76,13 +76,22 @@ class Index {
   /// kNoValue if absent.
   virtual Value Search(Key key) const = 0;
 
+  /// One class-ordered batch of point ops (PointOps, common/defs.h): the
+  /// puts, then the deletes, then the gets, with the per-op results of
+  /// InsertBatch, RemoveBatch and SearchBatch called in that sequence. The
+  /// default (adapters.cc) is exactly those three calls, so baselines and
+  /// decorators that override them behave as before; the core tree runs
+  /// the whole batch as one pipeline, whose descent waves cut across the
+  /// class boundaries (core/btree.h), and the sharded adapters route every
+  /// op once into one cross-tree call of it per chunk (DESIGN.md §8.3).
+  virtual void PointBatch(const PointOps& ops);
+
   /// Batched point lookups: out[i] = Search(keys[i]) for every i (keys
   /// need not be sorted or distinct). The default is a plain loop
   /// (adapters.cc) so every kind accepts batches; kinds with a native
   /// pipeline override it — the core tree interleaves prefetching
-  /// descents (core/btree.h), the sharded adapters route every op once
-  /// and run the whole batch as one cross-tree pipeline over their shard
-  /// trees (DESIGN.md §8.3).
+  /// descents (core/btree.h), the sharded adapters run it as a gets-only
+  /// PointBatch.
   virtual void SearchBatch(const Key* keys, std::size_t n, Value* out) const;
 
   /// Batched upserts, equivalent to Insert(ops[i].key, ops[i].ptr) in
@@ -160,6 +169,12 @@ class Index {
   virtual void CollectMaintenanceTasks(
       const maint::TaskOptions& opts,
       std::vector<std::unique_ptr<maint::MaintenanceTask>>* out);
+
+ protected:
+  /// The default per-op loops of InsertBatch, RemoveBatch and SearchBatch
+  /// over `ops`, in class order: the fallback of adapters whose own batch
+  /// overrides route into their PointBatch.
+  void PointBatchLoops(const PointOps& ops);
 };
 
 namespace detail {

@@ -260,24 +260,6 @@ void ShardedIndex::AddEntries(const std::size_t* sid, std::int64_t* delta,
   }
 }
 
-void ShardedIndex::SearchBatch(const Key* keys, std::size_t n,
-                               Value* out) const {
-  if (core_.empty()) {
-    Index::SearchBatch(keys, n, out);
-    return;
-  }
-  // One pin covers routing *and* lookups for the whole batch (the scalar
-  // path pins per key): Rebalance's publish waits out this single guard,
-  // so every key routed under the old boundaries still finds its copy.
-  pm::EpochGuard guard;
-  const core::BTree* trees[detail::kRouteChunk];
-  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
-    const std::size_t g = std::min(detail::kRouteChunk, n - i);
-    for (std::size_t j = 0; j < g; ++j) trees[j] = core_[ShardOf(keys[i + j])];
-    core::BTree::SearchBatch(trees, keys + i, g, out + i);
-  }
-}
-
 void ShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
                              std::size_t* out_counts) const {
   if (core_.empty()) {
@@ -311,55 +293,63 @@ void ShardedIndex::ScanBatch(const ScanOp* ops, std::size_t n,
   }
 }
 
-void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
-                               InsertStatus* out) {
-  // One pin covers routing and the whole pipeline, mirroring SearchBatch —
-  // and, like the scalar writers, it is the unit Rebalance's grace
-  // periods wait on, so `active_` cannot flip mid-batch.
+void ShardedIndex::PointBatch(const PointOps& ops) {
+  // One pin covers routing and the whole pipeline (the scalar ops pin per
+  // key). It is the unit Rebalance's grace periods wait on, so `active_`
+  // cannot flip mid-batch and every key routed under the old boundaries
+  // still finds its copy.
   pm::EpochGuard guard;
-  if (core_.empty() || migrating_.load(std::memory_order_seq_cst)) {
-    // Default loop over the routed scalar Insert (which pins reentrantly):
-    // in a migration window that is the per-key dual-routing path whose
-    // exactly-once protocol is proven; batched dual-dispatch would buy
-    // little, as the window is bounded by one Rebalance.
-    Index::InsertBatch(ops, n, out);
+  const std::size_t writes = ops.n_puts + ops.n_dels;
+  if (core_.empty() ||
+      (writes != 0 && migrating_.load(std::memory_order_seq_cst))) {
+    // The default loops over the routed scalar ops (which pin
+    // reentrantly): in a migration window that is the per-key
+    // dual-routing path whose exactly-once protocol is proven; batched
+    // dual-dispatch would buy little, as the window is bounded by one
+    // Rebalance.
+    PointBatchLoops(ops);
     return;
   }
   std::size_t sid[detail::kRouteChunk];
   core::BTree* trees[detail::kRouteChunk];
   std::int64_t delta[detail::kRouteChunk];
+  const std::size_t n = ops.size();
   for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
     const std::size_t g = std::min(detail::kRouteChunk, n - i);
     for (std::size_t j = 0; j < g; ++j) {
-      sid[j] = ShardOf(ops[i + j].key);
+      sid[j] = ShardOf(ops.KeyAt(i + j));
       trees[j] = core_[sid[j]];
-      delta[j] = 1;  // +1 per Insert, upserts included (the scalar rule)
     }
-    core::BTree::InsertBatch(trees, ops + i, g,
-                             out != nullptr ? out + i : nullptr);
+    core::BTree::PointBatch(trees, ops.Slice(i, g));
+    if (i >= writes) continue;
+    // +1 per Insert, upserts included (the scalar rule); -1 per Remove
+    // that found its key.
+    for (std::size_t j = 0; j < g; ++j) {
+      const std::size_t op = i + j;
+      if (op < ops.n_puts) {
+        delta[j] = 1;
+      } else {
+        delta[j] = op < writes && ops.del_out[op - ops.n_puts] ? -1 : 0;
+      }
+    }
     AddEntries(sid, delta, g);
   }
 }
 
+void ShardedIndex::SearchBatch(const Key* keys, std::size_t n,
+                               Value* out) const {
+  // A gets-only batch writes nothing.
+  const_cast<ShardedIndex*>(this)->PointBatch(
+      {.gets = keys, .n_gets = n, .get_out = out});
+}
+
+void ShardedIndex::InsertBatch(const core::Record* ops, std::size_t n,
+                               InsertStatus* out) {
+  PointBatch({.puts = ops, .n_puts = n, .put_out = out});
+}
+
 void ShardedIndex::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
-  pm::EpochGuard guard;  // same pin and migration fallback as InsertBatch
-  if (core_.empty() || migrating_.load(std::memory_order_seq_cst)) {
-    Index::RemoveBatch(keys, n, out);
-    return;
-  }
-  std::size_t sid[detail::kRouteChunk];
-  core::BTree* trees[detail::kRouteChunk];
-  std::int64_t delta[detail::kRouteChunk];
-  for (std::size_t i = 0; i < n; i += detail::kRouteChunk) {
-    const std::size_t g = std::min(detail::kRouteChunk, n - i);
-    for (std::size_t j = 0; j < g; ++j) {
-      sid[j] = ShardOf(keys[i + j]);
-      trees[j] = core_[sid[j]];
-    }
-    core::BTree::RemoveBatch(trees, keys + i, g, out + i);
-    for (std::size_t j = 0; j < g; ++j) delta[j] = out[i + j] ? -1 : 0;
-    AddEntries(sid, delta, g);
-  }
+  PointBatch({.dels = keys, .n_dels = n, .del_out = out});
 }
 
 namespace {

@@ -83,7 +83,7 @@ std::vector<std::size_t> PerShardEntryCounts(
 /// The shards' FAST+FAIR trees (Index::core_tree) when every shard has
 /// one, else empty. Both adapters read it once at construction; when it
 /// is non-empty their batch entry points route every op once and run the
-/// whole batch as one cross-tree pipeline (core::BTree's static batch
+/// whole batch as cross-tree pipelines (core::BTree's static batch
 /// calls), otherwise they take the Index default loops over their own
 /// routed scalar ops.
 std::vector<core::BTree*> CoreTrees(
@@ -125,13 +125,15 @@ class ShardedIndex final : public Index {
   std::size_t Scan(Key min_key, std::size_t max_results,
                    core::Record* out) const override;
 
-  /// Native batch overrides (DESIGN.md §8.3), when every shard is a core
+  /// Native point batch (DESIGN.md §8.3), when every shard is a core
   /// tree: under a single epoch pin (scalar ops pin per key) each op is
-  /// routed once and the batch runs, in its original order, as one
-  /// cross-tree pipeline whose descent waves mix shards; entry counters
-  /// take one update per shard per chunk, from the routed ids. Writes
-  /// inside a Rebalance migration window fall back to the per-key
-  /// dual-routing ops. Other inner kinds take the Index default loops.
+  /// routed once and every chunk of kRouteChunk ops runs, in class order,
+  /// as one cross-tree PointBatch whose descent waves mix shards; entry
+  /// counters take one update per shard per chunk, from the routed ids. A
+  /// batch with writes inside a Rebalance migration window falls back to
+  /// the per-key dual-routing ops, and other inner kinds to the Index
+  /// default loops. The three class batch calls are its one-class cases.
+  void PointBatch(const PointOps& ops) override;
   void SearchBatch(const Key* keys, std::size_t n, Value* out) const override;
   using Index::InsertBatch;  // keep the 2-arg convenience form visible
   void InsertBatch(const core::Record* ops, std::size_t n,

@@ -347,9 +347,10 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
   if (n == 0) return;
   // Order the group once into contiguous put, delete, get and scan spans,
   // keeping submission order within each class: writes run before reads
-  // (header ordering contract), each class goes through its batch entry
-  // point (the sharded adapters route once, the core tree interleaves
-  // descents), and every result maps back by position.
+  // (header ordering contract), the point spans go through one
+  // Index::PointBatch (the core tree runs them as one pipeline whose
+  // descent waves cut across the classes, the sharded adapters route
+  // once), and every result maps back by position.
   for (int c = 1; c < 5; ++c) span[c] += span[c - 1];
   std::vector<detail::Request>& q = wk.ordered;
   q.resize(n);
@@ -364,13 +365,21 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
   // One reader pin for the whole group; the index's own batch pins nest
   // reentrantly inside it.
   pm::EpochGuard guard;
-  if (puts != 0) {
+  if (span[3] != 0) {
     wk.put_recs.clear();
     for (std::size_t i = 0; i < puts; ++i) {
       wk.put_recs.push_back({q[i].key, q[i].value});
     }
     wk.put_st.resize(puts);
-    index_->InsertBatch(wk.put_recs.data(), puts, wk.put_st.data());
+    // The delete and get spans are adjacent, so one key vector serves both.
+    wk.keys.clear();
+    for (std::size_t i = span[1]; i < span[3]; ++i) {
+      wk.keys.push_back(q[i].key);
+    }
+    wk.get_vals.resize(gets);
+    index_->PointBatch({wk.put_recs.data(), puts, wk.put_st.data(),
+                        wk.keys.data(), dels, wk.del_ok.get(),
+                        wk.keys.data() + dels, gets, wk.get_vals.data()});
     for (std::size_t i = 0; i < puts; ++i) {
       const InsertStatus is = wk.put_st[i];
       if (FASTFAIR_UNLIKELY(is == InsertStatus::kNoSpace)) {
@@ -383,19 +392,9 @@ void KvService::ExecuteGroup(Worker& wk, std::vector<detail::Request>& reqs) {
                                               : ReqStatus::kUpdated;
       }
     }
-  }
-  // The delete and get spans are adjacent, so one key vector serves both.
-  wk.keys.clear();
-  for (std::size_t i = span[1]; i < span[3]; ++i) wk.keys.push_back(q[i].key);
-  if (dels != 0) {
-    index_->RemoveBatch(wk.keys.data(), dels, wk.del_ok.get());
     for (std::size_t j = 0; j < dels; ++j) {
       st[span[1] + j] = wk.del_ok[j] ? ReqStatus::kOk : ReqStatus::kNotFound;
     }
-  }
-  if (gets != 0) {
-    wk.get_vals.resize(gets);
-    index_->SearchBatch(wk.keys.data() + dels, gets, wk.get_vals.data());
     for (std::size_t j = 0; j < gets; ++j) {
       const Value v = wk.get_vals[j];
       q[span[2] + j].done->value_ = v;

@@ -4,13 +4,14 @@
 // Shape: many clients — each holding a Session — enqueue Get/Put/Del/Scan
 // requests with completion slots into lock-free single-producer rings; N
 // worker threads drain the sessions round-robin, form *cross-client* groups,
-// and execute each group through Index::InsertBatch / RemoveBatch /
-// SearchBatch / ScanBatch under one epoch pin. The descent-interleaving
-// amortization of DESIGN.md §8 therefore applies across independent
-// clients: eight different users' point lookups share one grouped PM read
-// stall per wave, and because the sharded adapters route each op once and
-// run the whole batch as one cross-tree pipeline, that holds whichever
-// shards the lookups land in, with no service-side routing code.
+// and execute each group through one Index::PointBatch (its puts, deletes
+// and gets) and one Index::ScanBatch under one epoch pin. The
+// descent-interleaving amortization of DESIGN.md §8 therefore applies
+// across independent clients and across op classes: eight different
+// users' Gets and Puts share one grouped PM read stall per wave, and
+// because the sharded adapters route each op once and run the whole batch
+// as cross-tree pipelines, that holds whichever shards the ops land in,
+// with no service-side routing code.
 //
 // Admission control keeps the tail bounded:
 //   * per-session queue depth — a full ring rejects (kRejectedQueueFull)

@@ -1,9 +1,10 @@
 // Batched operation pipeline (DESIGN.md §8): Search/Insert/Remove/Scan
-// batches on the core tree and through the index registry — scalar
-// equivalence, degenerate batches (empty, duplicate, unsorted),
-// shard-boundary spanning and mixed-height batches on both sharded
-// adapters, grouped read-stall accounting (within one tree and across
-// shard trees), and batches racing concurrent splits/deletes.
+// batches and class-ordered PointBatch calls on the core tree and through
+// the index registry — scalar and class-call equivalence, degenerate
+// batches (empty, duplicate, unsorted), shard-boundary spanning and
+// mixed-height batches on both sharded adapters, grouped read-stall
+// accounting (within one tree, across shard trees, across op classes),
+// and batches racing concurrent splits, unlinks and Rebalance.
 
 #include <gtest/gtest.h>
 
@@ -1179,6 +1180,366 @@ TEST(BatchOps, MixedHeightShardsMatchScalar) {
     ASSERT_EQ(removed[i], scalar->Remove(keys[i])) << "remove " << i;
   }
   EXPECT_EQ(batched->CountEntries(), scalar->CountEntries());
+}
+
+// --- PointBatch: one class-ordered pipeline ---------------------------------
+
+// The pm counter delta of one call.
+template <class Fn>
+pm::ThreadStats DeltaOf(Fn&& fn) {
+  const auto before = pm::Stats();
+  fn();
+  return pm::Stats() - before;
+}
+
+// Keys of a tree filled with 10, 20, ..., 10 * n in order: a leaf holds at
+// most kNodeCapacity (27) keys, so keys 50 ranks apart sit in distinct
+// leaves, and no leaf but the last is more than half full.
+Key SpacedKey(std::size_t i) { return 10 * (50 * i + 7); }
+
+// Differs between the keys a round writes and between the rounds that
+// write one key, so adjacent records never share a value (core/btree.h
+// value-uniqueness contract).
+Value RoundValue(Key k, std::uint64_t round) {
+  return (round << 40) | (2 * k + 1);
+}
+
+TEST(PointBatch, MatchesTheThreeClassCalls) {
+  // Random class-ordered batches whose classes repeat keys (a Put, a Del
+  // and a Get of one key in one call, duplicates within a class too),
+  // against a twin index fed the same ops as InsertBatch, RemoveBatch and
+  // SearchBatch in sequence. Rounds alternate filling and draining so
+  // whole leaves empty, and the reclaiming kinds unlink them mid-batch.
+  constexpr Key kUniverse = 4096;
+  const Key stride = ~Key{0} / kUniverse;
+  for (const char* kind :
+       {"fastfair", "fastfair-reclaim", "sharded-fastfair:8",
+        "sharded-fastfair-reclaim:4", "hashed-fastfair:8"}) {
+    SCOPED_TRACE(kind);
+    pm::Pool pool(std::size_t{256} << 20);
+    auto merged = MakeIndex(kind, &pool);
+    auto classes = MakeIndex(kind, &pool);
+    Rng rng(31);
+    const auto key = [&](std::uint64_t r) {
+      return (r % kUniverse + 1) * stride;
+    };
+    std::vector<core::Record> puts;
+    std::vector<Key> dels, gets;
+    for (std::uint64_t round = 1; round <= 400; ++round) {
+      const bool filling = round / 50 % 2 == 0;
+      // Every seventh batch is long enough to cross the adapters' 64-op
+      // route chunks, which then cut through the class spans.
+      const std::uint64_t scale = round % 7 == 0 ? 6 : 1;
+      puts.resize(rng.NextBounded(scale * (filling ? 20 : 4)));
+      dels.resize(rng.NextBounded(scale * (filling ? 4 : 20)));
+      gets.resize(rng.NextBounded(scale * 24));
+      // Keys cluster in a window of the universe so leaves fill and drain.
+      const std::uint64_t base = rng.NextBounded(kUniverse);
+      for (auto& p : puts) {
+        const Key k = key(base + rng.NextBounded(64));
+        p = {k, RoundValue(k, round)};
+      }
+      for (Key& d : dels) {
+        d = !puts.empty() && rng.NextBounded(3) == 0
+                ? puts[rng.NextBounded(puts.size())].key
+                : key(base + rng.NextBounded(64));
+      }
+      for (Key& g : gets) {
+        const std::uint64_t pick = rng.NextBounded(3);
+        if (pick == 0 && !puts.empty()) {
+          g = puts[rng.NextBounded(puts.size())].key;
+        } else if (pick == 1 && !dels.empty()) {
+          g = dels[rng.NextBounded(dels.size())];
+        } else {
+          g = key(base + rng.NextBounded(64));
+        }
+      }
+      std::vector<InsertStatus> st(puts.size()), want_st(puts.size());
+      std::unique_ptr<bool[]> ok(new bool[dels.size() + 1]);
+      std::unique_ptr<bool[]> want_ok(new bool[dels.size() + 1]);
+      std::vector<Value> vals(gets.size()), want_vals(gets.size());
+      merged->PointBatch({puts.data(), puts.size(), st.data(), dels.data(),
+                          dels.size(), ok.get(), gets.data(), gets.size(),
+                          vals.data()});
+      classes->InsertBatch(puts.data(), puts.size(), want_st.data());
+      classes->RemoveBatch(dels.data(), dels.size(), want_ok.get());
+      classes->SearchBatch(gets.data(), gets.size(), want_vals.data());
+      for (std::size_t i = 0; i < puts.size(); ++i) {
+        ASSERT_EQ(st[i], want_st[i]) << "round " << round << " put " << i;
+      }
+      for (std::size_t i = 0; i < dels.size(); ++i) {
+        ASSERT_EQ(ok[i], want_ok[i]) << "round " << round << " del " << i;
+      }
+      for (std::size_t i = 0; i < gets.size(); ++i) {
+        ASSERT_EQ(vals[i], want_vals[i]) << "round " << round << " get " << i;
+      }
+    }
+    const std::size_t entries = classes->CountEntries();
+    ASSERT_EQ(merged->CountEntries(), entries);
+    std::vector<core::Record> a(entries + 1), b(entries + 1);
+    ASSERT_EQ(merged->Scan(0, a.size(), a.data()), entries);
+    ASSERT_EQ(classes->Scan(0, b.size(), b.data()), entries);
+    for (std::size_t i = 0; i < entries; ++i) {
+      ASSERT_EQ(a[i].key, b[i].key) << i;
+      ASSERT_EQ(a[i].ptr, b[i].ptr) << i;
+    }
+  }
+}
+
+TEST(PointBatch, ChunksShareOneWaveAcrossClasses) {
+  pm::Pool pool(std::size_t{64} << 20);
+  core::BTree tree(&pool);
+  for (Key k = 1; k <= 4000; ++k) tree.Insert(10 * k, ValueFor(10 * k));
+  ASSERT_EQ(tree.Height(), 3);
+
+  // 4 Puts + 4 Gets on 8 distinct leaves: one chunk, one wave, one stall.
+  // The same ops as class calls pay a wave per class.
+  {
+    core::Record puts[4];
+    Key gets[4];
+    InsertStatus st[4];
+    Value vals[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      puts[i] = {SpacedKey(i) + 5, ValueFor(SpacedKey(i) + 5)};
+      gets[i] = SpacedKey(4 + i);
+    }
+    const auto merged = DeltaOf([&] {
+      tree.PointBatch({.puts = puts, .n_puts = 4, .put_out = st,
+                       .gets = gets, .n_gets = 4, .get_out = vals});
+    });
+    EXPECT_EQ(merged.read_stalls, 1u);
+    EXPECT_EQ(merged.read_annotations, 8u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(st[i], InsertStatus::kInserted);
+      EXPECT_EQ(vals[i], ValueFor(gets[i]));
+    }
+    const auto classes = DeltaOf([&] {
+      tree.InsertBatch(puts, 4, st);
+      tree.SearchBatch(gets, 4, vals);
+    });
+    EXPECT_EQ(classes.read_stalls, 2u);
+  }
+
+  // 61 Gets + 2 Puts + 1 Del on 64 distinct leaves: eight chunks, eight
+  // stalls, where the class calls pay 1 + 1 + 8.
+  {
+    const core::Record puts[2] = {{SpacedKey(0) + 3, ValueFor(3)},
+                                  {SpacedKey(1) + 3, ValueFor(4)}};
+    const Key del = SpacedKey(2);
+    Key gets[61];
+    for (std::size_t i = 0; i < 61; ++i) gets[i] = SpacedKey(3 + i);
+    InsertStatus st[2];
+    bool removed = false;
+    Value vals[61];
+    const auto merged = DeltaOf([&] {
+      tree.PointBatch({puts, 2, st, &del, 1, &removed, gets, 61, vals});
+    });
+    EXPECT_EQ(merged.read_stalls, 8u);
+    EXPECT_EQ(merged.read_annotations, 64u);
+    EXPECT_TRUE(removed);
+    for (std::size_t i = 0; i < 61; ++i) EXPECT_EQ(vals[i], ValueFor(gets[i]));
+    tree.Insert(del, ValueFor(del));
+    const auto classes = DeltaOf([&] {
+      tree.InsertBatch(puts, 2, st);
+      tree.RemoveBatch(&del, 1, &removed);
+      tree.SearchBatch(gets, 61, vals);
+    });
+    EXPECT_EQ(classes.read_stalls, 10u);
+  }
+
+  // A Get of a leaf an earlier write of its chunk changed fetches it
+  // again, and all such Gets of a chunk share one extra grouped stall; a
+  // delete of an absent key changes nothing and costs its leaf's Gets
+  // nothing. (Key k + 1 lives in the leaf of k.)
+  {
+    const core::Record put = {SpacedKey(10) + 1, ValueFor(SpacedKey(10) + 1)};
+    const Key dels[2] = {SpacedKey(11) + 1, SpacedKey(12)};  // absent, present
+    const Key gets[5] = {SpacedKey(10), SpacedKey(11), SpacedKey(12),
+                         SpacedKey(13), SpacedKey(14)};
+    InsertStatus st;
+    bool removed[2];
+    Value vals[5];
+    const auto d = DeltaOf([&] {
+      tree.PointBatch({&put, 1, &st, dels, 2, removed, gets, 5, vals});
+    });
+    EXPECT_EQ(d.read_stalls, 2u);
+    EXPECT_EQ(d.read_annotations, 10u);  // 8 leaves, 2 fetched again
+    EXPECT_EQ(st, InsertStatus::kInserted);
+    EXPECT_FALSE(removed[0]);
+    EXPECT_TRUE(removed[1]);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(vals[i], i == 2 ? kNoValue : ValueFor(gets[i]));
+    }
+  }
+
+  // Single-class batches keep one stall per chunk.
+  {
+    Key keys[64];
+    core::Record recs[64];
+    for (std::size_t i = 0; i < 64; ++i) {
+      keys[i] = SpacedKey(i) + 10;
+      recs[i] = {keys[i], ValueFor(keys[i])};
+    }
+    InsertStatus st[64];
+    Value vals[64];
+    bool removed[64];
+    EXPECT_EQ(DeltaOf([&] { tree.InsertBatch(recs, 64, st); }).read_stalls,
+              8u);
+    EXPECT_EQ(DeltaOf([&] { tree.SearchBatch(keys, 64, vals); }).read_stalls,
+              8u);
+    EXPECT_EQ(
+        DeltaOf([&] { tree.RemoveBatch(keys, 64, removed); }).read_stalls,
+        8u);
+    for (std::size_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(vals[i], ValueFor(keys[i]));
+      EXPECT_TRUE(removed[i]);
+    }
+  }
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+TEST(PointBatch, ReadOfALeafUnlinkedInItsChunkDescendsAgain) {
+  // The second leaf (keys 140..260 of a 200-key sequential tree) drains
+  // to empty and stays linked: each delete locks the leaf it empties, and
+  // only a writer holding the left neighbour unlinks it. One chunk then
+  // holds a Put into the left leaf, which unlinks the empty one and drops
+  // its route, and a Put and a Get of a key the descent wave routed to
+  // the empty leaf. The Put re-descends from the dead hint and files its
+  // key in the left leaf; the Get must follow it there.
+  core::Options opts;
+  opts.reclaim_empty_leaves = true;
+  pm::Pool pool(std::size_t{64} << 20);
+  core::BTree tree(&pool, opts);
+  for (Key k = 1; k <= 200; ++k) tree.Insert(10 * k, ValueFor(10 * k));
+  ASSERT_EQ(tree.Height(), 2);
+  for (Key k = 140; k <= 260; k += 10) ASSERT_TRUE(tree.Remove(k));
+  const std::size_t leaves = tree.GetTreeStats().nodes_per_level[0];
+
+  const core::Record puts[2] = {{15, ValueFor(15)}, {145, ValueFor(145)}};
+  const Key get = 145;
+  InsertStatus st[2];
+  Value val = kNoValue;
+  const auto d = DeltaOf([&] {
+    tree.PointBatch({.puts = puts, .n_puts = 2, .put_out = st, .gets = &get,
+                     .n_gets = 1, .get_out = &val});
+  });
+  EXPECT_EQ(tree.GetTreeStats().nodes_per_level[0], leaves - 1);
+  EXPECT_EQ(st[0], InsertStatus::kInserted);
+  EXPECT_EQ(st[1], InsertStatus::kInserted);
+  EXPECT_EQ(val, ValueFor(145));
+  // The wave, the Put's re-descent, the Get's re-descent.
+  EXPECT_EQ(d.read_stalls, 3u);
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+TEST(PointBatch, RacesSplitsAndUnlinks) {
+  // Mixed batches against live splits, unlinks and Rebalance(). Each
+  // worker owns the keys of its residue, so its batch results are
+  // deterministic whatever the other threads do: a Put of a key it does
+  // not hold inserts, a Del of a key it holds removes, and a Get sees its
+  // own batch's writes — Puts that filled or emptied leaves other ops of
+  // the chunk were routed to included. A churn writer splits and drains
+  // leaves around the same anchors, and on the range-sharded kind a
+  // rebalancer republishes boundaries throughout. Anchors never change.
+  for (const char* kind :
+       {"fastfair-reclaim", "sharded-fastfair-reclaim:4",
+        "hashed-fastfair-reclaim:4"}) {
+    SCOPED_TRACE(kind);
+    pm::Pool pool(std::size_t{512} << 20);
+    auto idx = MakeIndex(kind, &pool);
+    auto* sharded = dynamic_cast<ShardedIndex*>(idx.get());
+    const Key step = ~Key{0} / 512;
+    std::vector<Key> anchors;
+    for (Key i = 1; i < 512; ++i) {
+      anchors.push_back(i * step);
+      idx->Insert(anchors.back(), ValueFor(anchors.back()));
+    }
+    // Keys of residue r near anchor a: a + 1 + 4 * j + r, j < 256.
+    const auto near = [&](race::Rng& rng, Key r) {
+      return anchors[rng.Below(anchors.size())] + 1 + 4 * rng.Below(256) + r;
+    };
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> violations{0};
+    std::thread churn([&] {
+      race::Rng rng(2028, 1);
+      while (!stop.load(std::memory_order_acquire)) {
+        const Key base = anchors[rng.Below(anchors.size())] + 4;
+        for (Key j = 0; j < 64; ++j) idx->Insert(base + 4 * j, ValueFor(base));
+        race::Perturb(rng);
+        for (Key j = 0; j < 64; ++j) idx->Remove(base + 4 * j);
+        race::Perturb(rng);
+      }
+    });
+    std::thread rebalancer([&] {
+      if (sharded == nullptr) return;
+      race::Rng rng(2028, 2);
+      while (!stop.load(std::memory_order_acquire)) {
+        sharded->Rebalance();
+        race::Perturb(rng);
+        std::this_thread::yield();
+      }
+    });
+    race::RunWorkers(3, [&](std::size_t w) {
+      race::Rng rng(2028, 10 + w);
+      std::vector<Key> held;  // this worker's keys in the index
+      std::vector<core::Record> puts;
+      std::vector<Key> dels, gets;
+      std::vector<Value> want;
+      std::vector<InsertStatus> st;
+      std::vector<Value> vals;
+      bool removed[8];
+      for (std::uint64_t round = 1; round <= 2000; ++round) {
+        puts.clear();
+        dels.clear();
+        gets.clear();
+        want.clear();
+        for (std::size_t j = rng.Below(10); j > 0; --j) {
+          const Key k = near(rng, w);
+          if (std::find(held.begin(), held.end(), k) != held.end()) continue;
+          bool dup = false;
+          for (const auto& p : puts) dup = dup || p.key == k;
+          if (!dup) puts.push_back({k, RoundValue(k, round)});
+        }
+        for (std::size_t j = rng.Below(8); j > 0 && !held.empty(); --j) {
+          const std::size_t at = rng.Below(held.size());
+          dels.push_back(held[at]);
+          held[at] = held.back();
+          held.pop_back();
+        }
+        for (const auto& p : puts) {
+          gets.push_back(p.key);
+          want.push_back(p.ptr);
+        }
+        for (const Key k : dels) {
+          gets.push_back(k);
+          want.push_back(kNoValue);
+        }
+        for (std::size_t j = rng.Below(8); j > 0; --j) {
+          gets.push_back(anchors[rng.Below(anchors.size())]);
+          want.push_back(ValueFor(gets.back()));
+        }
+        st.resize(puts.size());
+        vals.resize(gets.size());
+        idx->PointBatch({puts.data(), puts.size(), st.data(), dels.data(),
+                         dels.size(), removed, gets.data(), gets.size(),
+                         vals.data()});
+        std::uint64_t bad = 0;
+        for (const InsertStatus s : st) bad += s != InsertStatus::kInserted;
+        for (std::size_t j = 0; j < dels.size(); ++j) bad += !removed[j];
+        for (std::size_t j = 0; j < gets.size(); ++j) bad += vals[j] != want[j];
+        if (bad != 0) violations.fetch_add(bad);
+        for (const auto& p : puts) held.push_back(p.key);
+        race::Perturb(rng);
+      }
+    });
+    stop.store(true, std::memory_order_release);
+    churn.join();
+    rebalancer.join();
+    EXPECT_EQ(violations.load(), 0u);
+    for (const Key a : anchors) ASSERT_EQ(idx->Search(a), ValueFor(a));
+  }
 }
 
 }  // namespace

@@ -272,6 +272,55 @@ TEST(Service, PrefilledGroupPaysExactReadStalls) {
   }
 }
 
+TEST(Service, PrefilledMixedGroupSharesWaves) {
+  // One prefilled round of 4 Puts and 4 Gets on 8 distinct leaves, on one
+  // worker. As one group the eight ops go through one Index::PointBatch,
+  // whose descent wave cuts across the op classes, so the group pays one
+  // stall where a call per class paid one per class; as single-op groups
+  // each op pays its own leaf stall. Two Puts update present keys, two
+  // add fresh ones beside them (no split).
+  for (const char* kind :
+       {"fastfair", "hashed-fastfair:8", "sharded-fastfair:8"}) {
+    for (const std::size_t max_batch : {std::size_t{64}, std::size_t{1}}) {
+      SCOPED_TRACE(std::string(kind) + " max_batch " +
+                   std::to_string(max_batch));
+      pm::Pool pool(std::size_t{64} << 20);
+      auto idx = MakeIndex(kind, &pool);
+      for (Key k = 1; k < 16000; k += 2) idx->Insert(k, V1(k));
+      ServiceOptions so;
+      so.workers = 1;
+      so.queue_depth = 64;
+      so.max_batch = max_batch;
+      KvService svc(idx.get(), so);
+      Session* s = svc.OpenSession();
+      const auto key = [](std::size_t i) { return Key{2000} * i + 1; };
+      std::vector<Completion> cs(8);
+      for (std::size_t i = 0; i < 4; ++i) {
+        const Key k = key(i) + i % 2;  // odd i: a fresh (even) key
+        ASSERT_TRUE(s->Put(k, V2(k), &cs[i]));
+      }
+      for (std::size_t i = 4; i < 8; ++i) ASSERT_TRUE(s->Get(key(i), &cs[i]));
+      svc.Start();
+      WaitAll(cs, cs.size());
+      svc.Stop();
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(cs[i].status(), i % 2 == 0 ? ReqStatus::kUpdated
+                                             : ReqStatus::kInserted)
+            << i;
+        EXPECT_EQ(idx->Search(key(i) + i % 2), V2(key(i) + i % 2)) << i;
+      }
+      for (std::size_t i = 4; i < 8; ++i) {
+        EXPECT_EQ(cs[i].status(), ReqStatus::kOk) << i;
+        EXPECT_EQ(cs[i].value(), V1(key(i))) << i;
+      }
+      const auto st = svc.Stats();
+      EXPECT_EQ(st.groups, max_batch == 1 ? 8u : 1u);
+      EXPECT_EQ(st.pm.read_stalls, max_batch == 1 ? 8u : 1u);
+      EXPECT_EQ(st.pm.read_annotations, 8u);
+    }
+  }
+}
+
 TEST(Service, GroupedDeletesMatchSingleOpGroups) {
   // One prefilled group of deletes — repeated keys and keys never
   // inserted among them — then Gets of the same keys. Batched mode runs

@@ -7,7 +7,8 @@
 //    duplicate-key remnant of a delete shift, a slot-0 hole, a
 //    duplicate-pointer slot, and (lazy reclamation) a route to an unlinked
 //    dead leaf awaiting repair — must pass both entry points, with the walk
-//    counting exactly the entries CountEntries() reports;
+//    counting exactly the entries CountEntries() reports, and must stay
+//    legal through the writes that repair them;
 //  * each defect — a left-node copy its sibling lacks or holds differently,
 //    a record hidden by such copies, a parent route off the child chain, a
 //    key below its node's fence, keys out of order in a delete-phase node —
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/btree.h"
 #include "pm/check.h"
@@ -107,6 +109,47 @@ TEST_F(TreeCheck, UntruncatedSplitIsLegal) {
   tree_.Insert(15, ValueOf(15));
   EXPECT_EQ(Count(Leaf(0)), cnt + 1);
   ExpectLegal(kKeys + 1);
+}
+
+// The repair truncates at the sibling's persistent fence, the ownership
+// rule the walk enforces, not at the sibling's first key: once the sibling
+// has deleted its fence key, the left leaf's copy of it goes too.
+TEST_F(TreeCheck, RepairTruncatesAtTheSiblingsFence) {
+  ASSERT_GT(ForgeUntruncatedSplit(), 1);
+  const Key fence = Sibling(Leaf(0))->hdr.fence;
+  ASSERT_TRUE(tree_.Remove(fence));
+  tree_.Insert(15, ValueOf(15));
+  ExpectLegal(kKeys);
+  EXPECT_EQ(tree_.Search(fence), kNoValue);
+}
+
+// The state a crash between FAIR's sibling commit and the parent insert
+// leaves: the copies are still in the left leaf and no parent route leads
+// to the sibling, so writers of the sibling's range reach it by moving
+// right from the left leaf. The writer truncates the copies before its
+// write lands in the sibling: a delete of a copied key must not leave the
+// copy behind, and an insert between two copies must stay visible to
+// chain scans.
+TEST_F(TreeCheck, WriterRepairsTheLeafItMovesRightFrom) {
+  ASSERT_GT(ForgeUntruncatedSplit(), 2);
+  NodeT* root = Root();
+  ASSERT_EQ(root->records[0].ptr, reinterpret_cast<std::uint64_t>(Leaf(1)));
+  const int routes = Count(root);
+  for (int i = 0; i < routes; ++i) root->records[i] = root->records[i + 1];
+  ExpectLegal(kKeys);
+
+  const Key copy = Sibling(Leaf(0))->hdr.fence + 10;  // the second copy
+  ASSERT_TRUE(tree_.Remove(copy));
+  ExpectLegal(kKeys - 1);
+  const Key between = copy - 5;
+  tree_.Insert(between, ValueOf(between));
+  ExpectLegal(kKeys);
+  std::vector<Record> out(2 * kKeys);
+  const std::size_t got = tree_.Scan(0, out.size(), out.data());
+  ASSERT_EQ(got, kKeys);
+  EXPECT_TRUE(std::any_of(out.begin(), out.begin() + got,
+                          [&](const Record& r) { return r.key == between; }));
+  EXPECT_EQ(tree_.Search(copy), kNoValue);
 }
 
 // (b) A torn delete shift: two adjacent valid slots hold one key, and the
