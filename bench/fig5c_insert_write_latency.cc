@@ -3,10 +3,21 @@
 //
 // Paper setup: 10 M keys; write latency DRAM, 120, 300, 600, 900 ns.
 //
-// Expected shape: flush count dominates as write latency grows, so WORT
-// (fewest flushes) overtakes everything; FAST+FAIR stays ahead of FP-tree,
-// wB+-tree and SkipList throughout (it flushes the fewest lines among the
-// B+-tree family).
+// Expected shape (paper): flush count dominates as write latency grows,
+// so WORT (fewest flushes) overtakes everything; FAST+FAIR stays ahead of
+// FP-tree, wB+-tree and SkipList throughout (it flushes the fewest lines
+// among the B+-tree family).
+//
+// Measured shape (--scale=ci, 4-CPU Xeon, three runs): the flush counts
+// per insert are exact: SkipList 2.0, WORT 2.8, FP-tree 3.8, FAST+FAIR
+// 4.0, FAST+Logging 4.6, wB+-tree 5.6. From 600 ns up the insert times
+// follow that order, SkipList first (at 900 ns: SkipList 2.8-2.9 us, WORT
+// 3.2-3.4, FP-tree 4.3-4.5, FAST+FAIR 4.7-4.8, wB+-tree 6.5-6.6). So
+// FAST+FAIR stays ahead of wB+-tree and FAST+Logging, but not of FP-tree,
+// which persists fewer lines per insert here, nor of SkipList, whose
+// insert persists the new node and one link. At DRAM speed WORT is
+// fastest. Wall times on a shared host move by ~10 % between runs; the
+// counts do not.
 
 #include <cstdio>
 

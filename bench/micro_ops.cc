@@ -191,6 +191,26 @@ void BM_TreeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeInsert);
 
+// Tree-level appends: each key above every key before it, the put pattern
+// of a sliding-window workload (bench_e2e's write-churn). Every insert
+// lands in the rightmost leaf, and each full leaf splits with the new key
+// carried into its sibling.
+void BM_TreeInsertAscending(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  core::BTree tree(&pool);
+  Key k = 0;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    ++k;
+    tree.Insert(k, 2 * k + 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TreeInsertAscending);
+
 void BM_TreeInsertBatch(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
   pm::Pool pool(std::size_t{4} << 30);

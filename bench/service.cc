@@ -3,10 +3,13 @@
 // (max_batch = 1: every request is a group of one) against cross-client
 // batch formation on the same index.
 //
-// Two phases per mode, each against its own KvService instance
+// Three phases per mode, each against its own KvService instance
 // (worker PM-counter deltas are finalized at Stop, so every phase gets an
 // isolated read-stall ledger):
 //
+//   prefilled  — the first ops of the stream queued on the session rings
+//     before Start(), drained by one worker. Group formation has no
+//     timing in it, so read stalls per op are an exact count of the seed.
 //   saturation — closed-loop pipelined: each driver thread keeps a window
 //     of requests in flight across its slice of the session table and
 //     measures throughput plus read stalls per executed op. This is where
@@ -19,9 +22,10 @@
 //     the admission-control/timeout design is what this phase gates.
 //
 // Gates (stderr + non-zero exit):
-//   * read stalls/op: unbatched must pay >= 2x the batched mode's
-//     (counter ratio — deterministic under PM emulation; the CI service
-//     job runs exactly this).
+//   * prefilled read stalls/op: unbatched must pay >= 2x the batched
+//     mode's (an exact count; the CI service job runs exactly this). The
+//     saturation phase's ratio depends on how its groups happen to form
+//     from run to run and is reported as a trajectory value only.
 //   * batched saturation throughput >= 1.5x unbatched (wall time; skipped
 //     under --no-wall-gates for loaded machines).
 //   * batched low-load p999 <= 2x unbatched p999 + 50 us slack (wall time;
@@ -55,6 +59,8 @@ using namespace fastfair;
 
 struct ModeResult {
   std::string name;
+  double prefilled_stalls_per_op = 0.0;  // prefilled phase, exact
+  std::uint64_t prefilled_groups = 0;
   double kops = 0.0;             // saturation throughput
   double stalls_per_op = 0.0;    // saturation phase, read_stalls/executed
   double avg_group = 0.0;        // saturation phase mean group size
@@ -80,20 +86,55 @@ std::uint64_t g_deadline_us = 0;
 // Returns true when the submitted op was a scan (separate latency ledger).
 bool SubmitOp(server::Session* s, Rng& rng, std::size_t i, Key key,
               Value value, std::uint32_t scan_per_mille,
-              core::Record* scan_buf, server::Completion* done) {
+              core::Record* scan_buf, server::Completion* done,
+              std::uint64_t deadline_us = g_deadline_us) {
   if (scan_per_mille != 0 && rng.NextBounded(1000) < scan_per_mille) {
-    s->Scan(key, kScanLen, scan_buf, done, g_deadline_us);
+    s->Scan(key, kScanLen, scan_buf, done, deadline_us);
     return true;
   }
   const std::size_t slot = i % 21;
   if (slot < 16) {
-    s->Get(key, done, g_deadline_us);
+    s->Get(key, done, deadline_us);
   } else if (slot < 20) {
-    s->Put(key, value, done, g_deadline_us);
+    s->Put(key, value, done, deadline_us);
   } else {
-    s->Del(key, done, g_deadline_us);
+    s->Del(key, done, deadline_us);
   }
   return false;
+}
+
+// Prefilled round: `total` ops queued round-robin over the sessions
+// before Start(), no deadlines, one worker. Returns the service stats.
+server::ServiceStats RunPrefilled(server::KvService* svc,
+                                  std::vector<server::Session*>& sessions,
+                                  std::size_t total, Key stride,
+                                  std::size_t universe, double theta,
+                                  std::uint32_t scan_per_mille,
+                                  std::uint64_t seed,
+                                  std::uint64_t* rejected) {
+  std::unique_ptr<bench::ZipfianGenerator> zipf;
+  if (theta > 0.0) {
+    zipf = std::make_unique<bench::ZipfianGenerator>(universe, theta);
+  }
+  Rng rng(seed ^ 0x9ef111ull);
+  std::vector<server::Completion> done(total);
+  std::vector<core::Record> scan_bufs(scan_per_mille != 0 ? total * kScanLen
+                                                          : 0);
+  for (std::size_t i = 0; i < total; ++i) {
+    const std::uint64_t rank =
+        zipf ? zipf->Next(rng) : rng.NextBounded(universe);
+    const Key key = (rank + 1) * stride;
+    SubmitOp(sessions[i % sessions.size()], rng, i, key, 2 * key + 1,
+             scan_per_mille,
+             scan_bufs.empty() ? nullptr : scan_bufs.data() + i * kScanLen,
+             &done[i], /*deadline_us=*/0);
+  }
+  svc->Start();
+  for (server::Completion& c : done) {
+    if (c.Wait() >= server::ReqStatus::kRejectedQueueFull) ++*rejected;
+  }
+  svc->Stop();
+  return svc->Stats();
 }
 
 // Closed-loop pipelined drivers over disjoint session slices; returns wall
@@ -238,6 +279,27 @@ ModeResult RunMode(bool batched, const bench::Options& opt,
   sopts.quota_ops_per_sec = opt.quota;
   sopts.max_sessions = num_sessions;
 
+  // Prefilled phase: one worker drains every ring in session order, so
+  // each group is the next max_batch queued ops, whatever the host.
+  {
+    server::ServiceOptions popts = sopts;
+    popts.workers = 1;
+    server::KvService svc(idx.get(), popts);
+    std::vector<server::Session*> sessions;
+    for (std::size_t i = 0; i < num_sessions; ++i) {
+      sessions.push_back(svc.OpenSession(/*tenant=*/i));
+    }
+    const std::size_t total = n < 8192 ? n : 8192;
+    const server::ServiceStats st =
+        RunPrefilled(&svc, sessions, total, stride, n, opt.skew,
+                     scan_per_mille, opt.seed, &r.rejected);
+    r.prefilled_stalls_per_op =
+        st.executed == 0 ? 0.0
+                         : static_cast<double>(st.pm.read_stalls) /
+                               static_cast<double>(st.executed);
+    r.prefilled_groups = st.groups;
+  }
+
   // Saturation phase.
   {
     server::KvService svc(idx.get(), sopts);
@@ -290,7 +352,8 @@ ModeResult RunMode(bool batched, const bench::Options& opt,
 }
 
 bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
-               double stall_ratio, double tput_ratio, bool with_scans) {
+               double prefilled_ratio, double stall_ratio, double tput_ratio,
+               bool with_scans) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "bench_service: cannot write %s\n", path.c_str());
@@ -300,14 +363,18 @@ bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
   out << "{\n  \"bench\": \"service\",\n  \"modes\": [\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"kops\": %.1f, "
+                  "    {\"name\": \"%s\", "
+                  "\"prefilled_read_stalls_per_op\": %.4f, "
+                  "\"prefilled_groups\": %llu, \"kops\": %.1f, "
                   "\"read_stalls_per_op\": %.4f, \"avg_group_ops\": %.2f, "
                   "\"timeout_flushes\": %llu, \"idle_flushes\": %llu, "
                   "\"full_flushes\": %llu, \"rejected\": %llu, "
                   "\"latency\": ",
-                  m.name.c_str(), m.kops, m.stalls_per_op, m.avg_group,
+                  m.name.c_str(), m.prefilled_stalls_per_op,
+                  static_cast<unsigned long long>(m.prefilled_groups),
+                  m.kops, m.stalls_per_op, m.avg_group,
                   static_cast<unsigned long long>(m.timeout_flushes),
                   static_cast<unsigned long long>(m.idle_flushes),
                   static_cast<unsigned long long>(m.full_flushes),
@@ -326,11 +393,12 @@ bool WriteJson(const std::string& path, const std::vector<ModeResult>& modes,
     }
     out << "}" << (i + 1 < modes.size() ? "," : "") << "\n";
   }
-  char tail[128];
+  char tail[192];
   std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"stall_ratio\": %.2f,\n  \"throughput_ratio\": "
+                "  ],\n  \"prefilled_stall_ratio\": %.2f,\n"
+                "  \"stall_ratio\": %.2f,\n  \"throughput_ratio\": "
                 "%.2f\n}\n",
-                stall_ratio, tput_ratio);
+                prefilled_ratio, stall_ratio, tput_ratio);
   out << tail;
   return out.good();
 }
@@ -380,7 +448,8 @@ int main(int argc, char** argv) {
   const ModeResult& ba = modes[1];
 
   const bool with_scans = opt.scan_frac > 0.0;
-  std::vector<std::string> cols = {"mode",      "Kops_per_sec",
+  std::vector<std::string> cols = {"mode",      "prefilled_stalls_per_op",
+                                   "Kops_per_sec",
                                    "read_stalls_per_op", "avg_group",
                                    "p50_us",    "p99_us",
                                    "p999_us",   "rejected"};
@@ -393,7 +462,8 @@ int main(int argc, char** argv) {
   for (const ModeResult& m : modes) {
     const auto s = m.lat.Summarize();
     std::vector<std::string> row = {
-        m.name, bench::Table::Num(m.kops),
+        m.name, bench::Table::Num(m.prefilled_stalls_per_op, 4),
+        bench::Table::Num(m.kops),
         bench::Table::Num(m.stalls_per_op), bench::Table::Num(m.avg_group),
         bench::Table::Num(static_cast<double>(s.p50_ns) / 1e3),
         bench::Table::Num(static_cast<double>(s.p99_ns) / 1e3),
@@ -413,26 +483,33 @@ int main(int argc, char** argv) {
     table.Print();
   }
 
+  const double prefilled_ratio =
+      ba.prefilled_stalls_per_op == 0.0
+          ? 0.0
+          : ub.prefilled_stalls_per_op / ba.prefilled_stalls_per_op;
   const double stall_ratio =
       ba.stalls_per_op == 0.0 ? 0.0 : ub.stalls_per_op / ba.stalls_per_op;
   const double tput_ratio = ub.kops == 0.0 ? 0.0 : ba.kops / ub.kops;
-  std::printf("stall ratio (unbatched/batched): %.2fx, throughput ratio "
+  std::printf("prefilled stall ratio (unbatched/batched, gated): %.2fx, "
+              "saturation stall ratio: %.2fx, throughput ratio "
               "(batched/unbatched): %.2fx\n",
-              stall_ratio, tput_ratio);
+              prefilled_ratio, stall_ratio, tput_ratio);
 
   if (!json_path.empty() &&
-      !WriteJson(json_path, modes, stall_ratio, tput_ratio, with_scans)) {
+      !WriteJson(json_path, modes, prefilled_ratio, stall_ratio, tput_ratio,
+                 with_scans)) {
     return 1;
   }
 
   int rc = 0;
   // Deterministic counter gate: grouped execution must amortize serialized
-  // PM read stalls at least 2x (the CI service job's contract).
-  if (stall_ratio < 2.0) {
+  // PM read stalls at least 2x (the CI service job's contract), read on
+  // the prefilled round, whose groups do not depend on timing.
+  if (prefilled_ratio < 2.0) {
     std::fprintf(stderr,
-                 "GATE FAIL service: unbatched read stalls/op %.3f not >= "
-                 "2x batched %.3f\n",
-                 ub.stalls_per_op, ba.stalls_per_op);
+                 "GATE FAIL service: prefilled unbatched read stalls/op "
+                 "%.4f not >= 2x batched %.4f\n",
+                 ub.prefilled_stalls_per_op, ba.prefilled_stalls_per_op);
     rc = 1;
   }
   if (wall_gates) {

@@ -391,8 +391,10 @@ class BTreeT {
   /// remove — and reclaim — those nodes in turn.
   void RepairDeadRoutes(std::uint16_t level, Key lo, Key hi);
 
-  /// Splits locked `node` and inserts (key, down) into the proper half;
-  /// releases locks and updates the parent (Alg 2). Returns false when the
+  /// Splits locked `node` and inserts (key, down) into the proper half: a
+  /// key at or above the separator rides in the sibling's copy, a smaller
+  /// one goes into `node` by FAST after the commit. Releases locks and
+  /// updates the parent (Alg 2). Returns false when the
   /// sibling allocation failed: `node` is then unlocked and untouched and
   /// (key, down) was not inserted. Failure of the *parent* update's own
   /// allocation does not fail the op — the committed split stays reachable

@@ -92,7 +92,7 @@ BTreeT<P>::BTreeT(pm::Pool* pool, const Options& opts)
   meta_ =
       static_cast<TreeMeta*>(pool->Alloc(sizeof(TreeMeta), kCacheLineSize));
   NodeT* root = AllocNode(0);
-  pm::Persist(root, sizeof(NodeT));
+  pm::Persist(root, Ops::BytesThroughTerminator(0));
   meta_->magic = kTreeMagic;
   meta_->page_size = P;
   meta_->split_log = 0;
@@ -539,16 +539,14 @@ bool BTreeT<P>::SplitAndInsert(NodeT* node, Key key, std::uint64_t down) {
 
   const int cnt = Ops::CountRaw(m, node);
   const int median = cnt / 2;
+  const Key sep = Ops::LoadKeyAt(m, node, median);
+  // A key at or above the separator rides in the copy: the split's own
+  // flush makes it durable, and the commit makes it visible.
+  const Record carry{key, down};
   sib->hdr.lock.lock();  // unreachable until CommitSplit publishes it
-  Ops::SplitCopy(m, node, sib, median, cnt);
+  Ops::SplitCopy(m, node, sib, median, cnt, key < sep ? nullptr : &carry);
   Ops::CommitSplit(m, node, sib, median);
-  const Key sep = Ops::LoadFence(m, sib);  // == the copied median key
-
-  if (key < sep) {
-    Ops::InsertKey(m, node, key, down);
-  } else {
-    Ops::InsertKey(m, sib, key, down);
-  }
+  if (key < sep) Ops::InsertKey(m, node, key, down);
   if (logging) ClearLog();
   sib->hdr.lock.unlock();
   node->hdr.lock.unlock();
@@ -583,7 +581,7 @@ void BTreeT<P>::InsertInternal(Key sep, NodeT* right, std::uint16_t level) {
       if (nr == nullptr) return;
       Ops::StoreLeftmost(m, nr, reinterpret_cast<std::uint64_t>(root));
       Ops::InsertKey(m, nr, sep, right_u);
-      pm::Persist(nr, sizeof(NodeT));
+      pm::Persist(nr, Ops::BytesThroughTerminator(1));
       if (CasRoot(root, nr)) {
         // No parent lock serialized this publish against the unlinker, so
         // the entry check above is not airtight here: if `right` died
@@ -1377,7 +1375,7 @@ void BTreeT<P>::AdoptRootChain() {
     Ops::InsertKey(m, nr, Ops::LoadFence(m, s),
                    reinterpret_cast<std::uint64_t>(s));
   }
-  pm::Persist(nr, sizeof(NodeT));
+  pm::Persist(nr, Ops::BytesThroughTerminator(adopted));
   if (!CasRoot(root, nr)) {
     throw std::runtime_error("AdoptRootChain: concurrent root change");
   }

@@ -148,9 +148,12 @@ struct Node {
   NodeHeader hdr;
   Record records[kCapacity + 1];
 
-  /// Placement-initializes a zeroed node. Callers persist it before linking.
-  /// Byte-level clearing is intentional: after a crash the raw bytes are all
-  /// the state there is, so the layout is treated as bytes throughout.
+  /// Placement-initializes a zeroed node. Callers persist it from the
+  /// header through its terminator's line before linking it
+  /// (NodeOps::BytesThroughTerminator); the lines past that may still hold
+  /// a recycled block's bytes in PM, which no reader reaches. Byte-level
+  /// clearing is intentional: after a crash the raw bytes are all the
+  /// state there is, so the layout is treated as bytes throughout.
   void Init(std::uint16_t level) {
     std::memset(static_cast<void*>(this), 0, PageSize);
     hdr.level = level;

@@ -18,9 +18,14 @@
 //    right-to-left): one 8-byte store duplicating the left neighbour's ptr
 //    commits the delete; the compaction shift stores key before ptr so the
 //    rightmost valid match a backward reader takes is always current.
-//  * FAIR split: sibling populated and flushed while unreachable; the
-//    8-byte sibling-pointer store is the commit; the 8-byte terminator
-//    store truncates the left node afterwards.
+//  * FAIR split: sibling populated and flushed while unreachable, from
+//    its header through its terminator's line (every reader stops at the
+//    terminator, so the tail lines never need to reach PM); the 8-byte
+//    sibling-pointer store is the commit; the 8-byte terminator store
+//    truncates the left node afterwards.
+//  * Direction flips: the switch counter is not persisted. Only concurrent
+//    readers consult it; a crash image is a prefix of the op's stores, on
+//    which both scan directions pick the same records.
 //
 // A record's key is valid iff its ptr differs from its left neighbour's ptr
 // (hdr.leftmost for slot 0 of internal nodes).  A zero ptr terminates the
@@ -142,21 +147,24 @@ struct NodeOps {
 
   // --- direction control (paper §4: flag even=insert, odd=delete) -----------
 
+  // The bump is ordered before the shift's stores (the barrier a non-TSO
+  // model needs for concurrent readers, DESIGN §5.4) but not flushed: in a
+  // crash image every line but the one being written is complete or
+  // untouched, so the image is a prefix of the op's stores, and on such a
+  // prefix the duplicate-pointer rule picks the same records scanning
+  // either way (DESIGN §8.2). A stale parity after a crash reads right.
+
   static void EnsureInsertDirection(Mem& m, N* n) {
     if (LoadSwitch(m, n) % 2 == 1) {
       BumpSwitch(m, n);
-      // Persist the direction before any shifted data can become durable:
-      // post-crash readers must scan a right-shifted node left-to-right.
-      m.Flush(&n->hdr);
-      m.Fence();
+      m.FenceIfNotTso();
     }
   }
 
   static void EnsureDeleteDirection(Mem& m, N* n) {
     if (LoadSwitch(m, n) % 2 == 0) {
       BumpSwitch(m, n);
-      m.Flush(&n->hdr);
-      m.Fence();
+      m.FenceIfNotTso();
     }
   }
 
@@ -182,7 +190,8 @@ struct NodeOps {
     }
 
     // Re-establish the terminator one slot right before shifting over the
-    // current one (clears stale bytes a previous delete may have left).
+    // current one (clears stale bytes a previous delete, or the recycled
+    // block under an unflushed tail line, may have left).
     StorePtrAt(m, n, cnt + 1, LoadPtrAt(m, n, cnt));
     m.FenceIfNotTso();
     if (AtLineStart(&n->records[cnt + 1])) {
@@ -302,18 +311,48 @@ struct NodeOps {
 
   // --- FAIR split (Algorithm 2 core) ------------------------------------------
 
+  /// Bytes from a node's start through the end of the cache line holding
+  /// records[cnt], the terminator of a node with `cnt` used slots: what a
+  /// fresh node must persist before it becomes reachable. Every reader
+  /// stops at the terminator, and InsertKey stores the next terminator
+  /// before each commit, flushing it first when it opens a new line, so
+  /// lines past it may keep whatever a recycled block left there.
+  static constexpr std::size_t BytesThroughTerminator(int cnt) {
+    const std::size_t end =
+        sizeof(NodeHeader) + static_cast<std::size_t>(cnt + 1) * sizeof(Record);
+    return (end + kCacheLineSize - 1) / kCacheLineSize * kCacheLineSize;
+  }
+
   /// Copies records[median..cnt) of `src` into fresh, unreachable `dst`,
-  /// chains dst to src's sibling, and flushes dst wholly (Alg 2 lines 9-15).
-  /// The separator becomes dst's persistent low fence, so dst's range
+  /// merging in `carry` (a record whose key exceeds the separator) when
+  /// given, terminates the copy, chains dst to src's sibling, and flushes
+  /// dst through its terminator's line (Alg 2 lines 9-15). The carried
+  /// record becomes durable and visible with the split itself. The
+  /// separator becomes dst's persistent low fence, so dst's range
   /// assignment survives even after every copied record is later deleted.
-  static void SplitCopy(Mem& m, N* src, N* dst, int median, int cnt) {
-    for (int i = median, j = 0; i < cnt; ++i, ++j) {
-      StoreKeyAt(m, dst, j, LoadKeyAt(m, src, i));
-      StorePtrAt(m, dst, j, LoadPtrAt(m, src, i));
+  static void SplitCopy(Mem& m, N* src, N* dst, int median, int cnt,
+                        const Record* carry = nullptr) {
+    assert(carry == nullptr || carry->key > LoadKeyAt(m, src, median));
+    int j = 0;
+    const auto put = [&](Key k, std::uint64_t p) {
+      StoreKeyAt(m, dst, j, k);
+      StorePtrAt(m, dst, j, p);
+      ++j;
+    };
+    for (int i = median; i < cnt; ++i) {
+      const Key k = LoadKeyAt(m, src, i);
+      if (carry != nullptr && carry->key < k) {
+        put(carry->key, carry->ptr);
+        carry = nullptr;
+      }
+      put(k, LoadPtrAt(m, src, i));
     }
+    if (carry != nullptr) put(carry->key, carry->ptr);
+    StorePtrAt(m, dst, j, 0);
     StoreFence(m, dst, LoadKeyAt(m, src, median));
     StoreSibling(m, dst, LoadSibling(m, src));
-    for (std::size_t off = 0; off < sizeof(N); off += kCacheLineSize) {
+    for (std::size_t off = 0; off < BytesThroughTerminator(j);
+         off += kCacheLineSize) {
       m.Flush(reinterpret_cast<const char*>(dst) + off);
     }
     m.Fence();

@@ -298,5 +298,55 @@ TEST(BTreeFlushCost, AverageFlushesPerInsertMatchPaper) {
   EXPECT_LT(per_op, 8.0);
 }
 
+TEST(BTreeFlushCost, AscendingInsertsPinTheLinesPerLeafSplit) {
+  // Ascending inserts append at the end of each node. An append flushes
+  // its commit line, plus the new terminator's line when the terminator
+  // starts one. A full leaf splits with the new key carried into the
+  // sibling: the sibling is flushed from its header through its
+  // terminator's line (14 copied records and the carried key leave the
+  // terminator in line 4: 5 lines), then the left header and the
+  // truncation, each with a fence: 7 lines and 3 fences, and no insert
+  // after. The parent then takes one append; the first split grows a
+  // root instead (its record line, its two lines through the terminator,
+  // the meta's root word: 4 lines, 3 fences).
+  constexpr int kCap = BTree::kNodeCapacity;
+  const auto append_lines = [](int cnt) -> std::uint64_t {
+    return (cnt + 1) % 4 == 0 ? 2 : 1;
+  };
+  pm::Pool pool(64 << 20);
+  BTree tree(&pool);
+  int leaf = 0;   // records in the rightmost leaf
+  int root = -1;  // records in the internal root; -1 while the root is a leaf
+  int splits = 0;
+  for (Key k = 1; splits < 20; ++k) {
+    std::uint64_t lines, fences;
+    if (leaf < kCap) {
+      lines = fences = append_lines(leaf++);
+    } else {
+      ++splits;
+      lines = 7;
+      fences = 3;
+      leaf = kCap - kCap / 2 + 1;
+      if (root < 0) {
+        lines += 4;
+        fences += 3;
+        root = 1;
+      } else {
+        lines += append_lines(root);
+        fences += append_lines(root++);
+      }
+    }
+    const auto before = pm::Stats();
+    tree.Insert(k, k + 1);
+    const auto delta = pm::Stats() - before;
+    ASSERT_EQ(delta.flush_lines, lines) << "key " << k << ", split " << splits;
+    ASSERT_EQ(delta.fences, fences) << "key " << k << ", split " << splits;
+  }
+  EXPECT_EQ(tree.Height(), 2);
+  EXPECT_EQ(leaf, kCap - kCap / 2 + 1);
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
 }  // namespace
 }  // namespace fastfair::core

@@ -49,17 +49,24 @@ Value ImageSearch(const SimMem::Image& img, const NodeT* left, Key key) {
   return kNoValue;
 }
 
+/// A full leaf holding keys 10, 20, ... with values key + 1.
+std::map<Key, Value> FillFull(NodeT* n) {
+  n->Init(0);
+  RealMem rm;
+  std::map<Key, Value> committed;
+  for (int i = 0; i < kCap; ++i) {
+    const Key k = static_cast<Key>((i + 1) * 10);
+    RealOps::InsertKey(rm, n, k, k + 1);
+    committed[k] = k + 1;
+  }
+  return committed;
+}
+
 class FairSplitCrash : public ::testing::Test {
  protected:
   FairSplitCrash() {
-    left_.Init(0);
+    committed_ = FillFull(&left_);
     right_.Init(0);
-    RealMem rm;
-    for (int i = 0; i < kCap; ++i) {
-      const Key k = static_cast<Key>((i + 1) * 10);
-      RealOps::InsertKey(rm, &left_, k, k + 1);
-      committed_[k] = k + 1;
-    }
     sim_.Adopt(&left_, sizeof(left_));
     sim_.Adopt(&right_, sizeof(right_));
     const int cnt = kCap;
@@ -111,13 +118,8 @@ TEST_F(FairSplitCrash, UnlinkedSiblingIsInvisible) {
   // and the sibling unreachable.
   alignas(64) NodeT left;
   alignas(64) NodeT right;
-  left.Init(0);
+  FillFull(&left);
   right.Init(0);
-  RealMem rm;
-  for (int i = 0; i < kCap; ++i) {
-    const Key k = static_cast<Key>((i + 1) * 10);
-    RealOps::InsertKey(rm, &left, k, k + 1);
-  }
   SimMem sim;
   sim.Adopt(&left, sizeof(left));
   sim.Adopt(&right, sizeof(right));
@@ -140,15 +142,9 @@ TEST_F(FairSplitCrash, UnlinkedSiblingIsInvisible) {
 TEST_F(FairSplitCrash, CommitSuffixExhaustive) {
   alignas(64) NodeT left;
   alignas(64) NodeT right;
-  left.Init(0);
+  const auto committed = FillFull(&left);
   right.Init(0);
   RealMem rm;
-  std::map<Key, Value> committed;
-  for (int i = 0; i < kCap; ++i) {
-    const Key k = static_cast<Key>((i + 1) * 10);
-    RealOps::InsertKey(rm, &left, k, k + 1);
-    committed[k] = k + 1;
-  }
   // Persisted prefix: sibling fully built (RealMem), then sim the commit.
   RealOps::SplitCopy(rm, &left, &right, kCap / 2, kCap);
   SimMem sim;
@@ -186,17 +182,210 @@ TEST_F(FairSplitCrash, CommitSuffixExhaustive) {
   EXPECT_GE(images, 3u);
 }
 
-// FAIR's flush cost: splitting must flush the sibling once (node/64 lines)
-// plus two 8-byte commit points — no log, no copy-on-write of the source.
+// FAIR's flush cost: splitting flushes the sibling once, from its header
+// through the line of its terminator, plus two 8-byte commit points — no
+// log, no copy-on-write of the source, and no flush of the sibling's tail
+// lines, which no reader reaches. At 512 B the sibling's 14 records put
+// its terminator in slot 14, cache line 4: 5 sibling lines, 7 in all.
 TEST_F(FairSplitCrash, SplitFlushCountMatchesPaperModel) {
   std::size_t flushes = 0, fences = 0;
   for (const auto& e : sim_.events()) {
     flushes += e.kind == crashsim::Event::Kind::kFlush;
     fences += e.kind == crashsim::Event::Kind::kFence;
   }
-  EXPECT_EQ(flushes, sizeof(NodeT) / kCacheLineSize + 2);
+  const int terminator = kCap - kCap / 2;
+  const std::size_t terminator_line =
+      (sizeof(NodeHeader) + terminator * sizeof(Record)) / kCacheLineSize;
+  EXPECT_EQ(flushes, terminator_line + 1 + 2);
+  EXPECT_EQ(flushes, 7u);
   EXPECT_EQ(fences, 3u);
 }
+
+// Garbage a recycled block may hold: a copy of a committed key with a
+// wrong value, or a key no one inserted, each with a non-zero ptr.
+Record GarbageAt(int slot) {
+  const Key k = static_cast<Key>((slot + 1) * 10 + (slot % 2) * 5);
+  return {k, 0xdead0000u + static_cast<std::uint64_t>(slot)};
+}
+
+bool IsGarbageValue(Value v) {
+  return (v & ~std::uint64_t{0xffff}) == 0xdead0000u;
+}
+
+/// Sibling block as a recycled allocation leaves it: Init cleared it in
+/// the cache, but PM still holds the old bytes wherever a flush has not
+/// reached. Every record slot gets garbage (the split's stores and its
+/// flushed lines overwrite the copy's part); the header stays clean, as
+/// Init's header line always reaches PM with the split's flush.
+void RecycledSibling(NodeT* n) {
+  n->Init(0);
+  for (int i = 0; i <= kCap; ++i) n->records[i] = GarbageAt(i);
+}
+
+/// Every committed key with its exact value through the move-right
+/// reader, and no garbage or phantom key visible.
+void ExpectCommittedOnly(const SimMem::Image& img, const NodeT* left,
+                         const std::map<Key, Value>& committed) {
+  for (const auto& [k, v] : committed) {
+    ASSERT_EQ(ImageSearch(img, left, k), v) << "lost key " << k;
+  }
+  for (int i = 0; i <= kCap; ++i) {
+    const Key k = GarbageAt(i).key;
+    const Value got = ImageSearch(img, left, k);
+    ASSERT_FALSE(IsGarbageValue(got)) << "stale record " << k;
+    if (committed.count(k) == 0) {
+      ASSERT_EQ(got, kNoValue) << "phantom " << k;
+    }
+  }
+}
+
+TEST(FairRecycledSibling, SampledImagesAndCommitSuffixHideTheTail) {
+  alignas(64) NodeT left;
+  alignas(64) NodeT right;
+  const auto committed = FillFull(&left);
+  RecycledSibling(&right);
+  {
+    SimMem sim;
+    sim.Adopt(&left, sizeof(left));
+    sim.Adopt(&right, sizeof(right));
+    SimOps::SplitCopy(sim, &left, &right, kCap / 2, kCap);
+    SimOps::CommitSplit(sim, &left, &right, kCap / 2);
+    sim.SampleCrashStates(20000, /*seed=*/11, [&](const SimMem::Image& img) {
+      ExpectCommittedOnly(img, &left, committed);
+    });
+  }
+  // Commit suffix, exhaustively, over a sibling whose copy is persisted
+  // and whose tail still holds the recycled bytes.
+  alignas(64) NodeT l2;
+  alignas(64) NodeT r2;
+  FillFull(&l2);
+  RecycledSibling(&r2);
+  RealMem rm;
+  RealOps::SplitCopy(rm, &l2, &r2, kCap / 2, kCap);
+  SimMem sim;
+  sim.Adopt(&l2, sizeof(l2));
+  sim.Adopt(&r2, sizeof(r2));
+  SimOps::CommitSplit(sim, &l2, &r2, kCap / 2);
+  const bool complete = sim.EnumerateCrashStates(
+      [&](const SimMem::Image& img) { ExpectCommittedOnly(img, &l2, committed); });
+  EXPECT_TRUE(complete);
+}
+
+TEST(FairRecycledSibling, AppendingUntilFullNeverSurfacesTheTail) {
+  alignas(64) NodeT left;
+  alignas(64) NodeT right;
+  const auto committed = FillFull(&left);
+  RecycledSibling(&right);
+  SimMem split;
+  split.Adopt(&left, sizeof(left));
+  split.Adopt(&right, sizeof(right));
+  SimOps::SplitCopy(split, &left, &right, kCap / 2, kCap);
+  SimOps::CommitSplit(split, &left, &right, kCap / 2);
+  // The sibling as the final image left it: its flushed lines hold the
+  // copy, its tail lines the recycled bytes.
+  const auto final_img = split.FinalImage();
+  auto* words = reinterpret_cast<std::uint64_t*>(&right);
+  for (std::size_t i = 0; i < sizeof(NodeT) / 8; ++i) {
+    words[i] = final_img.Read64(words + i);
+  }
+  RealMem rm;
+  std::map<Key, Value> before;
+  for (const auto& [k, v] : committed) {
+    if (k >= RealOps::LoadFence(rm, &right)) before[k] = v;
+  }
+  for (Key k = static_cast<Key>(kCap + 1) * 10;
+       RealOps::CountRaw(rm, &right) < kCap; k += 10) {
+    std::map<Key, Value> after = before;
+    after[k] = k + 1;
+    SimMem sim;
+    sim.Adopt(&right, sizeof(right));
+    SimOps::InsertKey(sim, &right, k, k + 1);
+    const bool complete = sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+      ImageMem m{&img};
+      Record buf[kCap];
+      const int n = ImgOps::CollectValid(m, &right, buf);
+      std::map<Key, Value> seen;
+      for (int i = 0; i < n; ++i) seen[buf[i].key] = buf[i].ptr;
+      ASSERT_TRUE(seen == before || seen == after) << "appending " << k;
+      for (int i = 0; i <= kCap; ++i) {
+        ASSERT_FALSE(IsGarbageValue(
+            ImgOps::SearchLeaf(m, &right, GarbageAt(i).key)));
+      }
+    });
+    ASSERT_TRUE(complete);
+    const auto img = sim.FinalImage();
+    for (std::size_t i = 0; i < sizeof(NodeT) / 8; ++i) {
+      words[i] = img.Read64(words + i);
+    }
+    before = after;
+  }
+  EXPECT_EQ(RealOps::CountRaw(rm, &right), kCap);
+}
+
+// A split whose key lands right carries it in the copy: no image shows
+// the key before the sibling pointer commits, and every image after it
+// shows the key with the old set intact.
+class FairCarriedSplit : public ::testing::TestWithParam<Key> {};
+
+void ExpectOldSetOrWithCarry(const SimMem::Image& img, const NodeT* left,
+                             const std::map<Key, Value>& committed, Key key) {
+  for (const auto& [k, v] : committed) {
+    ASSERT_EQ(ImageSearch(img, left, k), v) << "lost key " << k;
+  }
+  ImageMem m{&img};
+  const bool linked = ImgOps::LoadSibling(m, left) != 0;
+  ASSERT_EQ(ImageSearch(img, left, key), linked ? key + 1 : kNoValue);
+}
+
+TEST_P(FairCarriedSplit, KeyAppearsWithTheCommit) {
+  const Key key = GetParam();
+  alignas(64) NodeT left;
+  alignas(64) NodeT right;
+  const auto committed = FillFull(&left);
+  right.Init(0);
+  const Record carry{key, key + 1};
+  {
+    SimMem sim;
+    sim.Adopt(&left, sizeof(left));
+    sim.Adopt(&right, sizeof(right));
+    SimOps::SplitCopy(sim, &left, &right, kCap / 2, kCap, &carry);
+    SimOps::CommitSplit(sim, &left, &right, kCap / 2);
+    std::size_t flushes = 0;
+    for (const auto& e : sim.events()) {
+      flushes += e.kind == crashsim::Event::Kind::kFlush;
+    }
+    EXPECT_EQ(flushes, 7u);  // 15 records: the terminator stays in line 4
+    sim.SampleCrashStates(20000, /*seed=*/13, [&](const SimMem::Image& img) {
+      ExpectOldSetOrWithCarry(img, &left, committed, key);
+    });
+    const auto img = sim.FinalImage();
+    ImageMem m{&img};
+    EXPECT_EQ(ImgOps::CountRaw(m, &right), kCap - kCap / 2 + 1);
+  }
+  alignas(64) NodeT l2;
+  alignas(64) NodeT r2;
+  FillFull(&l2);
+  r2.Init(0);
+  RealMem rm;
+  RealOps::SplitCopy(rm, &l2, &r2, kCap / 2, kCap, &carry);
+  SimMem sim;
+  sim.Adopt(&l2, sizeof(l2));
+  sim.Adopt(&r2, sizeof(r2));
+  SimOps::CommitSplit(sim, &l2, &r2, kCap / 2);
+  std::size_t with_key = 0;
+  const bool complete = sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+    ExpectOldSetOrWithCarry(img, &l2, committed, key);
+    with_key += ImageSearch(img, &l2, key) != kNoValue;
+  });
+  EXPECT_TRUE(complete);
+  EXPECT_GE(with_key, 1u);
+}
+
+// Just above the separator, between two copied keys, and past the last.
+INSTANTIATE_TEST_SUITE_P(Positions, FairCarriedSplit,
+                         ::testing::Values(Key{(kCap / 2 + 1) * 10 + 5},
+                                           Key{200 + 5},
+                                           Key{(kCap + 1) * 10}));
 
 }  // namespace
 }  // namespace fastfair::core

@@ -75,19 +75,63 @@ std::vector<CrashCase> InsertCases() {
   return cases;
 }
 
-class FastInsertCrash : public ::testing::TestWithParam<CrashCase> {};
+auto Resolve(std::uint64_t p) { return reinterpret_cast<const NodeT*>(p); }
 
-TEST_P(FastInsertCrash, EveryCrashStateIsBeforeOrAfter) {
-  const auto [fill, pos] = GetParam();
+/// Lazy recovery on a materialized copy of `img`: FixNode must converge
+/// (a second pass finds nothing) on a sorted node whose key set is
+/// `before` or `after`.
+void ExpectFixConverges(const SimMem::Image& img, const NodeT* node,
+                        const std::map<Key, Value>& before,
+                        const std::map<Key, Value>& after) {
+  alignas(64) NodeT copy;
+  Materialize(img, node, &copy);
+  copy.hdr.lock.Reset();
+  RealMem m2;
+  RealOps::FixNode(m2, &copy, Resolve);
+  EXPECT_FALSE(RealOps::FixNode(m2, &copy, Resolve));  // converged
+  Record buf[kCap];
+  const int n = RealOps::CollectValid(m2, &copy, buf);
+  std::map<Key, Value> fixed;
+  for (int i = 0; i < n; ++i) fixed[buf[i].key] = buf[i].ptr;
+  EXPECT_TRUE(fixed == before || fixed == after);
+  for (int i = 1; i < n; ++i) ASSERT_LT(buf[i - 1].key, buf[i].key);
+}
+
+/// SearchLeaf on `img` finds every key of `seen` with its value, and
+/// nothing for the other keys of `before` and `after`.
+void ExpectSearchAgrees(const SimMem::Image& img, const NodeT* node,
+                        const std::map<Key, Value>& seen,
+                        const std::map<Key, Value>& before,
+                        const std::map<Key, Value>& after) {
+  ImageMem im{&img};
+  for (const auto* set : {&before, &after}) {
+    for (const auto& [k, v] : *set) {
+      const auto it = seen.find(k);
+      EXPECT_EQ(ImgOps::SearchLeaf(im, node, k),
+                it == seen.end() ? kNoValue : it->second)
+          << "key " << k;
+    }
+  }
+}
+
+/// Committed keys 10, 20, ... (fill of them); the new key lands at sorted
+/// index pos. With `delete_phase` the node last ran a delete, so the
+/// insert flips its direction, and the bump is never flushed.
+void CheckInsertCrashStates(int fill, int pos, bool delete_phase) {
   alignas(64) NodeT node;
   node.Init(0);
   RealMem rm;
-  // Committed state: keys 10,20,...; the new key lands at sorted index pos.
   std::map<Key, Value> before;
   for (int i = 0; i < fill; ++i) {
     const Key k = static_cast<Key>((i + 1) * 10);
     RealOps::InsertKey(rm, &node, k, k + 1);
     before[k] = k + 1;
+  }
+  if (delete_phase) {
+    constexpr Key kFlip = 1000000;
+    RealOps::InsertKey(rm, &node, kFlip, kFlip + 1);
+    ASSERT_TRUE(RealOps::DeleteKey(rm, &node, kFlip));
+    ASSERT_EQ(RealOps::LoadSwitch(rm, &node) % 2, 1u);
   }
   const Key newkey = static_cast<Key>(pos * 10 + 5);
   std::map<Key, Value> after = before;
@@ -97,7 +141,7 @@ TEST_P(FastInsertCrash, EveryCrashStateIsBeforeOrAfter) {
   sim.Adopt(&node, sizeof(node));
   SimOps::InsertKey(sim, &node, newkey, newkey + 1);
 
-  std::size_t images = 0, after_images = 0;
+  std::size_t images = 0, after_images = 0, after_stale_parity = 0;
   const bool complete = sim.EnumerateCrashStates([&](const SimMem::Image& img) {
     ++images;
     const auto seen = ReadImage(img, &node);
@@ -106,32 +150,92 @@ TEST_P(FastInsertCrash, EveryCrashStateIsBeforeOrAfter) {
     ASSERT_TRUE(is_before || is_after)
         << "torn state with " << seen.size() << " keys at image " << images;
     after_images += is_after;
-
-    // Lazy recovery: fix a materialized copy, re-verify, and require a
-    // clean (nothing further to fix) node.
-    alignas(64) NodeT copy;
-    Materialize(img, &node, &copy);
-    copy.hdr.lock.Reset();
-    RealMem m2;
-    auto resolve = [](std::uint64_t p) {
-      return reinterpret_cast<const NodeT*>(p);
-    };
-    RealOps::FixNode(m2, &copy, resolve);
-    EXPECT_FALSE(RealOps::FixNode(m2, &copy, resolve));  // converged
-    Record buf[kCap];
-    const int n = RealOps::CollectValid(m2, &copy, buf);
-    std::map<Key, Value> fixed;
-    for (int i = 0; i < n; ++i) fixed[buf[i].key] = buf[i].ptr;
-    EXPECT_TRUE(fixed == before || fixed == after);
-    for (int i = 1; i < n; ++i) ASSERT_LT(buf[i - 1].key, buf[i].key);
+    ImageMem im{&img};
+    after_stale_parity += is_after && ImgOps::LoadSwitch(im, &node) % 2 == 1;
+    ExpectSearchAgrees(img, &node, seen, before, after);
+    ExpectFixConverges(img, &node, before, after);
   });
   EXPECT_TRUE(complete) << "crash-state enumeration hit the cap";
   EXPECT_GE(images, 2u);
   EXPECT_GE(after_images, 1u);  // the fully-persisted state is reachable
+  // The unflushed flip: a committed insert read in the delete phase.
+  if (delete_phase) {
+    EXPECT_GE(after_stale_parity, 1u);
+  }
+}
+
+class FastInsertCrash : public ::testing::TestWithParam<CrashCase> {};
+
+TEST_P(FastInsertCrash, EveryCrashStateIsBeforeOrAfter) {
+  CheckInsertCrashStates(GetParam().fill, GetParam().pos,
+                         /*delete_phase=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastInsertCrash,
                          ::testing::ValuesIn(InsertCases()));
+
+// The same sweep into a delete-phase node: every image, whichever
+// direction its unflushed switch counter names, reads before or after.
+class FastInsertFlipCrash : public ::testing::TestWithParam<CrashCase> {};
+
+TEST_P(FastInsertFlipCrash, EveryCrashStateIsBeforeOrAfter) {
+  CheckInsertCrashStates(GetParam().fill, GetParam().pos,
+                         /*delete_phase=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FastInsertFlipCrash,
+                         ::testing::ValuesIn(InsertCases()));
+
+// FixNode's compaction of an insert-phase node flips it to the delete
+// phase without flushing the bump. Its images must all read the node's
+// valid set, which the compaction does not change.
+enum class Forged { kSlotZeroHole, kDuplicatePtr };
+
+void PrintTo(Forged f, std::ostream* os) {
+  *os << (f == Forged::kSlotZeroHole ? "SlotZeroHole" : "DuplicatePtr");
+}
+
+class FixNodeFlipCrash : public ::testing::TestWithParam<Forged> {};
+
+TEST_P(FixNodeFlipCrash, EveryCrashStateReadsTheValidSet) {
+  alignas(64) NodeT node;
+  node.Init(0);
+  RealMem rm;
+  std::map<Key, Value> valid;
+  for (Key k = 10; k <= 120; k += 10) {
+    RealOps::InsertKey(rm, &node, k, k + 1);
+    valid[k] = k + 1;
+  }
+  if (GetParam() == Forged::kSlotZeroHole) {
+    node.records[0].ptr = 0;  // an insert or delete at slot 0 in flight
+    valid.erase(10);
+  } else {
+    node.records[3].key = 999;  // a crashed insert's duplicate-ptr slot
+    node.records[3].ptr = node.records[2].ptr;
+    valid.erase(40);
+  }
+  ASSERT_EQ(RealOps::LoadSwitch(rm, &node) % 2, 0u);
+
+  SimMem sim;
+  sim.Adopt(&node, sizeof(node));
+  ASSERT_TRUE(SimOps::FixNode(sim, &node, Resolve));
+  std::size_t images = 0, insert_phase = 0;
+  const bool complete = sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+    ++images;
+    const auto seen = ReadImage(img, &node);
+    ASSERT_TRUE(seen == valid) << "image " << images;
+    ImageMem im{&img};
+    insert_phase += ImgOps::LoadSwitch(im, &node) % 2 == 0;
+    ExpectSearchAgrees(img, &node, seen, valid, valid);
+    ExpectFixConverges(img, &node, valid, valid);
+  });
+  EXPECT_TRUE(complete);
+  EXPECT_GE(insert_phase, 1u);  // compaction images read forward
+}
+
+INSTANTIATE_TEST_SUITE_P(Forged, FixNodeFlipCrash,
+                         ::testing::Values(Forged::kSlotZeroHole,
+                                           Forged::kDuplicatePtr));
 
 std::vector<CrashCase> DeleteCases() {
   std::vector<CrashCase> cases;
