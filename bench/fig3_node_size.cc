@@ -8,9 +8,9 @@
 // binary search only wins at >= 4 KB nodes; linear wins at 512 B / 1 KB.
 //
 // The search_simd column replays the linear-mode run with the vectorized
-// in-node protocol (DESIGN.md §9; the active ISA, or --simd=ISA); the
-// linear and binary columns pin the scalar kernels so they reproduce the
-// paper's setup regardless of the host CPU.
+// in-node protocol (DESIGN.md §9) on the active ISA, which FASTFAIR_SIMD
+// pins; the linear and binary columns pin the scalar kernels so they
+// reproduce the paper's setup regardless of the host CPU.
 
 #include <cstdio>
 
@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
   const auto keys = bench::UniformKeys(n, opt.seed);
   pm::SetConfig(pm::Config{});  // PM latency == DRAM, per the paper
 
-  // --simd already forced an ISA inside ParseOptions; that (or the
-  // FASTFAIR_SIMD-resolved default) is what the simd column runs.
+  // The ISA FASTFAIR_SIMD resolves to (best supported when unset) is what
+  // the simd column runs.
   const simd::Isa vec_isa = simd::ActiveIsa();
   std::printf("Figure 3: linear vs binary vs simd(%s) search, %zu keys\n",
               simd::IsaName(vec_isa), n);

@@ -17,7 +17,8 @@
 // fewer than BM_IndexSearch, and BM_IndexPointBatch (mixed-class batches
 // as one Index::PointBatch) fewer than BM_IndexPointBatchByClass (the same
 // ops as three class calls). BM_TreeScanBatch64 (the index tier's 64-op
-// route chunk per call) and the index-tier hashed scan rows (BM_IndexScan,
+// route chunk per call), BM_IndexSearchOne (BM_IndexSearch's lookups as
+// batches of one) and the index-tier hashed scan rows (BM_IndexScan,
 // BM_IndexScanBatch) are trajectory only.
 
 #include <benchmark/benchmark.h>
@@ -413,6 +414,29 @@ void BM_IndexSearch(benchmark::State& state) {
                 static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_IndexSearch);
+
+// BM_IndexSearch's lookups as batches of one (Index::SearchBatch with
+// n = 1): what the sharded adapters' scalar ops would cost if they ran as
+// a batch of one. No gate.
+void BM_IndexSearchOne(benchmark::State& state) {
+  pm::SetConfig(pm::Config{});
+  pm::Pool pool(std::size_t{4} << 30);
+  auto idx = MakeIndex("hashed-fastfair:8", &pool);
+  const auto keys = bench::UniformKeys(200000, 3);
+  for (const Key k : keys) idx->Insert(k, 2 * k + 1);
+  std::size_t i = 0;
+  Value val = kNoValue;
+  const auto before = pm::Stats();
+  for (auto _ : state) {
+    idx->SearchBatch(&keys[i], 1, &val);
+    benchmark::DoNotOptimize(val);
+    i = (i + 1) % keys.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  SetPmCounters(state, pm::Stats() - before,
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_IndexSearchOne);
 
 void BM_IndexSearchBatch(benchmark::State& state) {
   pm::SetConfig(pm::Config{});

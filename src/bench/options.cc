@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/simd.h"
 #include "index/sharded.h"  // kMaxShards
 
 namespace fastfair::bench {
@@ -97,18 +96,6 @@ Options ParseOptions(int argc, char** argv) {
         std::fprintf(stderr, "--batch must be a non-negative int\n");
         std::exit(2);
       }
-    } else if (const char* v = val("--simd=")) {
-      o.simd = v;
-      simd::Isa isa;
-      if (!simd::ParseIsa(o.simd, &isa)) {
-        std::fprintf(stderr,
-                     "--simd must be scalar|avx2|avx512|auto\n");
-        std::exit(2);
-      }
-      // Pin before any bench touches a dispatcher; unsupported tiers clamp
-      // down exactly like FASTFAIR_SIMD (the flag wins over the env var
-      // because it forces first).
-      simd::ForceIsa(isa);
     } else if (const char* v = val("--service-workers=")) {
       char* end = nullptr;
       o.service_workers = std::strtoull(v, &end, 10);
@@ -149,7 +136,7 @@ Options ParseOptions(int argc, char** argv) {
           "--churn=R --maintenance --rebalance-threshold=R "
           "--maint-interval-us=N --batch=N --service-workers=N "
           "--batch-timeout-us=N --quota=OPS --scan-frac=F --latency "
-          "--simd=scalar|avx2|avx512|auto --csv --seed=S\n");
+          "--csv --seed=S\n");
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());

@@ -32,11 +32,6 @@
 //   --batch=<N>              operate in batches of N through the batched
 //                            index entry points (SearchBatch/InsertBatch,
 //                            DESIGN.md §8); 0 (default) = scalar ops
-//   --simd=ISA               pin the intra-node search kernels to one ISA
-//                            tier (scalar|avx2|avx512|auto,
-//                            DESIGN.md §9.1); unsupported tiers clamp down,
-//                            same as the FASTFAIR_SIMD env var. Default:
-//                            auto (best supported)
 //   --service-workers=<N>    worker threads for the KV service tier
 //                            (bench_service; DESIGN.md §10)
 //   --batch-timeout-us=<us>  longest a service worker holds a partial
@@ -81,7 +76,6 @@ struct Options {
   std::uint64_t quota = 0;  // --quota=OPS per tenant/sec; 0 = unlimited
   double scan_frac = 0.0;   // --scan-frac=F: scan share of service op mix
   bool latency = false;     // --latency: per-op latency histograms
-  std::string simd = "auto";  // --simd=ISA; pins search kernels (§9.1)
   bool csv = false;
   std::uint64_t seed = 20180213;  // FAST'18 opening day
 

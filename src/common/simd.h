@@ -48,7 +48,7 @@ enum class Isa : std::uint8_t {
 };
 
 /// Short lowercase name ("scalar", "avx2", "avx512"), the same spelling
-/// FASTFAIR_SIMD and --simd accept.
+/// FASTFAIR_SIMD accepts.
 const char* IsaName(Isa isa);
 
 /// Parses an ISA name (also accepts "" and "auto" -> best supported).

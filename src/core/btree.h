@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/defs.h"
 #include "common/simd.h"
@@ -191,34 +190,20 @@ class BTreeT {
   void ScanBatch(const ScanOp* ops, std::size_t n,
                  std::size_t* out_counts) const;
 
-  /// Cross-tree batches (DESIGN.md §8.3): the same pipelines over ops that
-  /// each name their tree — op i (of the concatenation puts ++ dels ++ gets
-  /// for PointBatch) runs on trees[i] (trees need not be distinct), with
-  /// exactly the per-op semantics of the member call on that tree. A
-  /// descent wave mixes trees, so ops routed to different shards still
-  /// share one grouped read stall per wave. The member calls are the
-  /// one-tree case of the same code.
+  /// Cross-tree batches (DESIGN.md §8.3), the sharded adapters' entry
+  /// points: the same pipelines over ops that each name their tree — op i
+  /// (of the concatenation puts ++ dels ++ gets for PointBatch) runs on
+  /// trees[i] (trees need not be distinct), with exactly the per-op
+  /// semantics of the member call on that tree. A descent wave mixes
+  /// trees, so ops routed to different shards still share one grouped
+  /// read stall per wave. The member calls are the one-tree case of the
+  /// same code.
   static void PointBatch(BTreeT* const* trees, const PointOps& ops);
-  static void SearchBatch(const BTreeT* const* trees, const Key* keys,
-                          std::size_t n, Value* out);
-  static void InsertBatch(BTreeT* const* trees, const Record* ops,
-                          std::size_t n, InsertStatus* out = nullptr);
-  static void RemoveBatch(BTreeT* const* trees, const Key* keys,
-                          std::size_t n, bool* out);
   static void ScanBatch(const BTreeT* const* trees, const ScanOp* ops,
                         std::size_t n, std::size_t* out_counts);
 
   /// Tree height in levels (1 = a single leaf).
   int Height() const;
-
-  /// Structural statistics (quiescent-state helper).
-  struct TreeStats {
-    int height = 0;
-    std::size_t entries = 0;
-    std::vector<std::size_t> nodes_per_level;  // [0] = leaves
-    double leaf_fill = 0.0;  // live entries / leaf capacity
-  };
-  TreeStats GetTreeStats() const;
 
   /// Total live entries (quiescent-state helper for tests/examples).
   std::size_t CountEntries() const;
@@ -296,14 +281,25 @@ class BTreeT {
     }
   }
 
-  /// Lock-free descent to the leaf whose range covers `key`.
+  /// One level of every lock-free descent: hops right from internal `n`
+  /// on the fence-validated sibling pointer while `key` belongs to a
+  /// sibling, leaves `n` at the node it searched, and returns the child
+  /// covering `key`, already prefetched.
+  NodeT* DescendStep(NodeT*& n, Key key) const;
+
+  /// The one unlocked walk down through the internal levels: DescendStep
+  /// from the root until the node at `level` (the root itself when the
+  /// tree is not taller). Writers lock the result with LockCovering.
+  NodeT* Descend(Key key, std::uint16_t level) const;
+
+  /// Descend to the leaf level, charged as one PM read.
   NodeT* FindLeaf(Key key) const;
 
   /// Interleaved lock-free descent of `g` keys (g <= kBatchGroup) to their
-  /// covering leaves, slot j in trees[j]: each slot starts at its own
-  /// tree's root and searches with that tree's child search, one wave per
-  /// level, each slot's child prefetched a full level before it is
-  /// searched, leaf arrivals charged as one grouped read stall per wave
+  /// covering leaves, slot j in trees[j]: one wave per level, each slot
+  /// taking DescendStep with its own tree's child search, so each slot's
+  /// child is prefetched a full level before it is searched; leaf
+  /// arrivals are charged as one grouped read stall per wave
   /// (pm::AnnotateReadGroup). Roots that are leaves arrive as a wave of
   /// their own, so a group mixing tree heights pays one stall per arrival
   /// level. When `parents` is non-null, parents[j] receives the level-1
@@ -331,26 +327,32 @@ class BTreeT {
   /// follows the sibling chain while the key may live right of it.
   Value SearchInLeaf(NodeT* n, Key key) const;
 
-  /// Insert tail: locks the covering leaf starting from hint `leaf`
-  /// (re-descending if the hint died) and performs the upsert/split; on
+  /// Insert tail: LockLeaf from hint `leaf`, then the upsert or split; on
   /// return `leaf` is the leaf it locked. kInserted for a fresh insert,
   /// kUpdated for an in-place update, kNoSpace when the needed split could
   /// not allocate (key not inserted, tree untouched).
   InsertStatus InsertFrom(NodeT*& leaf, Key key, Value value);
 
-  /// Remove tail, mirroring InsertFrom: locks the covering leaf starting
-  /// from hint `leaf` (re-descending if the hint died), deletes `key` and
-  /// leaves `leaf` at the leaf it locked. Returns false if the key was
-  /// absent.
+  /// Remove tail, mirroring InsertFrom: LockLeaf from hint `leaf`, then
+  /// the delete. Returns false if the key was absent.
   bool RemoveFrom(NodeT*& leaf, Key key);
 
-  /// Locks `n`, hopping right while the key belongs to a sibling. Before a
-  /// hop it repairs the node it leaves (FixNode: a crash-left un-truncated
-  /// split loses its copies before the sibling takes a write), and lazily
-  /// completes a possibly-crashed split by ensuring the parent knows the
-  /// sibling (paper §4.2). Returns nullptr if the locked node turned out to
-  /// be dead (emptied + unlinked); the dead node's parent separator has
-  /// then been repaired and the caller must retry from the root.
+  /// The writers' leaf step: locks the leaf covering `key` through
+  /// LockCovering from hint `leaf`, descending again whenever that meets
+  /// a dead node, and leaves `leaf` at it, locked and repaired. In a
+  /// reclaiming tree it then unlinks the run of empty leaves right of it
+  /// (TryUnlinkEmptySibling) and returns how many it unlinked.
+  int LockLeaf(NodeT*& leaf, Key key);
+
+  /// The writers' lock step on any level: locks `n`, hopping right while
+  /// the key belongs to a sibling, and returns the node it holds repaired
+  /// (FixNode). Every node it locks is repaired before it is left, so a
+  /// crash-left un-truncated split loses its copies before the sibling
+  /// takes a write; each hop lazily completes a possibly-crashed split by
+  /// ensuring the parent knows the sibling (paper §4.2). Returns nullptr
+  /// if it locked a dead node (emptied + unlinked), whose parent separator
+  /// has then been repaired, or a node fenced above `key` (an overshoot);
+  /// the caller retries from the root.
   NodeT* LockCovering(NodeT* n, Key key);
 
   /// Lazy merge (paper §4.2), extended with reclamation: marks the maximal
@@ -402,7 +404,9 @@ class BTreeT {
   bool SplitAndInsert(NodeT* node, Key key, std::uint64_t down);
 
   /// Inserts separator (sep -> right) at `level`, growing the root if
-  /// needed. Idempotent: skips if `right` is already present.
+  /// needed. Idempotent: skips if `right` is already present. A grown root,
+  /// like any node no reader can reach yet, is filled by plain stores and
+  /// persisted once through its terminator's line (DESIGN.md §8.2).
   void InsertInternal(Key sep, NodeT* right, std::uint16_t level);
 
   /// Best-effort lazy split completion: make sure `right`'s fence is in the
@@ -413,7 +417,8 @@ class BTreeT {
   void LogNodeImage(const NodeT* node);
   void ClearLog();
 
-  /// Recovery helpers (attach constructor).
+  /// Recovery helpers (attach constructor). AdoptRootChain builds the
+  /// root a crash kept from being installed the way root growth does.
   void ReinitVolatileState();
   void AdoptRootChain();
 

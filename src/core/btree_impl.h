@@ -157,37 +157,46 @@ bool BTreeT<P>::CasRoot(NodeT* expected, NodeT* desired) {
 // --- traversal ---------------------------------------------------------------
 
 template <std::size_t P>
-typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
+typename BTreeT<P>::NodeT* BTreeT<P>::DescendStep(NodeT*& n, Key key) const {
   RealMem m;
+  // Hop on the fence-validated pointer itself: re-loading the sibling
+  // after the check can land on a newly split/unlinked node whose fence
+  // exceeds the key (overshoot has no recovery — walks only go right).
+  for (std::uint64_t su;
+       (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
+    n = AsNode(su);
+  }
+  NodeT* child = AsNode(child_search_(m, n, key));
+  // Hand-over-hand prefetch: the child's leading lines start fetching
+  // before the (emulated) read stall and the next level's search.
+  PrefetchNode(child);
+  return child;
+}
+
+template <std::size_t P>
+typename BTreeT<P>::NodeT* BTreeT<P>::Descend(Key key,
+                                              std::uint16_t level) const {
   NodeT* n = Root();
+  while (n->level() > level) n = DescendStep(n, key);
+  return n;
+}
+
+template <std::size_t P>
+typename BTreeT<P>::NodeT* BTreeT<P>::FindLeaf(Key key) const {
+  NodeT* leaf = Descend(key, 0);
   // Read-latency model (DESIGN.md §5.1): only leaf-level visits are charged
   // as serial PM reads. With the paper's configuration the non-leaf levels
   // hold O(N / fanout) >> fewer nodes than the leaves and fit the LLC, and
   // Quartz prices LLC-miss stalls, not loads — its measured near-parity of
   // FAST+FAIR and FP-tree at 300 ns (Fig 5(b)) pins this calibration.
-  if (n->is_leaf()) pm::AnnotateRead(n);
-  while (!n->is_leaf()) {
-    // Hop on the fence-validated pointer itself: re-loading the sibling
-    // after the check can land on a newly split/unlinked node whose fence
-    // exceeds the key (overshoot has no recovery — walks only go right).
-    for (std::uint64_t su;
-         (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
-      n = AsNode(su);
-    }
-    n = AsNode(child_search_(m, n, key));
-    // Hand-over-hand prefetch: the child's leading lines start fetching
-    // before the (emulated) read stall below and the next level's search.
-    PrefetchNode(n);
-    if (n->is_leaf()) pm::AnnotateRead(n);
-  }
-  return n;
+  pm::AnnotateRead(leaf);
+  return leaf;
 }
 
 template <std::size_t P>
 void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
                              std::size_t g, NodeT** leaves,
                              const NodeT** parents, bool charge_leaves) {
-  RealMem m;
   // Each slot starts at its own tree's root. A root that is itself a leaf
   // has already arrived: those slots form the level-0 wave.
   std::size_t arrived = 0;
@@ -211,14 +220,8 @@ void BTreeT<P>::DescendGroup(const BTreeT* const* trees, const Key* keys,
     for (std::size_t j = 0; j < g; ++j) {
       NodeT* n = leaves[j];
       if (n->is_leaf()) continue;
-      for (std::uint64_t su; (su = Ops::MoveRightTarget(
-                                  m, n, keys[j], detail::ResolveNode<NodeT>));) {
-        n = AsNode(su);
-      }
-      NodeT* child = AsNode(trees[j]->child_search_(m, n, keys[j]));
-      PrefetchNode(child);
-      leaves[j] = child;
-      if (child->is_leaf()) {
+      leaves[j] = trees[j]->DescendStep(n, keys[j]);
+      if (leaves[j]->is_leaf()) {
         ++arrived;
         if (parents != nullptr) parents[j] = n;
       }
@@ -232,24 +235,28 @@ template <std::size_t P>
 typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
   RealMem m;
   n->hdr.lock.lock();
-  if (Ops::IsDead(m, n)) {
-    // A stale traversal (or a stale parent separator) led here. Repair the
-    // parent lazily and have the caller retry from the root.
-    const std::uint16_t parent_level = n->level() + 1;
-    n->hdr.lock.unlock();
-    RepairDeadRoutes(parent_level, key, key);
-    return nullptr;
-  }
-  for (std::uint64_t su;
-       (su = Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>));) {
-    NodeT* next = AsNode(su);
-    const std::uint16_t parent_level = n->level() + 1;
+  for (;;) {
+    if (Ops::IsDead(m, n)) {
+      // A stale traversal or parent separator led here, or the node we
+      // hopped to was emptied and unlinked between reading the sibling
+      // pointer and taking its lock: writing into it would lose the
+      // update. Repair the parent lazily; the caller retries from the root.
+      const std::uint16_t parent_level = n->level() + 1;
+      n->hdr.lock.unlock();
+      RepairDeadRoutes(parent_level, key, key);
+      return nullptr;
+    }
     // A crash-left un-truncated split keeps copies of the sibling's first
     // records here. Truncate them before any write lands in the sibling or
     // AdoptSibling publishes its route: a copy would outlive the sibling's
     // delete of its key, or hide the sibling's insert between two copies
-    // from chain scans.
+    // from chain scans. The node the caller gets is repaired the same way.
     Ops::FixNode(m, n, detail::ResolveNode<NodeT>);
+    const std::uint64_t su =
+        Ops::MoveRightTarget(m, n, key, detail::ResolveNode<NodeT>);
+    if (su == 0) break;
+    NodeT* next = AsNode(su);
+    const std::uint16_t parent_level = n->level() + 1;
     n->hdr.lock.unlock();
     // Having to move right means the sibling may be missing from the parent
     // (a crashed or in-flight split); lazily complete it (paper §4.2).
@@ -257,14 +264,6 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
     AdoptSibling(next, parent_level);
     pm::AnnotateRead(next);
     next->hdr.lock.lock();
-    if (Ops::IsDead(m, next)) {
-      // The node we hopped to was emptied and unlinked between reading the
-      // sibling pointer and taking its lock; writing into it would lose the
-      // update. Repair and retry from the root like the entry check above.
-      next->hdr.lock.unlock();
-      RepairDeadRoutes(parent_level, key, key);
-      return nullptr;
-    }
     n = next;
   }
   if (Ops::LoadFence(m, n) > key) {
@@ -279,33 +278,33 @@ typename BTreeT<P>::NodeT* BTreeT<P>::LockCovering(NodeT* n, Key key) {
   return n;
 }
 
+template <std::size_t P>
+int BTreeT<P>::LockLeaf(NodeT*& leaf, Key key) {
+  while ((leaf = LockCovering(leaf, key)) == nullptr) {
+    leaf = FindLeaf(key);  // a dead node (parent repaired) or an overshoot
+  }
+  return opts_.reclaim_empty_leaves ? TryUnlinkEmptySibling(leaf, key) : 0;
+}
+
 // --- point operations -----------------------------------------------------------
 
 template <std::size_t P>
 InsertStatus BTreeT<P>::InsertFrom(NodeT*& leaf, Key key, Value value) {
   RealMem m;
-  for (;;) {
-    leaf = LockCovering(leaf, key);
-    if (leaf == nullptr) {  // hit a dead node; parent repaired — re-descend
-      leaf = FindLeaf(key);
-      continue;
-    }
-    Ops::FixNode(m, leaf, detail::ResolveNode<NodeT>);
-    if (opts_.reclaim_empty_leaves) TryUnlinkEmptySibling(leaf, key);
-    if (Ops::UpdateKey(m, leaf, key, value)) {  // upsert: 8-byte in-place
-      leaf->hdr.lock.unlock();
-      return InsertStatus::kUpdated;
-    }
-    if (Ops::CountRaw(m, leaf) < kNodeCapacity) {
-      Ops::InsertKey(m, leaf, key, value);
-      leaf->hdr.lock.unlock();
-      return InsertStatus::kInserted;
-    }
-    // UpdateKey already handled an existing key, so a split always carries
-    // a fresh insert.
-    return SplitAndInsert(leaf, key, value) ? InsertStatus::kInserted
-                                            : InsertStatus::kNoSpace;
+  LockLeaf(leaf, key);
+  if (Ops::UpdateKey(m, leaf, key, value)) {  // upsert: 8-byte in-place
+    leaf->hdr.lock.unlock();
+    return InsertStatus::kUpdated;
   }
+  if (Ops::CountRaw(m, leaf) < kNodeCapacity) {
+    Ops::InsertKey(m, leaf, key, value);
+    leaf->hdr.lock.unlock();
+    return InsertStatus::kInserted;
+  }
+  // UpdateKey already handled an existing key, so a split always carries
+  // a fresh insert.
+  return SplitAndInsert(leaf, key, value) ? InsertStatus::kInserted
+                                          : InsertStatus::kNoSpace;
 }
 
 template <std::size_t P>
@@ -329,18 +328,10 @@ InsertStatus BTreeT<P>::TryInsert(Key key, Value value) {
 template <std::size_t P>
 bool BTreeT<P>::RemoveFrom(NodeT*& leaf, Key key) {
   RealMem m;
-  for (;;) {
-    leaf = LockCovering(leaf, key);
-    if (leaf == nullptr) {  // hit a dead node; parent repaired — re-descend
-      leaf = FindLeaf(key);
-      continue;
-    }
-    Ops::FixNode(m, leaf, detail::ResolveNode<NodeT>);
-    if (opts_.reclaim_empty_leaves) TryUnlinkEmptySibling(leaf, key);
-    const bool ok = Ops::DeleteKey(m, leaf, key);
-    leaf->hdr.lock.unlock();
-    return ok;
-  }
+  LockLeaf(leaf, key);
+  const bool ok = Ops::DeleteKey(m, leaf, key);
+  leaf->hdr.lock.unlock();
+  return ok;
 }
 
 template <std::size_t P>
@@ -459,34 +450,14 @@ void BTreeT<P>::SearchBatch(const Key* keys, std::size_t n,
 }
 
 template <std::size_t P>
-void BTreeT<P>::SearchBatch(const BTreeT* const* trees, const Key* keys,
-                            std::size_t n, Value* out) {
-  PointBatchOn(
-      [trees](std::size_t i) { return const_cast<BTreeT*>(trees[i]); },
-      {.gets = keys, .n_gets = n, .get_out = out});
-}
-
-template <std::size_t P>
 void BTreeT<P>::InsertBatch(const Record* ops, std::size_t n,
                             InsertStatus* out) {
   PointBatch({.puts = ops, .n_puts = n, .put_out = out});
 }
 
 template <std::size_t P>
-void BTreeT<P>::InsertBatch(BTreeT* const* trees, const Record* ops,
-                            std::size_t n, InsertStatus* out) {
-  PointBatch(trees, {.puts = ops, .n_puts = n, .put_out = out});
-}
-
-template <std::size_t P>
 void BTreeT<P>::RemoveBatch(const Key* keys, std::size_t n, bool* out) {
   PointBatch({.dels = keys, .n_dels = n, .del_out = out});
-}
-
-template <std::size_t P>
-void BTreeT<P>::RemoveBatch(BTreeT* const* trees, const Key* keys,
-                            std::size_t n, bool* out) {
-  PointBatch(trees, {.dels = keys, .n_dels = n, .del_out = out});
 }
 
 // --- split path ---------------------------------------------------------------
@@ -579,8 +550,11 @@ void BTreeT<P>::InsertInternal(Key sep, NodeT* right, std::uint16_t level) {
         nr = TryAllocNode(level);
       }
       if (nr == nullptr) return;
+      // No reader can reach `nr` before the CAS: plain stores fill it and
+      // one persist through its terminator's line makes it durable.
       Ops::StoreLeftmost(m, nr, reinterpret_cast<std::uint64_t>(root));
-      Ops::InsertKey(m, nr, sep, right_u);
+      Ops::StoreKeyAt(m, nr, 0, sep);
+      Ops::StorePtrAt(m, nr, 0, right_u);
       pm::Persist(nr, Ops::BytesThroughTerminator(1));
       if (CasRoot(root, nr)) {
         // No parent lock serialized this publish against the unlinker, so
@@ -594,18 +568,8 @@ void BTreeT<P>::InsertInternal(Key sep, NodeT* right, std::uint16_t level) {
       }
       continue;  // lost the race; retry against the new root
     }
-    // Descend (lock-free) to the target level.
-    NodeT* n = root;
-    while (n->level() > level) {
-      for (std::uint64_t su; (su = Ops::MoveRightTarget(
-                                  m, n, sep, detail::ResolveNode<NodeT>));) {
-        n = AsNode(su);
-      }
-      n = AsNode(child_search_(m, n, sep));
-    }
-    n = LockCovering(n, sep);
+    NodeT* n = LockCovering(Descend(sep, level), sep);
     if (n == nullptr) continue;  // hopped into a dead node; retry from root
-    Ops::FixNode(m, n, detail::ResolveNode<NodeT>);
     // Unlink interlock, the airtight half: route removal (CleanDeadRoutes)
     // runs under this parent's lock, and the dead mark is sequenced before
     // the marker's repair pass. Either that pass visits `n` after our
@@ -747,11 +711,7 @@ typename BTreeT<P>::SweepResult BTreeT<P>::SweepDrainedRanges(Key cursor,
   RealMem m;
   for (int i = 0; i < max_leaves; ++i) {
     NodeT* leaf = FindLeaf(r.next_cursor);
-    leaf = LockCovering(leaf, r.next_cursor);
-    if (leaf == nullptr) continue;  // dead node repaired; retry the cursor
-    Ops::FixNode(m, leaf, detail::ResolveNode<NodeT>);
-    r.unlinked +=
-        static_cast<std::size_t>(TryUnlinkEmptySibling(leaf, r.next_cursor));
+    r.unlinked += static_cast<std::size_t>(LockLeaf(leaf, r.next_cursor));
     // Advance past this leaf: the first key of the first live node to the
     // right. Best-effort and unlocked past the leaf — the cursor is a
     // position hint, never a correctness input; a lost race only makes the
@@ -978,16 +938,8 @@ void BTreeT<P>::CleanDeadRoutes(NodeT* p) {
 template <std::size_t P>
 void BTreeT<P>::RepairDeadRoutes(std::uint16_t level, Key lo, Key hi) {
   RealMem m;
-  NodeT* root = Root();
-  if (root->level() < level) return;  // no such level exists
-  NodeT* p = root;
-  while (p->level() > level) {
-    for (std::uint64_t su;
-         (su = Ops::MoveRightTarget(m, p, lo, detail::ResolveNode<NodeT>));) {
-      p = AsNode(su);
-    }
-    p = AsNode(child_search_(m, p, lo));
-  }
+  NodeT* p = Descend(lo, level);
+  if (p->level() < level) return;  // no such level exists
   p = LockCovering(p, lo);
   if (p == nullptr) return;  // covering node itself dead: repaired, caller
                              // (if any) retries from the root
@@ -999,7 +951,6 @@ void BTreeT<P>::RepairDeadRoutes(std::uint16_t level, Key lo, Key hi) {
   bool unlinked_any = false;
   bool anchor = true;
   for (;;) {
-    Ops::FixNode(m, p, detail::ResolveNode<NodeT>);
     CleanDeadRoutes(p);
     if (anchor && AllRoutesDead(p) && Ops::LoadSibling(m, p) != 0 &&
         Ops::CountRaw(m, p) > 0) {
@@ -1286,33 +1237,6 @@ int BTreeT<P>::Height() const {
 }
 
 template <std::size_t P>
-typename BTreeT<P>::TreeStats BTreeT<P>::GetTreeStats() const {
-  RealMem m;
-  TreeStats st;
-  st.height = Height();
-  st.entries = CountEntries();
-  const NodeT* first = Root();
-  for (;;) {
-    std::size_t count = 0;
-    for (const NodeT* n = first; n != nullptr;
-         n = Resolve(Ops::LoadSibling(m, n))) {
-      ++count;
-    }
-    st.nodes_per_level.insert(st.nodes_per_level.begin(), count);
-    if (first->is_leaf()) break;
-    const std::uint64_t lm = Ops::LoadLeftmost(m, first);
-    first = Resolve(lm != 0 ? lm
-                            : Ops::LoadPtrAt(m, const_cast<NodeT*>(first), 0));
-  }
-  if (!st.nodes_per_level.empty() && st.nodes_per_level.front() > 0) {
-    st.leaf_fill =
-        static_cast<double>(st.entries) /
-        (static_cast<double>(st.nodes_per_level.front()) * kNodeCapacity);
-  }
-  return st;
-}
-
-template <std::size_t P>
 std::size_t BTreeT<P>::CountEntries() const {
   detail::MaybeEpochGuard guard(opts_.reclaim_empty_leaves);
   RealMem m;
@@ -1362,6 +1286,9 @@ void BTreeT<P>::AdoptRootChain() {
   if (Ops::LoadSibling(m, root) == 0) return;
   // A crash separated the root from freshly split-off siblings before the
   // new root was installed. Build the new root over the whole chain.
+  // The new root is unreachable until the CAS: plain stores fill it, in
+  // chain order, which is fence order, and one persist through its
+  // terminator's line makes it durable.
   NodeT* nr = AllocNode(static_cast<std::uint16_t>(root->level() + 1));
   Ops::StoreLeftmost(m, nr, reinterpret_cast<std::uint64_t>(root));
   int adopted = 0;
@@ -1369,11 +1296,11 @@ void BTreeT<P>::AdoptRootChain() {
        s = AsNode(Ops::LoadSibling(m, s))) {
     const int first = Ops::HasHoleAtZero(m, s) ? 1 : 0;
     if (Ops::LoadPtrAt(m, s, first) == 0) continue;
-    if (++adopted > kNodeCapacity) {
+    if (adopted == kNodeCapacity) {
       throw std::runtime_error("AdoptRootChain: sibling chain exceeds fanout");
     }
-    Ops::InsertKey(m, nr, Ops::LoadFence(m, s),
-                   reinterpret_cast<std::uint64_t>(s));
+    Ops::StoreKeyAt(m, nr, adopted, Ops::LoadFence(m, s));
+    Ops::StorePtrAt(m, nr, adopted++, reinterpret_cast<std::uint64_t>(s));
   }
   pm::Persist(nr, Ops::BytesThroughTerminator(adopted));
   if (!CasRoot(root, nr)) {

@@ -23,6 +23,7 @@
 #include "index/hash_sharded.h"
 #include "index/index.h"
 #include "index/sharded.h"
+#include "pm/check.h"
 #include "pm/persist.h"
 #include "race_sched.h"
 
@@ -1414,7 +1415,7 @@ TEST(PointBatch, ReadOfALeafUnlinkedInItsChunkDescendsAgain) {
   for (Key k = 1; k <= 200; ++k) tree.Insert(10 * k, ValueFor(10 * k));
   ASSERT_EQ(tree.Height(), 2);
   for (Key k = 140; k <= 260; k += 10) ASSERT_TRUE(tree.Remove(k));
-  const std::size_t leaves = tree.GetTreeStats().nodes_per_level[0];
+  const std::uint64_t leaves = pm::CheckTree(&pool, tree.meta()).leaves;
 
   const core::Record puts[2] = {{15, ValueFor(15)}, {145, ValueFor(145)}};
   const Key get = 145;
@@ -1424,7 +1425,7 @@ TEST(PointBatch, ReadOfALeafUnlinkedInItsChunkDescendsAgain) {
     tree.PointBatch({.puts = puts, .n_puts = 2, .put_out = st, .gets = &get,
                      .n_gets = 1, .get_out = &val});
   });
-  EXPECT_EQ(tree.GetTreeStats().nodes_per_level[0], leaves - 1);
+  EXPECT_EQ(pm::CheckTree(&pool, tree.meta()).leaves, leaves - 1);
   EXPECT_EQ(st[0], InsertStatus::kInserted);
   EXPECT_EQ(st[1], InsertStatus::kInserted);
   EXPECT_EQ(val, ValueFor(145));

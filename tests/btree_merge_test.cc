@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/btree.h"
+#include "pm/check.h"
 
 namespace fastfair::core {
 namespace {
@@ -26,7 +28,7 @@ TEST(BTreeMerge, DrainedRegionShrinksLeafChain) {
   pm::Pool pool(256 << 20);
   BTree tree(&pool, ReclaimOpts());
   for (Key k = 1; k <= 20000; ++k) tree.Insert(k, 2 * k + 1);
-  const auto before = tree.GetTreeStats();
+  const pm::CheckReport before = pm::CheckTree(&pool, tree.meta());
   // Drain the middle half entirely.
   for (Key k = 5000; k <= 15000; ++k) tree.Remove(k);
   // Writer traffic from the left of each emptied leaf triggers unlinking;
@@ -36,9 +38,8 @@ TEST(BTreeMerge, DrainedRegionShrinksLeafChain) {
       if (k < 5000 || k > 15000) tree.Insert(k, 2 * k + 1);
     }
   }
-  const auto after = tree.GetTreeStats();
-  EXPECT_LT(after.nodes_per_level[0], before.nodes_per_level[0])
-      << "empty leaves were never reclaimed";
+  const pm::CheckReport after = pm::CheckTree(&pool, tree.meta());
+  EXPECT_LT(after.leaves, before.leaves) << "empty leaves were never reclaimed";
   // Correctness unaffected.
   for (Key k = 1; k <= 20000; ++k) {
     const Value expect = (k < 5000 || k > 15000) ? 2 * k + 1 : kNoValue;
@@ -159,18 +160,22 @@ TEST(BTreeMerge, StatsReportShrinkingStructure) {
   pm::Pool pool(256 << 20);
   BTree tree(&pool);
   for (Key k = 1; k <= 30000; ++k) tree.Insert(k, 2 * k + 1);
-  const auto full = tree.GetTreeStats();
+  const pm::CheckReport full = pm::CheckTree(&pool, tree.meta());
+  ASSERT_TRUE(full.ok()) << full.ToString();
   EXPECT_EQ(full.entries, 30000u);
-  EXPECT_GE(full.height, 3);
-  EXPECT_EQ(static_cast<int>(full.nodes_per_level.size()), full.height);
-  EXPECT_GT(full.leaf_fill, 0.4);
-  EXPECT_LE(full.leaf_fill, 1.0);
-  // Top level is a single root.
-  EXPECT_EQ(full.nodes_per_level.back(), 1u);
-  // Monotone: each level has at least as many nodes as the one above.
-  for (std::size_t i = 1; i < full.nodes_per_level.size(); ++i) {
-    EXPECT_LE(full.nodes_per_level[i], full.nodes_per_level[i - 1]);
-  }
+  EXPECT_GE(full.levels, 3u);
+  EXPECT_EQ(full.levels, static_cast<std::uint64_t>(tree.Height()));
+  const double leaf_fill =
+      static_cast<double>(full.entries) /
+      (static_cast<double>(full.leaves) * BTree::kNodeCapacity);
+  EXPECT_GT(leaf_fill, 0.4);
+  EXPECT_LE(leaf_fill, 1.0);
+  // Top level is a single root: it has no right sibling.
+  const auto* root = reinterpret_cast<const BTree::NodeT*>(
+      std::atomic_ref<std::uint64_t>(tree.meta()->root).load());
+  EXPECT_EQ(root->hdr.sibling, 0u);
+  // The levels above the leaves hold fewer nodes than the leaf level.
+  EXPECT_LT(full.nodes - full.leaves, full.leaves);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/btree.h"
+#include "pm/check.h"
 
 namespace fastfair::core {
 namespace {
@@ -110,8 +111,15 @@ TEST(BTreeRecovery, AdoptsDanglingRootSibling) {
   Ops::SplitCopy(m, root, sibling, cnt / 2, cnt);
   Ops::CommitSplit(m, root, sibling, cnt / 2);
 
+  const pm::ThreadStats before = pm::Stats();
   BTree recovered(&pool, tree.meta());
+  const pm::ThreadStats attach = pm::Stats() - before;
   EXPECT_EQ(recovered.Height(), 2);  // new root adopted the chain
+  // The new root is a fresh node, filled by plain stores: its two lines
+  // through the terminator, then the meta's root word, each persist with
+  // one fence.
+  EXPECT_EQ(attach.flush_lines, 3u);
+  EXPECT_EQ(attach.fences, 2u);
   for (int i = 0; i < Tree::kNodeCapacity; ++i) {
     const Key k = static_cast<Key>((i + 1) * 10);
     ASSERT_EQ(recovered.Search(k), k + 1);
@@ -141,6 +149,66 @@ TEST(BTreeRecovery, WriterLazilyFixesForgedDuplicatePointer) {
   EXPECT_EQ(tree.Search(55), 551u);
   std::string msg;
   EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+TEST(BTreeRecovery, ParentPublishRepairsForgedDuplicatePointerInRoot) {
+  // Forge a torn FAST insert in the internal root: routes from slot 2 on
+  // shifted one slot right, and slot 2 holding a key whose ptr still
+  // duplicates its left neighbour's (invalid to readers). Leaf writers
+  // never lock the root, so the only writer that reaches it is the parent
+  // publish of a leaf split, whose lock step must compact the slot before
+  // it inserts the new separator.
+  pm::Pool pool(64 << 20);
+  using Tree = BTreeT<512>;
+  using NodeT = Tree::NodeT;
+  using Ops = Tree::Ops;
+  Tree tree(&pool);
+  RealMem m;
+  std::map<Key, Value> model;
+  for (Key k = 10; k <= 1000; k += 10) {
+    tree.Insert(k, k + 1);
+    model[k] = k + 1;
+  }
+  ASSERT_EQ(tree.Height(), 2);
+  auto* root = reinterpret_cast<NodeT*>(
+      std::atomic_ref<std::uint64_t>(tree.meta()->root).load());
+  const int routes = Ops::CountRaw(m, root);
+  ASSERT_GE(routes, 3);
+  constexpr int kBad = 2;
+  root->records[routes + 1].ptr = 0;
+  for (int i = routes; i > kBad; --i) root->records[i] = root->records[i - 1];
+  root->records[kBad].key = root->records[kBad - 1].key + 1;
+  root->records[kBad].ptr = root->records[kBad - 1].ptr;
+  const auto has_dup = [&] {
+    for (int i = 0; i < Ops::CountRaw(m, root); ++i) {
+      const std::uint64_t left = i == 0 ? Ops::LoadLeftmost(m, root)
+                                        : Ops::LoadPtrAt(m, root, i - 1);
+      if (Ops::LoadPtrAt(m, root, i) == left) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(has_dup());
+  // Fill the leftmost leaf, then split it with one more insert.
+  const auto* leaf = reinterpret_cast<const NodeT*>(root->hdr.leftmost);
+  const int room = Tree::kNodeCapacity - Ops::CountRaw(m, leaf);
+  ASSERT_GT(room, 0);
+  Key k = 1;
+  for (int i = 0; i < room; ++i, ++k) {
+    if (k % 10 == 0) ++k;
+    tree.Insert(k, k + 1);
+    model[k] = k + 1;
+  }
+  EXPECT_TRUE(has_dup()) << "a leaf writer reached the root";
+  if (k % 10 == 0) ++k;
+  tree.Insert(k, k + 1);
+  model[k] = k + 1;
+  EXPECT_FALSE(has_dup());
+  EXPECT_EQ(Ops::CountRaw(m, root), routes + 1);  // one new separator
+  for (const auto& [key, v] : model) ASSERT_EQ(tree.Search(key), v) << key;
+  pool.SetRoot(tree.meta());
+  const pm::CheckReport report = pm::CheckPool(&pool);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(report.entries, model.size());
 }
 
 TEST(BTreeRecovery, LoggingModeUndoesTornSplitViaLog) {

@@ -307,8 +307,9 @@ TEST(BTreeFlushCost, AscendingInsertsPinTheLinesPerLeafSplit) {
   // terminator in line 4: 5 lines), then the left header and the
   // truncation, each with a fence: 7 lines and 3 fences, and no insert
   // after. The parent then takes one append; the first split grows a
-  // root instead (its record line, its two lines through the terminator,
-  // the meta's root word: 4 lines, 3 fences).
+  // root instead, a fresh node filled by plain stores (its two lines
+  // through the terminator, then the meta's root word, each persist with
+  // one fence: 3 lines, 2 fences).
   constexpr int kCap = BTree::kNodeCapacity;
   const auto append_lines = [](int cnt) -> std::uint64_t {
     return (cnt + 1) % 4 == 0 ? 2 : 1;
@@ -328,8 +329,8 @@ TEST(BTreeFlushCost, AscendingInsertsPinTheLinesPerLeafSplit) {
       fences = 3;
       leaf = kCap - kCap / 2 + 1;
       if (root < 0) {
-        lines += 4;
-        fences += 3;
+        lines += 3;
+        fences += 2;
         root = 1;
       } else {
         lines += append_lines(root);

@@ -16,6 +16,7 @@
 #include "index/index.h"
 #include "index/sharded.h"
 #include "maint/tasks.h"
+#include "pm/check.h"
 #include "pm/persist.h"
 #include "pm/pool.h"
 #include "pm/reclaim.h"
@@ -167,8 +168,8 @@ TEST(SweepTask, ReclaimsAbandonedDrainedRuns) {
   for (std::uint64_t i = 1; i <= (3 * kN) / 4; ++i) {
     ASSERT_TRUE(tree.Remove(i << 8));
   }
-  const auto before = tree.GetTreeStats();
-  ASSERT_GT(before.nodes_per_level[0], kN / 64)
+  const pm::CheckReport before = pm::CheckTree(&pool, tree.meta());
+  ASSERT_GT(before.leaves, kN / 64)
       << "ascending drain must actually strand empty leaves";
 
   pm::ResetStats();
@@ -185,8 +186,8 @@ TEST(SweepTask, ReclaimsAbandonedDrainedRuns) {
   const pm::ThreadStats delta = pm::Stats() - start;
   EXPECT_GT(delta.frees, 0u) << "swept leaves must return to the pool";
 
-  const auto after = tree.GetTreeStats();
-  EXPECT_LT(after.nodes_per_level[0], before.nodes_per_level[0] / 2)
+  const pm::CheckReport after = pm::CheckTree(&pool, tree.meta());
+  EXPECT_LT(after.leaves, before.leaves / 2)
       << "the stranded run must actually shrink the leaf chain";
   EXPECT_EQ(after.entries, kN / 4);
   std::string msg;
@@ -227,10 +228,10 @@ TEST(SweepTask, RunPassRecoversRunsAbandonedAfterARest) {
   for (std::uint64_t i = kN / 2; i < kN / 2 + kN / 4; ++i) {
     ASSERT_TRUE(tree.Remove(i << 8));
   }
-  const auto before = tree.GetTreeStats();
+  const pm::CheckReport before = pm::CheckTree(&pool, tree.meta());
   mt.RunPass();
-  const auto after = tree.GetTreeStats();
-  EXPECT_LT(after.nodes_per_level[0] + kN / 256, before.nodes_per_level[0])
+  const pm::CheckReport after = pm::CheckTree(&pool, tree.meta());
+  EXPECT_LT(after.leaves + kN / 256, before.leaves)
       << "the second pass must reclaim the newly-stranded run";
   EXPECT_EQ(after.entries, kN - kN / 4);
   std::string msg;
