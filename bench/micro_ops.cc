@@ -176,6 +176,10 @@ void BM_PersistLine(benchmark::State& state) {
 }
 BENCHMARK(BM_PersistLine);
 
+// The insert rows grow their tree inside the timed loop, so their flush
+// and fence counts per insert depend on how many inserts ran. Each fixes
+// its op count with ->Iterations(n) instead of letting wall time pick it,
+// which makes those counters exact from run to run.
 void BM_TreeInsert(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
   pm::Pool pool(std::size_t{4} << 30);
@@ -190,7 +194,7 @@ void BM_TreeInsert(benchmark::State& state) {
   SetPmCounters(state, pm::Stats() - before,
                 static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_TreeInsert);
+BENCHMARK(BM_TreeInsert)->Iterations(300000);
 
 // Tree-level appends: each key above every key before it, the put pattern
 // of a sliding-window workload (bench_e2e's write-churn). Every insert
@@ -210,7 +214,7 @@ void BM_TreeInsertAscending(benchmark::State& state) {
   SetPmCounters(state, pm::Stats() - before,
                 static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_TreeInsertAscending);
+BENCHMARK(BM_TreeInsertAscending)->Iterations(300000);
 
 void BM_TreeInsertBatch(benchmark::State& state) {
   pm::SetConfig(pm::Config{});
@@ -232,7 +236,7 @@ void BM_TreeInsertBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
   SetPmCounters(state, pm::Stats() - before, items);
 }
-BENCHMARK(BM_TreeInsertBatch);
+BENCHMARK(BM_TreeInsertBatch)->Iterations(1000);
 
 void BM_TreeSearch(benchmark::State& state) {
   pm::SetConfig(pm::Config{});

@@ -82,7 +82,6 @@ struct Store {
           pm::Pool::Options o;
           o.capacity = kPoolSize;
           o.file_path = kPoolPath;
-          o.persist_metadata = true;  // allocator survives crashes too
           return o;
         }()) {
     if (pool.reopened()) {

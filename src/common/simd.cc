@@ -7,34 +7,6 @@ namespace fastfair::simd {
 
 namespace {
 
-// True when this binary carries code for `isa` (vector tiers: x86-64 only).
-bool IsaCompiled(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-    case Isa::kAvx512:
-#if defined(FASTFAIR_SIMD_X86)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-Isa DetectBestIsa() {
-#if defined(FASTFAIR_SIMD_X86)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
-    return Isa::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-#endif
-  return Isa::kScalar;
-}
-
 Isa ResolveFromEnv() {
   const char* env = std::getenv("FASTFAIR_SIMD");
   if (env == nullptr || env[0] == '\0') return BestSupportedIsa();
@@ -77,7 +49,6 @@ bool ParseIsa(std::string_view s, Isa* out) {
 }
 
 bool IsaSupported(Isa isa) {
-  if (!IsaCompiled(isa)) return false;
 #if defined(FASTFAIR_SIMD_X86)
   __builtin_cpu_init();
   switch (isa) {
@@ -91,12 +62,17 @@ bool IsaSupported(Isa isa) {
   }
   return false;
 #else
-  return true;  // off x86 only scalar is compiled
+  return isa == Isa::kScalar;  // off x86-64 only scalar is compiled
 #endif
 }
 
 Isa BestSupportedIsa() {
-  static const Isa best = DetectBestIsa();
+  static const Isa best = [] {
+    for (Isa isa : {Isa::kAvx512, Isa::kAvx2}) {
+      if (IsaSupported(isa)) return isa;
+    }
+    return Isa::kScalar;
+  }();
   return best;
 }
 

@@ -14,18 +14,21 @@
 // or unknown values clamp to scalar; unset or "auto" picks the best the
 // CPU offers). Off x86-64 only the scalar path is compiled. Each family
 // carries ByteEqMask (FP-tree's fingerprint probe); the vector families
-// add RecordEqZero/RecordGtZero (the FAST+FAIR node search). ScalarKernels
-// is the reference implementation of ByteEqMask; every vector kernel must
-// be bit-identical to it on the same input (tests/simd_search_test.cc
-// enforces this per ISA, and checks the vector-only RecordEqZero/
-// RecordGtZero against a scalar re-derivation).
+// add RecordCmpZero (the FAST+FAIR node search). ScalarKernels is the
+// reference implementation of ByteEqMask; every vector kernel must be
+// bit-identical to it on the same input (tests/simd_search_test.cc
+// enforces this per ISA, and checks the vector-only RecordCmpZero against
+// a scalar re-derivation).
 //
 // Contract notes shared by all kernels:
 //  * ByteEqMask requires 64 readable bytes at `a` even when n < 64 (the
 //    callers point it at in-struct arrays with trailing members).
-//  * RecordEqZero/RecordGtZero read kRecWidth {key, ptr} records (16-byte
-//    stride) with plain vector loads: only valid for memory policies with
-//    coherent raw loads (RealMem), never for crash-sim shadow policies.
+//  * RecordCmpZero reads kRecWidth {key, ptr} records (16-byte stride)
+//    with plain vector loads: only valid for memory policies with coherent
+//    raw loads (RealMem), never for crash-sim shadow policies. Those loads
+//    only nominate slots, and every candidate is re-checked through the
+//    policy's atomic loads (DESIGN.md §9.2), so both kernels are exempt
+//    from ThreadSanitizer: a torn read there is expected, not a race.
 
 #pragma once
 
@@ -59,7 +62,8 @@ bool ParseIsa(std::string_view s, Isa* out);
 /// only) and the running CPU reports the feature.
 bool IsaSupported(Isa isa);
 
-/// Best supported ISA in preference order avx512 > avx2 > scalar.
+/// The first of avx512, avx2 that IsaSupported reports, else scalar;
+/// probed on the first call, then cached.
 Isa BestSupportedIsa();
 
 /// The process-wide active ISA: resolved once from FASTFAIR_SIMD (or
@@ -72,9 +76,9 @@ Isa ActiveIsa();
 /// the call keep their already-resolved function pointers.
 Isa ForceIsa(Isa isa);
 
-/// RecordEqZero/RecordGtZero (vector families only) mask kRecWidth
-/// interleaved {key, ptr} records read in place at r: bit 2l of *eq (*gt)
-/// is set iff r[2l] == key (r[2l] > key, unsigned), bit 2l of *zero iff
+/// RecordCmpZero<kGt> (vector families only) masks kRecWidth interleaved
+/// {key, ptr} records read in place at r: bit 2l of *cmp is set iff
+/// r[2l] == key (kGt: r[2l] > key, unsigned), bit 2l of *zero iff
 /// r[2l + 1] == 0. Record l's bit sits at kMaskStride * l: the stride-2
 /// layout is the natural shape of an interleaved vector compare (key lanes
 /// are the even lanes), so wide ISAs skip the deinterleave shuffle
@@ -88,8 +92,6 @@ inline constexpr std::size_t kMaskStride = 2;
 // ---------------------------------------------------------------------------
 
 struct ScalarKernels {
-  static constexpr Isa kIsa = Isa::kScalar;
-
   /// Bit i set iff a[i] == v, for i in [0, n), n <= 64. (The scalar path
   /// reads only n bytes; vector paths read a full 64-byte window.)
   static std::uint64_t ByteEqMask(const std::uint8_t* a, std::size_t n,
@@ -108,8 +110,6 @@ struct ScalarKernels {
 // ---------------------------------------------------------------------------
 
 struct Avx2Kernels {
-  static constexpr Isa kIsa = Isa::kAvx2;
-
   __attribute__((target("avx2"))) static std::uint64_t ByteEqMask(
       const std::uint8_t* a, std::size_t n, std::uint8_t v) {
     const __m256i vv = _mm256_set1_epi8(static_cast<char>(v));
@@ -129,50 +129,38 @@ struct Avx2Kernels {
   // In-place interleaved compares: each 256-bit load holds {k, p, k, p},
   // so movemask_pd bits 0/2 are key lanes and bits 1/3 are ptr lanes —
   // exactly the stride-2 mask contract, no deinterleave permutes needed.
-  __attribute__((target("avx2"))) static void RecordEqZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* eq,
-      unsigned* zero) {
+  // AVX2 has only a signed 64-bit greater-than, so kGt biases both sides
+  // by the sign bit.
+  template <bool kGt>
+  __attribute__((target("avx2"), no_sanitize("thread"))) static void
+  RecordCmpZero(const std::uint64_t* r, std::uint64_t key, unsigned* cmp,
+                unsigned* zero) {
     const __m256i r0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r));
     const __m256i r1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 4));
     const __m256i bk = _mm256_set1_epi64x(static_cast<long long>(key));
     const __m256i zz = _mm256_setzero_si256();
-    const unsigned e0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, bk))));
-    const unsigned e1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, bk))));
+    __m256i c0, c1;
+    if constexpr (kGt) {
+      const __m256i bias = _mm256_set1_epi64x(
+          static_cast<long long>(0x8000000000000000ull));
+      const __m256i bkb = _mm256_xor_si256(bk, bias);
+      c0 = _mm256_cmpgt_epi64(_mm256_xor_si256(r0, bias), bkb);
+      c1 = _mm256_cmpgt_epi64(_mm256_xor_si256(r1, bias), bkb);
+    } else {
+      c0 = _mm256_cmpeq_epi64(r0, bk);
+      c1 = _mm256_cmpeq_epi64(r1, bk);
+    }
+    const unsigned m0 =
+        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(c0)));
+    const unsigned m1 =
+        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(c1)));
     const unsigned z0 = static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, zz))));
     const unsigned z1 = static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, zz))));
-    *eq = (e0 & 0x5u) | ((e1 & 0x5u) << 4);
-    *zero = ((z0 & 0xAu) | ((z1 & 0xAu) << 4)) >> 1;
-  }
-
-  __attribute__((target("avx2"))) static void RecordGtZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* gt,
-      unsigned* zero) {
-    const __m256i r0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r));
-    const __m256i r1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + 4));
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    const __m256i bk = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(key)), bias);
-    const __m256i zz = _mm256_setzero_si256();
-    const unsigned g0 = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(
-            _mm256_cmpgt_epi64(_mm256_xor_si256(r0, bias), bk))));
-    const unsigned g1 = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(
-            _mm256_cmpgt_epi64(_mm256_xor_si256(r1, bias), bk))));
-    const unsigned z0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r0, zz))));
-    const unsigned z1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(r1, zz))));
-    *gt = (g0 & 0x5u) | ((g1 & 0x5u) << 4);
+    *cmp = (m0 & 0x5u) | ((m1 & 0x5u) << 4);
     *zero = ((z0 & 0xAu) | ((z1 & 0xAu) << 4)) >> 1;
   }
 };
@@ -182,8 +170,6 @@ struct Avx2Kernels {
 // ---------------------------------------------------------------------------
 
 struct Avx512Kernels {
-  static constexpr Isa kIsa = Isa::kAvx512;
-
   __attribute__((target("avx512f,avx512bw"))) static std::uint64_t ByteEqMask(
       const std::uint8_t* a, std::size_t n, std::uint8_t v) {
     const std::uint64_t mask = _mm512_cmpeq_epi8_mask(
@@ -197,36 +183,22 @@ struct Avx512Kernels {
   // Masked in-place compares over the interleaved record bytes: key lanes
   // are the even lanes (0x55), ptr lanes the odd (0xAA). The compare masks
   // come back already in the stride-2 bit layout — no permutex2var, no
-  // index constants.
-  __attribute__((target("avx512f"))) static void RecordEqZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* eq,
-      unsigned* zero) {
+  // index constants. kGt only changes the key compare's predicate.
+  template <bool kGt>
+  __attribute__((target("avx512f"), no_sanitize("thread"))) static void
+  RecordCmpZero(const std::uint64_t* r, std::uint64_t key, unsigned* cmp,
+                unsigned* zero) {
+    constexpr int kPred = kGt ? _MM_CMPINT_NLE : _MM_CMPINT_EQ;
     const __m512i r0 = _mm512_loadu_si512(reinterpret_cast<const void*>(r));
     const __m512i r1 =
         _mm512_loadu_si512(reinterpret_cast<const void*>(r + 8));
     const __m512i bk = _mm512_set1_epi64(static_cast<long long>(key));
     const __m512i zz = _mm512_setzero_si512();
-    const unsigned e0 = _mm512_mask_cmpeq_epu64_mask(0x55, r0, bk);
-    const unsigned e1 = _mm512_mask_cmpeq_epu64_mask(0x55, r1, bk);
+    const unsigned c0 = _mm512_mask_cmp_epu64_mask(0x55, r0, bk, kPred);
+    const unsigned c1 = _mm512_mask_cmp_epu64_mask(0x55, r1, bk, kPred);
     const unsigned z0 = _mm512_mask_cmpeq_epu64_mask(0xAA, r0, zz);
     const unsigned z1 = _mm512_mask_cmpeq_epu64_mask(0xAA, r1, zz);
-    *eq = e0 | (e1 << 8);
-    *zero = (z0 | (z1 << 8)) >> 1;
-  }
-
-  __attribute__((target("avx512f"))) static void RecordGtZero(
-      const std::uint64_t* r, std::uint64_t key, unsigned* gt,
-      unsigned* zero) {
-    const __m512i r0 = _mm512_loadu_si512(reinterpret_cast<const void*>(r));
-    const __m512i r1 =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(r + 8));
-    const __m512i bk = _mm512_set1_epi64(static_cast<long long>(key));
-    const __m512i zz = _mm512_setzero_si512();
-    const unsigned g0 = _mm512_mask_cmpgt_epu64_mask(0x55, r0, bk);
-    const unsigned g1 = _mm512_mask_cmpgt_epu64_mask(0x55, r1, bk);
-    const unsigned z0 = _mm512_mask_cmpeq_epu64_mask(0xAA, r0, zz);
-    const unsigned z1 = _mm512_mask_cmpeq_epu64_mask(0xAA, r1, zz);
-    *gt = g0 | (g1 << 8);
+    *cmp = c0 | (c1 << 8);
     *zero = (z0 | (z1 << 8)) >> 1;
   }
 };

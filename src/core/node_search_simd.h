@@ -74,46 +74,27 @@ struct SimdNodeOps {
   // Every instantiated node has at least one full block (the smallest,
   // 256 B, has 12 slots; the widest kernel block is 8 records).
 
-  /// Stride-2 eq/zero masks (simd::kMaskStride: record base+l maps to bit
-  /// 2l) for one block of `lanes` records at `base`. `lanes` is kRecWidth
+  /// Stride-2 masks (simd::kMaskStride: record base+l maps to bit 2l) for
+  /// one block of `lanes` records at `base`: *cmp marks keys equal to
+  /// `key` (kGt: above it, unsigned), *z zero ptrs. `lanes` is kRecWidth
   /// for every block except a smaller node-tail remainder, which is
   /// served by the overlap block.
-  template <class K>
-  static void BlockEqMasks(const N* n, std::size_t base, std::size_t lanes,
-                           Key key, unsigned* eq, unsigned* z) {
+  template <class K, bool kGt>
+  static void BlockMasks(const N* n, std::size_t base, std::size_t lanes,
+                         Key key, unsigned* cmp, unsigned* z) {
     constexpr std::size_t W = K::kRecWidth;
     static_assert(static_cast<std::size_t>(kSlots) >= W);
     const std::uint64_t* recs =
         reinterpret_cast<const std::uint64_t*>(n->records);
     if (lanes == W) {
-      K::RecordEqZero(recs + 2 * base, key, eq, z);
+      K::template RecordCmpZero<kGt>(recs + 2 * base, key, cmp, z);
       return;
     }
     const std::size_t drop = W - lanes;  // records the last block repeats
-    unsigned be, bz;
-    K::RecordEqZero(recs + 2 * (static_cast<std::size_t>(kSlots) - W), key,
-                    &be, &bz);
-    *eq = be >> (2 * drop);
-    *z = bz >> (2 * drop);
-  }
-
-  /// Same block contract with an unsigned key > target compare.
-  template <class K>
-  static void BlockGtMasks(const N* n, std::size_t base, std::size_t lanes,
-                           Key key, unsigned* gt, unsigned* z) {
-    constexpr std::size_t W = K::kRecWidth;
-    static_assert(static_cast<std::size_t>(kSlots) >= W);
-    const std::uint64_t* recs =
-        reinterpret_cast<const std::uint64_t*>(n->records);
-    if (lanes == W) {
-      K::RecordGtZero(recs + 2 * base, key, gt, z);
-      return;
-    }
-    const std::size_t drop = W - lanes;
-    unsigned bg, bz;
-    K::RecordGtZero(recs + 2 * (static_cast<std::size_t>(kSlots) - W), key,
-                    &bg, &bz);
-    *gt = bg >> (2 * drop);
+    unsigned bc, bz;
+    K::template RecordCmpZero<kGt>(
+        recs + 2 * (static_cast<std::size_t>(kSlots) - W), key, &bc, &bz);
+    *cmp = bc >> (2 * drop);
     *z = bz >> (2 * drop);
   }
 
@@ -132,7 +113,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned eq, z;
-      BlockEqMasks<K>(n, base, lanes, key, &eq, &z);
+      BlockMasks<K, false>(n, base, lanes, key, &eq, &z);
       if (base == 0 && (z & 1u) != 0 && lanes >= 2 && (z & 4u) == 0) {
         z &= ~1u;  // slot-0 transient hole
       }
@@ -183,7 +164,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned eq, z;
-      BlockEqMasks<K>(n, base, lanes, key, &eq, &z);
+      BlockMasks<K, false>(n, base, lanes, key, &eq, &z);
       if (base == 0 && (z & 1u) != 0 && lanes >= 2 && (z & 4u) == 0) {
         z &= ~1u;  // slot-0 transient hole
       }
@@ -219,9 +200,9 @@ struct SimdNodeOps {
   }
 
   /// Internal-node direct probe: find the leftmost valid record with
-  /// key > target (RecordGtZero nominates, StableRecord + duplicate test
-  /// confirm), then route to the ptr one slot left of that boundary — or
-  /// hdr.leftmost when the boundary is the first live slot.
+  /// key > target (RecordCmpZero<true> nominates, StableRecord + duplicate
+  /// test confirm), then route to the ptr one slot left of that boundary —
+  /// or hdr.leftmost when the boundary is the first live slot.
   template <class K>
   static ProbeState FastInternal(Mem& m, const N* n, Key key,
                                  std::uint32_t sw, std::uint64_t leftmost,
@@ -237,7 +218,7 @@ struct SimdNodeOps {
       const std::size_t lanes =
           std::min(W, static_cast<std::size_t>(kSlots) - base);
       unsigned gt, z;
-      BlockGtMasks<K>(n, base, lanes, key, &gt, &z);
+      BlockMasks<K, true>(n, base, lanes, key, &gt, &z);
       if (base == 0 && first == 1) {
         gt &= ~1u;  // slot-0 hole is skipped entirely
         z &= ~1u;

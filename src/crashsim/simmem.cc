@@ -116,113 +116,98 @@ std::uint64_t SimMem::Image::Read64(const void* addr) const {
   return it->second;
 }
 
-SimMem::Image SimMem::FinalImage() const {
-  Image img;
-  img.words = initial_;
-  for (const auto& e : events_) {
-    if (e.kind == Event::Kind::kStore) img.words[e.addr] = e.value;
-  }
-  return img;
-}
-
-namespace {
-
-struct LineState {
-  std::uintptr_t line;
-  std::vector<std::uint32_t> store_events;  // event indices of stores, in order
-};
-
-}  // namespace
-
-bool SimMem::EnumerateCrashStates(const std::function<void(const Image&)>& fn,
-                                  std::size_t max_states) const {
-  // Group store events by cache line, preserving program order.
-  std::vector<LineState> lines;
-  std::unordered_map<std::uintptr_t, std::size_t> line_index;
-  for (std::uint32_t i = 0; i < events_.size(); ++i) {
-    const Event& e = events_[i];
-    if (e.kind != Event::Kind::kStore) continue;
-    const std::uintptr_t ln = LineOf(e.addr);
-    auto [it, inserted] = line_index.try_emplace(ln, lines.size());
-    if (inserted) lines.push_back({ln, {}});
-    lines[it->second].store_events.push_back(i);
-  }
-  const std::size_t L = lines.size();
-
-  // durable_floor[i][l]: number of stores to line l guaranteed durable when
-  // the crash happens after the first i events (flush followed by a fence,
-  // both already executed).
-  const std::size_t N = events_.size();
-  std::vector<std::uint32_t> floor_now(L, 0);     // current fenced floor
-  std::vector<std::uint32_t> pending_flush(L, 0); // flushed-but-unfenced count
-  std::vector<bool> has_pending(L, false);
-
-  // upto[l] at crash point i: stores to l among first i events.
-  std::vector<std::uint32_t> upto(L, 0);
-
-  std::set<std::vector<std::uint32_t>> visited;
-  std::size_t emitted = 0;
-
-  auto materialize = [&](const std::vector<std::uint32_t>& cuts) {
-    Image img;
-    img.words = initial_;
-    for (std::size_t l = 0; l < L; ++l) {
-      for (std::uint32_t k = 0; k < cuts[l]; ++k) {
-        const Event& e = events_[lines[l].store_events[k]];
-        img.words[e.addr] = e.value;
-      }
+// Stores grouped by cache line in program order, and for every crash point
+// i (after the first i events) each line's floor, the stores a flush
+// followed by a fence made durable, and its upto, the stores issued so far.
+// A cut vector with floor <= cut <= upto per line names one crash image.
+// Both vectors are kept per point: O(events x lines) words, which the
+// node-level logs the suites record afford.
+struct SimMem::CrashModel {
+  explicit CrashModel(const SimMem& sim) : sim(sim) {
+    std::unordered_map<std::uintptr_t, std::size_t> line_index;
+    for (std::uint32_t i = 0; i < sim.events_.size(); ++i) {
+      const Event& e = sim.events_[i];
+      if (e.kind != Event::Kind::kStore) continue;
+      auto [it, inserted] =
+          line_index.try_emplace(LineOf(e.addr), lines.size());
+      if (inserted) lines.emplace_back();
+      lines[it->second].push_back(i);
     }
-    fn(img);
-  };
-
-  // Enumerate per-line cut vectors in [floor, upto] for the current crash
-  // point, deduplicating across crash points.
-  std::vector<std::uint32_t> cuts(L, 0);
-  std::function<bool(std::size_t)> rec = [&](std::size_t l) -> bool {
-    if (l == L) {
-      if (visited.insert(cuts).second) {
-        if (++emitted > max_states) return false;
-        materialize(cuts);
-      }
-      return true;
-    }
-    for (std::uint32_t c = floor_now[l]; c <= upto[l]; ++c) {
-      cuts[l] = c;
-      if (!rec(l + 1)) return false;
-    }
-    return true;
-  };
-
-  // Crash before anything (i=0) and after each event.
-  if (!rec(0)) return false;
-  for (std::size_t i = 0; i < N; ++i) {
-    const Event& e = events_[i];
-    switch (e.kind) {
-      case Event::Kind::kStore: {
-        const std::size_t l = line_index.at(LineOf(e.addr));
-        upto[l] += 1;
-        break;
-      }
-      case Event::Kind::kFlush: {
+    const std::size_t L = lines.size();
+    std::vector<std::uint32_t> floor(L, 0), pending(L, 0), upto(L, 0);
+    std::vector<bool> has_pending(L, false);
+    floors.push_back(floor);
+    uptos.push_back(upto);
+    for (const Event& e : sim.events_) {
+      if (e.kind == Event::Kind::kStore) {
+        upto[line_index.at(LineOf(e.addr))] += 1;
+      } else if (e.kind == Event::Kind::kFlush) {
         auto it = line_index.find(LineOf(e.addr));
         if (it != line_index.end()) {
           // Content as of this flush = all stores to the line so far.
-          pending_flush[it->second] = upto[it->second];
+          pending[it->second] = upto[it->second];
           has_pending[it->second] = true;
         }
-        break;
-      }
-      case Event::Kind::kFence: {
+      } else {
         for (std::size_t l = 0; l < L; ++l) {
           if (has_pending[l]) {
-            floor_now[l] = std::max(floor_now[l], pending_flush[l]);
+            floor[l] = std::max(floor[l], pending[l]);
             has_pending[l] = false;
           }
         }
-        break;
+      }
+      floors.push_back(floor);
+      uptos.push_back(upto);
+    }
+  }
+
+  // The initial content with the first cuts[l] stores of each line l.
+  Image Materialize(const std::vector<std::uint32_t>& cuts) const {
+    Image img;
+    img.words = sim.initial_;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      for (std::uint32_t k = 0; k < cuts[l]; ++k) {
+        const Event& e = sim.events_[lines[l][k]];
+        img.words[e.addr] = e.value;
       }
     }
-    if (!rec(0)) return false;
+    return img;
+  }
+
+  const SimMem& sim;
+  std::vector<std::vector<std::uint32_t>> lines;  // store event indices
+  std::vector<std::vector<std::uint32_t>> floors, uptos;  // [point][line]
+};
+
+SimMem::Image SimMem::FinalImage() const {
+  const CrashModel model(*this);
+  return model.Materialize(model.uptos.back());
+}
+
+bool SimMem::EnumerateCrashStates(const std::function<void(const Image&)>& fn,
+                                  std::size_t max_states) const {
+  const CrashModel model(*this);
+  const std::size_t L = model.lines.size();
+  std::set<std::vector<std::uint32_t>> visited;  // dedup across crash points
+  std::size_t emitted = 0;
+  for (std::size_t i = 0; i < model.floors.size(); ++i) {
+    const std::vector<std::uint32_t>& lo = model.floors[i];
+    const std::vector<std::uint32_t>& hi = model.uptos[i];
+    // Every cut vector in [lo, hi], the last line varying fastest.
+    std::vector<std::uint32_t> cuts = lo;
+    while (true) {
+      if (visited.insert(cuts).second) {
+        if (++emitted > max_states) return false;
+        fn(model.Materialize(cuts));
+      }
+      std::size_t l = L;
+      while (l > 0 && cuts[l - 1] == hi[l - 1]) {
+        cuts[l - 1] = lo[l - 1];
+        --l;
+      }
+      if (l == 0) break;
+      ++cuts[l - 1];
+    }
   }
   return true;
 }
@@ -230,69 +215,16 @@ bool SimMem::EnumerateCrashStates(const std::function<void(const Image&)>& fn,
 void SimMem::SampleCrashStates(
     std::size_t samples, std::uint64_t seed,
     const std::function<void(const Image&)>& fn) const {
-  std::vector<LineState> lines;
-  std::unordered_map<std::uintptr_t, std::size_t> line_index;
-  for (std::uint32_t i = 0; i < events_.size(); ++i) {
-    const Event& e = events_[i];
-    if (e.kind != Event::Kind::kStore) continue;
-    const std::uintptr_t ln = LineOf(e.addr);
-    auto [it, inserted] = line_index.try_emplace(ln, lines.size());
-    if (inserted) lines.push_back({ln, {}});
-    lines[it->second].store_events.push_back(i);
-  }
-  const std::size_t L = lines.size();
-  const std::size_t N = events_.size();
-
-  // Precompute floor/upto at every crash point (prefix scan as above).
-  std::vector<std::vector<std::uint32_t>> floors(N + 1,
-                                                 std::vector<std::uint32_t>(L));
-  std::vector<std::vector<std::uint32_t>> uptos(N + 1,
-                                                std::vector<std::uint32_t>(L));
-  {
-    std::vector<std::uint32_t> floor_now(L, 0), pending(L, 0), upto(L, 0);
-    std::vector<bool> has_pending(L, false);
-    floors[0] = floor_now;
-    uptos[0] = upto;
-    for (std::size_t i = 0; i < N; ++i) {
-      const Event& e = events_[i];
-      if (e.kind == Event::Kind::kStore) {
-        upto[line_index.at(LineOf(e.addr))] += 1;
-      } else if (e.kind == Event::Kind::kFlush) {
-        auto it = line_index.find(LineOf(e.addr));
-        if (it != line_index.end()) {
-          pending[it->second] = upto[it->second];
-          has_pending[it->second] = true;
-        }
-      } else {
-        for (std::size_t l = 0; l < L; ++l) {
-          if (has_pending[l]) {
-            floor_now[l] = std::max(floor_now[l], pending[l]);
-            has_pending[l] = false;
-          }
-        }
-      }
-      floors[i + 1] = floor_now;
-      uptos[i + 1] = upto;
-    }
-  }
-
+  const CrashModel model(*this);
   Rng rng(seed);
-  std::vector<std::uint32_t> cuts(L);
+  std::vector<std::uint32_t> cuts(model.lines.size());
   for (std::size_t s = 0; s < samples; ++s) {
-    const std::size_t i = rng.NextBounded(N + 1);
-    for (std::size_t l = 0; l < L; ++l) {
-      const std::uint32_t lo = floors[i][l], hi = uptos[i][l];
+    const std::size_t i = rng.NextBounded(model.floors.size());
+    for (std::size_t l = 0; l < cuts.size(); ++l) {
+      const std::uint32_t lo = model.floors[i][l], hi = model.uptos[i][l];
       cuts[l] = lo + static_cast<std::uint32_t>(rng.NextBounded(hi - lo + 1));
     }
-    Image img;
-    img.words = initial_;
-    for (std::size_t l = 0; l < L; ++l) {
-      for (std::uint32_t k = 0; k < cuts[l]; ++k) {
-        const Event& e = events_[lines[l].store_events[k]];
-        img.words[e.addr] = e.value;
-      }
-    }
-    fn(img);
+    fn(model.Materialize(cuts));
   }
 }
 

@@ -111,9 +111,10 @@ class SimMem {
   bool EnumerateCrashStates(const std::function<void(const Image&)>& fn,
                             std::size_t max_states = 1u << 22) const;
 
-  /// Randomized variant for logs too large to enumerate: `samples` random
-  /// cut-point vectors (always including the all-flushed and nothing-extra
-  /// boundary images for each crash point).
+  /// Randomized variant for logs too large to enumerate: `samples` draws,
+  /// each a uniform crash point and then, per line, a uniform cut between
+  /// that point's floor and its store count. Same model as the
+  /// enumeration, so every sampled image is one it also yields.
   void SampleCrashStates(std::size_t samples, std::uint64_t seed,
                          const std::function<void(const Image&)>& fn) const;
 
@@ -122,12 +123,8 @@ class SimMem {
     return a & ~(std::uintptr_t{kCacheLineSize} - 1);
   }
 
-  struct LineHistory {
-    // Indices into events_ of stores to this line, in program order.
-    std::vector<std::uint32_t> stores;
-    // For each crash point, the floor (count of stores guaranteed durable).
-    // Computed lazily in enumeration.
-  };
+  // The crash model both walks share (simmem.cc).
+  struct CrashModel;
 
   // Initial persistent content.
   std::unordered_map<std::uintptr_t, std::uint64_t> initial_;

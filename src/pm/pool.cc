@@ -141,7 +141,6 @@ thread_local Pool::ReclaimSlot Pool::t_reclaim[Pool::kReclaimSlots];
 Pool::Pool(const Options& opts)
     : capacity_(opts.capacity),
       id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)),
-      persist_meta_(opts.persist_metadata),
       persist_free_(opts.persist_free_lists) {
   if (capacity_ < AlignUp(sizeof(Header), kCacheLineSize) + kCacheLineSize) {
     // The header (bump offset, root, free-list heads) plus room for at
@@ -294,9 +293,11 @@ std::size_t Pool::ReserveGlobal(std::size_t size, std::size_t align,
     }
   } while (!h->used.compare_exchange_weak(cur, next,
                                           std::memory_order_relaxed));
-  if (persist_meta_) {
+  if (file_backed_) {
     // Persist the bump offset at reservation granularity: after a crash the
     // allocator resumes past every byte any thread may have handed out.
+    // Without it a reopened pool could hand out again blocks the
+    // structures already link.
     Clflush(&h->used);
   }
   return start;

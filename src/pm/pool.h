@@ -33,9 +33,10 @@
 // remove the last persistent reference to a block (persisted) *before*
 // freeing it — concurrent lock-free readers are then covered by the epoch.
 //
-// Crash story: with Options::persist_metadata the global offset is flushed at
+// Crash story: a file-backed pool flushes the global offset at
 // *chunk-reservation* granularity — after a crash the allocator resumes past
-// every byte any thread may have handed out.  With Options::persist_free_lists
+// every byte any thread may have handed out; an anonymous pool cannot be
+// reopened and flushes none.  With Options::persist_free_lists
 // the free-list heads and in-block next links are flushed in push/pop order
 // (next durable before the head that exposes it; a pop durable before the
 // block is handed out), so a reopened pool resumes recycling from the
@@ -86,17 +87,11 @@ class Pool {
     std::size_t capacity = std::size_t{1} << 32;  // 4 GiB virtual reservation
     std::string file_path;      // empty => anonymous (DRAM-as-PM)
     std::uintptr_t fixed_base = 0x5100'0000'0000ull;  // file-backed mapping base
-    // Persist the bump offset on every chunk reservation. Off by default: the
-    // paper's evaluation (like its reference implementation) uses a
-    // volatile allocator, and charging every index a flush per allocation
-    // would skew the comparative flush counts the figures measure. Real
-    // deployments that need allocator recovery (examples/kvstore) turn it
-    // on; without it, a crash requires a GC pass to reclaim leaked blocks
-    // (reachability is still guaranteed by each structure's commit order).
-    bool persist_metadata = false;
     // Persist the size-class free lists (heads + in-block next links) so a
-    // reopened pool resumes recycling. Off by default for the same
-    // flush-count-neutrality reason as persist_metadata.
+    // reopened pool resumes recycling. Off by default: the paper's
+    // evaluation (like its reference implementation) uses a volatile
+    // allocator, and a flush per free-list push or pop would skew the
+    // comparative flush counts the figures measure.
     bool persist_free_lists = false;
   };
 
@@ -287,7 +282,6 @@ class Pool {
   void* free_hook_ctx_ = nullptr;
   bool file_backed_ = false;
   bool reopened_ = false;
-  bool persist_meta_ = false;
   bool persist_free_ = false;
   int fd_ = -1;
 

@@ -183,6 +183,50 @@ TEST_F(SimFixture, SamplingRespectsFloors) {
   });
 }
 
+// Both walks run one crash model: on a three-line log with a fenced flush,
+// an unfenced flush and same-line overwrites, every sampled image is an
+// enumerated one, and enumeration yields the hand-counted 14 images.
+TEST(CrashModel, SamplingDrawsFromTheEnumeratedImages) {
+  alignas(64) std::uint64_t buf[24] = {};  // lines A, B, C
+  SimMem sim;
+  sim.Adopt(buf, sizeof(buf));
+  sim.Store64(&buf[0], 1);   // A: 1 store
+  sim.Store64(&buf[0], 2);   // A: 2 (overwrite)
+  sim.Flush(&buf[0]);
+  sim.Fence();               // A's floor becomes 2
+  sim.Store64(&buf[8], 3);   // B: 1 store
+  sim.Flush(&buf[8]);        // never fenced: B keeps floor 0
+  sim.Store64(&buf[16], 4);  // C: 1 store
+  sim.Store64(&buf[16], 5);  // C: 2 (overwrite)
+  sim.Store64(&buf[1], 6);   // A: 3
+  // Cuts (a, b, c), stores each line persists: before the fence a is 0,
+  // 1 or 2 with b = c = 0; after it a >= 2, b is 0 or 1 and c is 0, 1 or
+  // 2, and a reaches 3 only after the last store. So (0, 0, 0), (1, 0, 0),
+  // six cuts with a = 2 and six with a = 3: 14 cut vectors, and each
+  // reads different words.
+  auto words = [&](const SimMem::Image& img) {
+    std::vector<std::uint64_t> w;
+    for (const auto& x : buf) w.push_back(img.Read64(&x));
+    return w;
+  };
+  std::set<std::vector<std::uint64_t>> enumerated;
+  std::size_t calls = 0;
+  EXPECT_TRUE(sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+    enumerated.insert(words(img));
+    ++calls;
+  }));
+  EXPECT_EQ(calls, 14u);
+  EXPECT_EQ(enumerated.size(), 14u);
+  std::set<std::vector<std::uint64_t>> sampled;
+  sim.SampleCrashStates(2000, 42, [&](const SimMem::Image& img) {
+    const auto w = words(img);
+    EXPECT_TRUE(enumerated.count(w)) << "sampled image outside the model";
+    sampled.insert(w);
+  });
+  // Each a = 3 image has odds 1/120 per draw, so 2000 draws reach all 14.
+  EXPECT_EQ(sampled, enumerated);
+}
+
 TEST_F(SimFixture, ImageReadOutsideThrows) {
   sim_.Store64(&buf_[0], 1);
   const auto img = sim_.FinalImage();

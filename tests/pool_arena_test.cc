@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -149,19 +151,35 @@ TEST(PoolArena, ResetInvalidatesEveryThreadArena) {
   EXPECT_TRUE(pool.Contains(p));
 }
 
+// A file-backed pool persists its bump offset once per reservation.
 TEST(PoolArena, PersistMetadataFlushesAtChunkGranularity) {
+  const std::string path = ::testing::TempDir() + "/pool_arena_meta.pm";
+  std::remove(path.c_str());
   Pool::Options opts;
   opts.capacity = std::size_t{64} << 20;
-  opts.persist_metadata = true;
-  Pool pool(opts);
+  opts.file_path = path;
+  {
+    Pool pool(opts);
+    ResetStats();
+    pool.Alloc(64);  // chunk reservation: one metadata flush
+    const auto after_first = Stats().flush_lines;
+    EXPECT_EQ(after_first, 1u);
+    for (int i = 0; i < 50; ++i) pool.Alloc(64);  // same chunk: no flushes
+    EXPECT_EQ(Stats().flush_lines, after_first);
+    pool.Alloc(pool.chunk_size());  // direct reservation: one more flush
+    EXPECT_EQ(Stats().flush_lines, after_first + 1);
+  }
+  std::remove(path.c_str());
+}
+
+// An anonymous pool cannot be reopened, so no reservation flushes.
+TEST(PoolArena, AnonymousPoolFlushesNoMetadata) {
+  Pool pool(std::size_t{64} << 20);
   ResetStats();
-  pool.Alloc(64);  // chunk reservation: one metadata flush
-  const auto after_first = Stats().flush_lines;
-  EXPECT_EQ(after_first, 1u);
-  for (int i = 0; i < 50; ++i) pool.Alloc(64);  // same chunk: no flushes
-  EXPECT_EQ(Stats().flush_lines, after_first);
-  pool.Alloc(pool.chunk_size());  // direct reservation: one more flush
-  EXPECT_EQ(Stats().flush_lines, after_first + 1);
+  pool.Alloc(64);                 // chunk reservation
+  pool.Alloc(pool.chunk_size());  // direct reservation
+  EXPECT_EQ(Stats().arena_refills, 1u);
+  EXPECT_EQ(Stats().flush_lines, 0u);
 }
 
 TEST(PoolArena, ThreadStatsRecordPerThreadAllocVolume) {

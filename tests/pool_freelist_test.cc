@@ -189,7 +189,6 @@ TEST(PoolFreeList, PersistentListsSurviveReopen) {
   opts.capacity = std::size_t{16} << 20;
   opts.file_path = path;
   opts.fixed_base = 0x5200'0000'0000ull;
-  opts.persist_metadata = true;
   opts.persist_free_lists = true;
   std::set<void*> freed;
   {

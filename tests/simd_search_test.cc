@@ -2,8 +2,8 @@
 //
 // Three layers, each asserting zero divergence from the scalar reference:
 //  1. Kernel level: every compiled+supported ISA's ByteEqMask kernel
-//     against ScalarKernels on randomized inputs, and its
-//     RecordEqZero/RecordGtZero masks against a scalar re-derivation.
+//     against ScalarKernels on randomized inputs, and its RecordCmpZero
+//     masks (both compares) against a scalar re-derivation.
 //  2. Node level: SimdNodeOps entry points against NodeOps on randomized
 //     node states *including the forged transient states the lock-free
 //     protocol must tolerate* — slot-0 holes, duplicate ptrs (torn
@@ -69,7 +69,7 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
     }
   }
 
-  // RecordEqZero/RecordGtZero: the stride-2 mask contract — record l's bit
+  // RecordCmpZero<false>/<true>: the stride-2 mask contract — record l's bit
   // sits at position kMaskStride * l over an interleaved {key, ptr} block of
   // kRecWidth records, odd positions stay clear. Checked against a scalar
   // re-derivation, with sign-straddling keys, zero ptrs, and probe values
@@ -98,8 +98,8 @@ void KernelEquivalenceRound(std::mt19937_64* rng) {
       if (blk[2 * l + 1] == 0) ref_z |= 1u << (2 * l);
     }
     unsigned eq = 0, gt = 0, z0 = 0, z1 = 0;
-    K::RecordEqZero(blk, probe, &eq, &z0);
-    K::RecordGtZero(blk, probe, &gt, &z1);
+    K::template RecordCmpZero<false>(blk, probe, &eq, &z0);
+    K::template RecordCmpZero<true>(blk, probe, &gt, &z1);
     EXPECT_EQ(eq, ref_eq) << "probe=" << probe << " t=" << t;
     EXPECT_EQ(gt, ref_gt) << "probe=" << probe << " t=" << t;
     EXPECT_EQ(z0, ref_z) << "t=" << t;
