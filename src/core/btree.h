@@ -18,7 +18,11 @@
 // Value-uniqueness contract (paper §3.1: "all pointers in B+-tree nodes are
 // unique"): the duplicate-pointer validity rule requires that two *adjacent*
 // records in one node never legitimately share a value.  Store pointers or
-// otherwise distinct values; kNoValue (0) is reserved.
+// otherwise distinct values; kNoValue (0) is reserved.  A value also never
+// equals the address of the leaf holding it: a leaf's slot 0 takes that
+// address as its left neighbour, and a deleted front record keeps it as its
+// ptr (a ghost, core/node.h), so such a value would read deleted.  Debug
+// builds assert it; pointers to other objects and odd integers satisfy it.
 //
 // Node size is a template parameter (the Fig 3 experiment sweeps it);
 // BTreeT<512> is the paper's default and is aliased as BTree.

@@ -296,7 +296,9 @@ InsertStatus BTreeT<P>::InsertFrom(NodeT*& leaf, Key key, Value value) {
     leaf->hdr.lock.unlock();
     return InsertStatus::kUpdated;
   }
-  if (Ops::CountRaw(m, leaf) < kNodeCapacity) {
+  // A raw-full leaf with ghosts has room: InsertKey compacts one away. A
+  // split only ever copies a ghost-free leaf.
+  if (Ops::HasRoom(m, leaf)) {
     Ops::InsertKey(m, leaf, key, value);
     leaf->hdr.lock.unlock();
     return InsertStatus::kInserted;
@@ -610,8 +612,7 @@ void BTreeT<P>::AdoptSibling(NodeT* right, std::uint16_t parent_level) {
   // unlinked; re-publishing a route to it would resurrect memory already
   // in the reclaimer.
   if (Ops::IsDead(m, right)) return;
-  const int first = Ops::HasHoleAtZero(m, right) ? 1 : 0;
-  if (Ops::LoadPtrAt(m, right, first) == 0) return;  // empty: nothing to adopt
+  if (Ops::IsEmpty(m, right)) return;  // nothing to adopt
   // The separator is the node's persistent low fence, not its first key:
   // deletes may have removed the low end of its range, and a first-key
   // separator would route the [fence, first key) gap to the left child
@@ -625,9 +626,12 @@ int BTreeT<P>::TryUnlinkEmptySibling(NodeT* n, Key op_key) {
   RealMem m;
   const std::uint64_t sib_u = Ops::LoadSibling(m, n);
   if (sib_u == 0) return 0;
+  // Cheap unlocked pre-check: only empty leaves are reclaimed. A leaf's
+  // emptying delete zeroes slot 1's ptr and slot 0's, so a drained leaf
+  // passes it whatever ghost prefix it held.
   if (!AsNode(sib_u)->is_leaf() || Ops::LoadPtrAt(m, AsNode(sib_u), 0) != 0 ||
       Ops::LoadPtrAt(m, AsNode(sib_u), 1) != 0) {
-    return 0;  // cheap unlocked pre-check: only empty leaves are reclaimed
+    return 0;
   }
   // Unlink the maximal run of consecutive empty right siblings (delete
   // churn drains whole ranges; unlinking one leaf per op would leave most
@@ -1294,8 +1298,7 @@ void BTreeT<P>::AdoptRootChain() {
   int adopted = 0;
   for (NodeT* s = AsNode(Ops::LoadSibling(m, root)); s != nullptr;
        s = AsNode(Ops::LoadSibling(m, s))) {
-    const int first = Ops::HasHoleAtZero(m, s) ? 1 : 0;
-    if (Ops::LoadPtrAt(m, s, first) == 0) continue;
+    if (Ops::IsEmpty(m, s)) continue;
     if (adopted == kNodeCapacity) {
       throw std::runtime_error("AdoptRootChain: sibling chain exceeds fanout");
     }

@@ -8,14 +8,23 @@
 // Layout invariants (see core/node_ops.h for how operations preserve them
 // through transient inconsistency):
 //
-//  * records[0..n) hold sorted keys with non-zero ptrs; records[n].ptr == 0
-//    terminates the array (the paper scans `records[i].ptr != NULL`).
+//  * records[0..n) hold non-zero ptrs; records[n].ptr == 0 terminates the
+//    array (the paper scans `records[i].ptr != NULL`). The valid records
+//    among them hold ascending keys.
 //  * A record's key is *valid* iff its ptr differs from its left neighbour's
-//    ptr (the duplicate-pointer rule).  records[0] additionally uses
-//    hdr.leftmost as its left neighbour in internal nodes; in leaves a zero
-//    ptr at slot 0 with a non-zero ptr at slot 1 is a transient *hole* that
-//    readers skip (slot-0 inserts/deletes cannot duplicate a left neighbour
-//    that does not exist).
+//    ptr (the duplicate-pointer rule). Slot 0's left neighbour is
+//    hdr.leftmost in every node: an internal node's leftmost child, a
+//    leaf's own address (Init stores it). A zero left neighbour reads as
+//    hdr.leftmost too: a zero ptr at slot 0 with a non-zero ptr at slot 1
+//    is a transient *hole* that readers skip. Holes occur only in nodes
+//    whose leftmost is 0: split-created internal nodes, and leaves written
+//    before leaves carried their own address.
+//  * A leaf may start with a *ghost prefix*: leading slots whose ptr is the
+//    leaf's own address, hence invalid under the rule above, their keys
+//    stale. A delete of the first valid record grows it by one 8-byte
+//    store; inserts reclaim ghosts only when their slots are needed
+//    (core/node_ops.h). No leaf value equals its leaf's address (the value
+//    contract in core/btree.h), so a ghost never reads valid.
 //  * Internal node semantics: child(key) = hdr.leftmost if key <
 //    records[0].key, else records[i].ptr for the greatest i with
 //    records[i].key <= key.  Nodes created by FAIR splits carry no leftmost
@@ -123,7 +132,8 @@ inline constexpr std::uint16_t kNodeDead = 1;
 inline constexpr std::uint16_t kNodeReclaimed = 2;
 
 struct NodeHeader {
-  std::uint64_t leftmost;        // child for key < records[0].key (internal)
+  std::uint64_t leftmost;        // internal: child for key < records[0].key;
+                                 // leaf: its own address (0 in old leaves)
   std::uint64_t sibling;         // right sibling (Node*), 0 if none
   std::uint64_t fence;           // low fence: node owns [fence, sib->fence)
   std::uint32_t switch_counter;  // even: insert phase, odd: delete phase
@@ -153,10 +163,14 @@ struct Node {
   /// (NodeOps::BytesThroughTerminator); the lines past that may still hold
   /// a recycled block's bytes in PM, which no reader reaches. Byte-level
   /// clearing is intentional: after a crash the raw bytes are all the
-  /// state there is, so the layout is treated as bytes throughout.
+  /// state there is, so the layout is treated as bytes throughout. A leaf
+  /// anchors slot 0's left neighbour at its own address (the header line
+  /// the fresh-node persist flushes), so deleting its first valid record
+  /// leaves a ghost instead of a hole.
   void Init(std::uint16_t level) {
     std::memset(static_cast<void*>(this), 0, PageSize);
     hdr.level = level;
+    if (level == 0) hdr.leftmost = reinterpret_cast<std::uint64_t>(this);
   }
 
   /// The level tag. It shares an 8-byte word with the switch counter and

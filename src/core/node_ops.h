@@ -18,6 +18,17 @@
 //    right-to-left): one 8-byte store duplicating the left neighbour's ptr
 //    commits the delete; the compaction shift stores key before ptr so the
 //    rightmost valid match a backward reader takes is always current.
+//  * Front delete (a leaf's first valid record): the same commit store
+//    alone, flushed and fenced; no shift and no direction flip. The slot
+//    joins the leaf's *ghost prefix*, leading slots whose ptr is
+//    hdr.leftmost (the leaf's own address). Deleting the last valid record
+//    instead stores 0 into slot 1's ptr, then slot 0's, in one line: the
+//    leaf reads empty. Ghosts are reclaimed only when their slots are
+//    needed: a key below every valid key is written into the last ghost,
+//    key first, then the committing ptr, one line; a raw-full leaf frees a
+//    slot by one FAST left shift over its last ghost instead of splitting.
+//    FixNode leaves ghosts alone, no write matches a ghost's stale key, and
+//    a split never copies one (it would read valid in the sibling).
 //  * FAIR split: sibling populated and flushed while unreachable, from
 //    its header through its terminator's line (every reader stops at the
 //    terminator, so the tail lines never need to reach PM); the 8-byte
@@ -28,11 +39,15 @@
 //    which both scan directions pick the same records.
 //
 // A record's key is valid iff its ptr differs from its left neighbour's ptr
-// (hdr.leftmost for slot 0 of internal nodes).  A zero ptr terminates the
-// array, except that slot 0 may be a transient *hole* (zero ptr, live entry
-// at slot 1) while a leaf insert or delete at position 0 is in flight —
-// slot 0 has no left neighbour to duplicate, so invalidation uses the zero
-// ptr instead and readers/recovery skip the hole.
+// (LeftPtr): slot 0's left neighbour is hdr.leftmost in every node, a
+// leaf's own address (Node::Init), and a zero left neighbour reads as
+// hdr.leftmost too. A zero ptr terminates the array, except that slot 0 may
+// be a transient *hole* (zero ptr, live entry at slot 1) in a node whose
+// leftmost is 0 — a split-created internal node, or a leaf written before
+// leaves carried their address — while an insert or delete at position 0
+// is in flight: there slot 0 has no left neighbour to duplicate, so
+// invalidation uses the zero ptr instead and readers/recovery skip the
+// hole.
 
 #pragma once
 
@@ -125,13 +140,57 @@ struct NodeOps {
     return FirstValidSlot(m, n, LoadPtrAt(m, n, 0));
   }
 
-  /// True if slot 0 is a transient hole (zero ptr but a live entry at 1).
-  static bool HasHoleAtZero(Mem& m, const N* n) {
-    return FirstValidSlot(m, n) == 1;
+  /// The ptr slot i's validity is judged against: its left neighbour's,
+  /// or hdr.leftmost for slot 0 and behind a zero ptr. Behind a slot-0 hole
+  /// that is the neighbour a forward reader carries past the hole; behind a
+  /// leaf's zeroed front (an emptying delete racing a backward reader) it
+  /// keeps a stale ghost invalid.
+  static std::uint64_t LeftPtr(Mem& m, const N* n, int i) {
+    const std::uint64_t left = i > 0 ? LoadPtrAt(m, n, i - 1) : 0;
+    return left != 0 ? left : LoadLeftmost(m, n);
   }
 
-  /// Number of used slots including any slot-0 hole (i.e. index of the
-  /// terminator).  Writer-side usage assumes the node was fixed first.
+  /// A ghost's ptr in `n`: a leaf's hdr.leftmost (its own address), or 0
+  /// for nodes without ghosts — internal nodes, and leaves written before
+  /// leaves carried their address, whose deletes all shift.
+  static std::uint64_t GhostPtr(Mem& m, const N* n) {
+    return n->is_leaf() ? LoadLeftmost(m, n) : 0;
+  }
+
+  /// Length of the ghost prefix among the node's `cnt` used slots.
+  static int GhostPrefix(Mem& m, const N* n, int cnt) {
+    const std::uint64_t ghost = GhostPtr(m, n);
+    int g = 0;
+    if (ghost != 0) {
+      while (g < cnt && LoadPtrAt(m, n, g) == ghost) ++g;
+    }
+    return g;
+  }
+
+  /// First live slot of a writer-side or quiescent node with `cnt` used
+  /// slots: past a slot-0 hole or a ghost prefix. `cnt` when none is live.
+  static int FirstLiveSlot(Mem& m, const N* n, int cnt) {
+    const int hole = FirstValidSlot(m, n);
+    return hole != 0 ? hole : GhostPrefix(m, n, cnt);
+  }
+
+  /// True if the node holds no live record.
+  static bool IsEmpty(Mem& m, const N* n) {
+    const int cnt = CountRaw(m, n);
+    return FirstLiveSlot(m, n, cnt) == cnt;
+  }
+
+  /// True if InsertKey has a slot for a new key: a free one, or a ghost
+  /// to reclaim. A leaf without either splits.
+  static bool HasRoom(Mem& m, const N* n) {
+    const std::uint64_t ghost = GhostPtr(m, n);
+    return CountRaw(m, n) < kCap ||
+           (ghost != 0 && LoadPtrAt(m, n, 0) == ghost);
+  }
+
+  /// Number of used slots including any slot-0 hole or ghost prefix (i.e.
+  /// index of the terminator).  Writer-side usage assumes the node was
+  /// fixed first.
   /// Slot 0's ptr is loaded once: a lock-free reader that saw it live must
   /// not load it again and meet the zero-ptr hole of a slot-0 delete
   /// committing in between, which would count a live node as empty.
@@ -170,13 +229,34 @@ struct NodeOps {
 
   // --- FAST insert (Algorithm 1 core) ----------------------------------------
 
-  /// Inserts (key, val) into a non-full node. Caller holds the write lock,
-  /// has run FixNode, and guarantees the key is absent and count < kCap.
+  /// Inserts (key, val) into a node with room (HasRoom). Caller holds the
+  /// write lock, has run FixNode, and guarantees the key is absent.
   static void InsertKey(Mem& m, N* n, Key key, Value val) {
     assert(val != kNoValue);
+    assert(val != GhostPtr(m, n) && "a value never equals its leaf's address");
+    int cnt = CountRaw(m, n);
+    const int g = GhostPrefix(m, n, cnt);
+    if (g > 0 && (g == cnt || key < LoadKeyAt(m, n, g))) {
+      // Below every valid key: reclaim the last ghost in place. Its ptr
+      // keeps the slot invalid until the 8-byte commit, and key and ptr
+      // share a line, so no direction is needed.
+      StoreKeyAt(m, n, g - 1, key);
+      m.FenceIfNotTso();
+      StorePtrAt(m, n, g - 1, val);
+      m.Flush(&n->records[g - 1]);
+      m.Fence();
+      return;
+    }
+    if (cnt == kCap) {
+      // Raw-full with ghosts: compact the last one away (it is already
+      // invalid, like a committed delete) rather than split, which would
+      // copy ghosts into a sibling where they read valid.
+      assert(g > 0);
+      EnsureDeleteDirection(m, n);
+      ShiftLeftFrom(m, n, g - 1, cnt);
+      --cnt;
+    }
     EnsureInsertDirection(m, n);
-    const int cnt = CountRaw(m, n);
-    assert(cnt < kCap);
 
     if (cnt == 0) {
       // Key first, then the validating non-zero ptr: an eviction can never
@@ -228,8 +308,9 @@ struct NodeOps {
       }
     }
 
-    // Smallest key in the node: slot 0. Internal nodes duplicate the
-    // leftmost child ptr; leaves use 0, creating the transient hole.
+    // Smallest key in the node: slot 0. Its left neighbour is
+    // hdr.leftmost (a leaf's own address: a transient ghost); a node whose
+    // leftmost is 0 opens the transient hole instead.
     StorePtrAt(m, n, 0, LoadLeftmost(m, n));
     m.FenceIfNotTso();
     StoreKeyAt(m, n, 0, key);
@@ -242,8 +323,9 @@ struct NodeOps {
   /// In-place value overwrite: one atomic 8-byte store + flush. Returns
   /// false if the key is absent. Caller holds the write lock.
   static bool UpdateKey(Mem& m, N* n, Key key, Value val) {
+    assert(val != GhostPtr(m, n) && "a value never equals its leaf's address");
     const int cnt = CountRaw(m, n);
-    for (int i = FirstValidSlot(m, n); i < cnt; ++i) {
+    for (int i = FirstLiveSlot(m, n, cnt); i < cnt; ++i) {
       if (LoadKeyAt(m, n, i) == key) {
         StorePtrAt(m, n, i, val);
         m.Flush(&n->records[i]);
@@ -258,8 +340,8 @@ struct NodeOps {
 
   /// Compacts the array leftwards over slot `pos` (exclusive of the record
   /// at pos, which must already be invalid/deleted): records[pos..] :=
-  /// records[pos+1..]. Shared by DeleteKey and FixNode. Caller has set the
-  /// delete direction.
+  /// records[pos+1..]. Shared by DeleteKey, FixNode and InsertKey's ghost
+  /// compaction. Caller has set the delete direction.
   static void ShiftLeftFrom(Mem& m, N* n, int pos, int cnt) {
     for (int i = pos; i < cnt - 1; ++i) {
       // Key first, then ptr: a backward reader prefers the rightmost valid
@@ -285,8 +367,9 @@ struct NodeOps {
   /// and has run FixNode.
   static bool DeleteKey(Mem& m, N* n, Key key) {
     const int cnt = CountRaw(m, n);
+    const int first = FirstLiveSlot(m, n, cnt);
     int pos = -1;
-    for (int i = 0; i < cnt; ++i) {
+    for (int i = first; i < cnt; ++i) {
       if (LoadKeyAt(m, n, i) == key) {
         pos = i;
         break;
@@ -294,9 +377,30 @@ struct NodeOps {
     }
     if (pos < 0) return false;
 
+    const std::uint64_t ghost = GhostPtr(m, n);
+    if (pos == first && ghost != 0) {
+      if (pos + 1 < cnt) {
+        // Front delete: the commit store turns the slot into a ghost. One
+        // 8-byte store reads the same scanning either way, so no flip.
+        StorePtrAt(m, n, pos, ghost);
+      } else {
+        // The last valid record: zero slot 1 (the commit when ghosts
+        // precede it), then slot 0, both in the first record line. Slot 0
+        // stays a ghost until then, so slot 1 never reads valid behind a
+        // zero slot 0 (LeftPtr), and the leaf reads empty to CountRaw.
+        if (cnt > 1) StorePtrAt(m, n, 1, 0);
+        m.FenceIfNotTso();
+        StorePtrAt(m, n, 0, 0);
+      }
+      m.Flush(&n->records[pos + 1 < cnt ? pos : 0]);
+      m.Fence();
+      return true;
+    }
+
     EnsureDeleteDirection(m, n);
-    // Commit: duplicate the left neighbour's ptr (slot-0 leaves get the
-    // zero-ptr hole). One atomic 8-byte store makes the key invalid.
+    // Commit: duplicate the left neighbour's ptr (slot 0 of a node whose
+    // leftmost is 0 gets the zero-ptr hole). One atomic 8-byte store makes
+    // the key invalid.
     const std::uint64_t left =
         pos == 0 ? LoadLeftmost(m, n) : LoadPtrAt(m, n, pos - 1);
     StorePtrAt(m, n, pos, left);
@@ -333,6 +437,8 @@ struct NodeOps {
   static void SplitCopy(Mem& m, N* src, N* dst, int median, int cnt,
                         const Record* carry = nullptr) {
     assert(carry == nullptr || carry->key > LoadKeyAt(m, src, median));
+    // A ghost's ptr is its leaf's own address: copied, it reads valid.
+    assert(GhostPrefix(m, src, cnt) == 0 && "a split never copies a ghost");
     int j = 0;
     const auto put = [&](Key k, std::uint64_t p) {
       StoreKeyAt(m, dst, j, k);
@@ -398,7 +504,7 @@ struct NodeOps {
       bool stable = true;
       if (sw % 2 == 0) {
         // Insert phase: scan left to right, first valid match wins.
-        std::uint64_t prev = 0;  // leaf slot 0 has no left neighbour
+        std::uint64_t prev = LoadLeftmost(m, n);  // slot 0's left neighbour
         for (int i = 0; i <= kCap; ++i) {
           Key k;
           std::uint64_t p;
@@ -430,8 +536,7 @@ struct NodeOps {
             break;
           }
           if (p == 0) continue;  // hole
-          const std::uint64_t left = i == 0 ? 0 : LoadPtrAt(m, n, i - 1);
-          if (p == left) continue;  // invalid
+          if (p == LeftPtr(m, n, i)) continue;  // invalid
           if (k == key) {
             ret = p;
             break;
@@ -538,7 +643,7 @@ struct NodeOps {
   /// Insert-phase CollectValid pass, left to right.
   static int CollectForward(Mem& m, const N* n, Record* out, bool* stable) {
     int cnt = 0;
-    std::uint64_t prev = n->is_leaf() ? 0 : LoadLeftmost(m, n);
+    std::uint64_t prev = LoadLeftmost(m, n);
     Key last_key = 0;
     for (int i = 0; i <= kCap; ++i) {
       Key k;
@@ -585,10 +690,7 @@ struct NodeOps {
         break;
       }
       if (p == 0) continue;  // slot-0 hole, or a terminator moved left
-      const std::uint64_t left = i > 0        ? LoadPtrAt(m, n, i - 1)
-                                 : n->is_leaf() ? 0
-                                                : LoadLeftmost(m, n);
-      if (p == left) continue;  // invalid
+      if (p == LeftPtr(m, n, i)) continue;  // invalid
       if (cnt > 0 && k >= last_key) continue;
       out[cnt].key = k;
       out[cnt].ptr = p;
@@ -603,8 +705,9 @@ struct NodeOps {
 
   /// Repairs tolerable inconsistencies left by a crashed or in-flight
   /// operation: slot-0 holes, duplicate-ptr garbage, duplicate-key remnants
-  /// of a torn delete shift, and an un-truncated split source. Returns true
-  /// if anything was repaired. Caller holds the write lock.
+  /// of a torn delete shift, and an un-truncated split source. A ghost
+  /// prefix is not garbage and stays. Returns true if anything was
+  /// repaired. Caller holds the write lock.
   template <class NodeResolver>
   static bool FixNode(Mem& m, N* n, NodeResolver resolve) {
     bool fixed = false;
@@ -621,18 +724,19 @@ struct NodeOps {
       // Duplicate ptr (slot i is the invalid one: its ptr equals its left
       // neighbour's) or duplicate key from a torn delete shift (the LEFT
       // copy is stale; the rightmost is authoritative): remove by
-      // compaction over the garbage slot.
+      // compaction over the garbage slot. The scan starts past the ghosts.
+      const int first = GhostPrefix(m, n, cnt);
       int bad = -1;
-      std::uint64_t prev = n->is_leaf() ? 0 : LoadLeftmost(m, n);
+      std::uint64_t prev = LeftPtr(m, n, first);
       Key prev_key = 0;
-      for (int i = 0; i < cnt; ++i) {
+      for (int i = first; i < cnt; ++i) {
         const std::uint64_t p = LoadPtrAt(m, n, i);
         const Key k = LoadKeyAt(m, n, i);
         if (p == prev) {
           bad = i;
           break;
         }
-        if (i > 0 && k == prev_key) {
+        if (i > first && k == prev_key) {
           bad = i - 1;
           break;
         }
@@ -651,10 +755,10 @@ struct NodeOps {
       // enforces), whichever of them the sibling has since deleted, and
       // however empty it is. Complete the truncation.
       const std::uint64_t sib = LoadSibling(m, n);
-      if (sib != 0) {
+      if (sib != 0 && first < cnt) {
         const Key fence = LoadFence(m, resolve(sib));
         if (LoadKeyAt(m, n, cnt - 1) >= fence) {
-          int t = 0;
+          int t = first;
           while (t < cnt && LoadKeyAt(m, n, t) < fence) ++t;
           StorePtrAt(m, n, t, 0);
           m.Flush(&n->records[t]);
@@ -674,8 +778,8 @@ struct NodeOps {
   /// concurrently shifting (the paper shows binary search is incompatible
   /// with lock-free readers; benchmarks use it single-threaded).
   static Value BinarySearchLeaf(Mem& m, const N* n, Key key) {
-    int lo = FirstValidSlot(m, n);
     int hi = CountRaw(m, n);  // exclusive
+    int lo = FirstLiveSlot(m, n, hi);
     while (lo < hi) {
       const int mid = lo + (hi - lo) / 2;
       const Key k = LoadKeyAt(m, n, mid);

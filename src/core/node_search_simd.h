@@ -136,8 +136,8 @@ struct SimdNodeOps {
     // fills slot pos with a duplicate of pos-1's ptr before it touches
     // pos-1, so a later left load could already see pos-1's new ptr and
     // pass the duplicate off as a valid record holding its left
-    // neighbour's value.
-    const std::uint64_t left = pos == 0 ? 0 : Ops::LoadPtrAt(m, n, pos - 1);
+    // neighbour's value. A ghost holding the key fails the same test.
+    const std::uint64_t left = Ops::LeftPtr(m, n, pos);
     Key k;
     std::uint64_t p;
     if (!Ops::StableRecord(m, n, pos, &k, &p)) return kBail;
@@ -188,9 +188,7 @@ struct SimdNodeOps {
         std::uint64_t p;
         if (!Ops::StableRecord(m, n, pos, &k, &p)) return kBail;
         if (k != key || p == 0) continue;  // raced away / hole
-        const std::uint64_t left =
-            pos == 0 ? 0 : Ops::LoadPtrAt(m, n, pos - 1);
-        if (p == left) continue;  // transient duplicate slot
+        if (p == Ops::LeftPtr(m, n, pos)) continue;  // duplicate or ghost
         if (Ops::LoadSwitch(m, n) != sw) return kFlip;
         *out = p;
         return kHit;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -159,6 +160,39 @@ struct SimMem::CrashModel {
       floors.push_back(floor);
       uptos.push_back(upto);
     }
+    // Two cuts of a line name the same content when the stores between
+    // them rewrite values the words already hold; every cut maps to the
+    // smallest cut with its content, so one cut vector names each image.
+    canon.resize(L);
+    for (std::size_t l = 0; l < L; ++l) {
+      std::vector<std::uintptr_t> addrs;
+      for (const std::uint32_t e : lines[l]) {
+        addrs.push_back(sim.events_[e].addr);
+      }
+      std::sort(addrs.begin(), addrs.end());
+      addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+      // (adopted, value) per stored word: a released word has no initial
+      // content, which no store value equals.
+      std::vector<std::uint64_t> content(2 * addrs.size(), 0);
+      for (std::size_t w = 0; w < addrs.size(); ++w) {
+        const auto it = sim.initial_.find(addrs[w]);
+        if (it != sim.initial_.end()) {
+          content[2 * w] = 1;
+          content[2 * w + 1] = it->second;
+        }
+      }
+      std::map<std::vector<std::uint64_t>, std::uint32_t> first_cut;
+      for (std::uint32_t c = 0;; ++c) {
+        canon[l].push_back(first_cut.try_emplace(content, c).first->second);
+        if (c == lines[l].size()) break;
+        const Event& e = sim.events_[lines[l][c]];
+        const std::size_t w = static_cast<std::size_t>(
+            std::lower_bound(addrs.begin(), addrs.end(), e.addr) -
+            addrs.begin());
+        content[2 * w] = 1;
+        content[2 * w + 1] = e.value;
+      }
+    }
   }
 
   // The initial content with the first cuts[l] stores of each line l.
@@ -177,6 +211,8 @@ struct SimMem::CrashModel {
   const SimMem& sim;
   std::vector<std::vector<std::uint32_t>> lines;  // store event indices
   std::vector<std::vector<std::uint32_t>> floors, uptos;  // [point][line]
+  std::vector<std::vector<std::uint32_t>> canon;  // [line][cut]: first cut
+                                                  // with the same content
 };
 
 SimMem::Image SimMem::FinalImage() const {
@@ -188,7 +224,9 @@ bool SimMem::EnumerateCrashStates(const std::function<void(const Image&)>& fn,
                                   std::size_t max_states) const {
   const CrashModel model(*this);
   const std::size_t L = model.lines.size();
-  std::set<std::vector<std::uint32_t>> visited;  // dedup across crash points
+  // Canonical cut vectors seen, one per image, across crash points.
+  std::set<std::vector<std::uint32_t>> visited;
+  std::vector<std::uint32_t> image(L);
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < model.floors.size(); ++i) {
     const std::vector<std::uint32_t>& lo = model.floors[i];
@@ -196,9 +234,10 @@ bool SimMem::EnumerateCrashStates(const std::function<void(const Image&)>& fn,
     // Every cut vector in [lo, hi], the last line varying fastest.
     std::vector<std::uint32_t> cuts = lo;
     while (true) {
-      if (visited.insert(cuts).second) {
+      for (std::size_t l = 0; l < L; ++l) image[l] = model.canon[l][cuts[l]];
+      if (visited.insert(image).second) {
         if (++emitted > max_states) return false;
-        fn(model.Materialize(cuts));
+        fn(model.Materialize(image));
       }
       std::size_t l = L;
       while (l > 0 && cuts[l - 1] == hi[l - 1]) {

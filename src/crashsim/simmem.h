@@ -21,8 +21,9 @@
 //    rewritten and evicted again, after the flush).
 //
 // `EnumerateCrashStates` walks every combination of per-line cut points
-// (bounded per line by [fenced-flush point, end]) and materializes the
-// resulting memory image so a test can run a reader against it.  For large
+// (bounded per line by [fenced-flush point, end]) and materializes each
+// distinct resulting memory image once so a test can run a reader against
+// it.  For large
 // logs the combinatorial product explodes, so `SampleCrashStates` draws
 // random cut-point vectors; the exhaustive mode additionally offers
 // *crash-point* enumeration: crash after the i-th event, with every
@@ -103,11 +104,13 @@ class SimMem {
   /// The fully-persisted final image (all stores applied).
   Image FinalImage() const;
 
-  /// Invokes `fn` on every distinct crash image under the adversarial
+  /// Invokes `fn` once on every distinct crash image under the adversarial
   /// eviction model: for each crash point i (after event i executes, 0..N),
   /// each line independently persists any store-prefix between its fenced
-  /// flush floor and i.  `max_states` caps the total invocations (returns
-  /// false if the cap was hit before completing enumeration).
+  /// flush floor and i. Prefixes that leave a line with the same content
+  /// (a store rewriting the value its word holds) name one image.
+  /// `max_states` caps the total invocations (returns false if the cap was
+  /// hit before completing enumeration).
   bool EnumerateCrashStates(const std::function<void(const Image&)>& fn,
                             std::size_t max_states = 1u << 22) const;
 

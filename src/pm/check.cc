@@ -125,18 +125,23 @@ void WalkTree(const Pool* pool, const core::TreeMeta* meta, CheckReport* r) {
       };
       // One pass over the slots under the readers' validity rules: a
       // slot-0 hole is skipped, a slot whose ptr repeats its left
-      // neighbour's (hdr.leftmost for slot 0 of an internal node) is
-      // invalid, and of two adjacent valid slots holding one key the right
-      // one is authoritative (a torn delete shift's remnant).
+      // neighbour's (hdr.leftmost for slot 0 and behind a zero ptr, the
+      // leaf's own address in a leaf: a ghost) is invalid, and of two
+      // adjacent valid slots holding one key the right one is
+      // authoritative (a torn delete shift's remnant).
+      const std::uint64_t self = reinterpret_cast<std::uint64_t>(n);
+      if (n->is_leaf() && n->hdr.leftmost != 0 && n->hdr.leftmost != self) {
+        err("leaf" + at + " anchors slot 0 at another node's address");
+      }
       const int start =
           n->records[0].ptr == 0 && n->records[1].ptr != 0 ? 1 : 0;
       std::optional<core::Record> cur;
       for (int i = start; i <= NodeT::kCapacity && n->records[i].ptr != 0;
            ++i) {
         const std::uint64_t p = n->records[i].ptr;
-        const std::uint64_t left = i > 0          ? n->records[i - 1].ptr
-                                   : n->is_leaf() ? 0
-                                                  : n->hdr.leftmost;
+        const std::uint64_t left = i > 0 && n->records[i - 1].ptr != 0
+                                       ? n->records[i - 1].ptr
+                                       : n->hdr.leftmost;
         if (p == left) continue;
         const Key k = n->records[i].key;
         if (cur && k == cur->key) {

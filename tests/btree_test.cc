@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/btree.h"
+#include "index/index.h"
+#include "pm/check.h"
 
 namespace fastfair::core {
 namespace {
@@ -346,6 +350,243 @@ TEST(BTreeFlushCost, AscendingInsertsPinTheLinesPerLeafSplit) {
   EXPECT_EQ(tree.Height(), 2);
   EXPECT_EQ(leaf, kCap - kCap / 2 + 1);
   std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+
+// --- ghost prefixes ------------------------------------------------------------
+
+using Ops = NodeOps<BTree::NodeT, RealMem>;
+
+std::uint64_t LineOf(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) / kCacheLineSize;
+}
+
+// Lines records[a..b] of `n` span: what a FAST shift over them flushes.
+std::uint64_t LinesSpanned(const BTree::NodeT* n, int a, int b) {
+  return LineOf(&n->records[b]) - LineOf(&n->records[a]) + 1;
+}
+
+BTree::NodeT* RootNode(const BTree& tree) {
+  return reinterpret_cast<BTree::NodeT*>(tree.meta()->root);
+}
+
+TEST(BTreeFlushCost, FrontDrainPersistsOneLinePerDelete) {
+  // Every delete of the smallest key turns its slot into a ghost with one
+  // 8-byte store, or, as the leaf's last live record, zeroes slots 1 and 0
+  // of the first record line: one line and one fence either way, on every
+  // leaf of an ascending-loaded tree.
+  pm::Pool pool(64 << 20);
+  BTree tree(&pool);
+  constexpr Key kN = 3000;
+  for (Key k = 1; k <= kN; ++k) tree.Insert(k, 2 * k + 1);
+  const std::uint64_t leaves = pm::CheckTree(&pool, tree.meta()).leaves;
+  ASSERT_GT(leaves, 100u);
+  for (Key k = 1; k <= kN; ++k) {
+    const auto before = pm::Stats();
+    ASSERT_TRUE(tree.Remove(k));
+    const auto d = pm::Stats() - before;
+    ASSERT_EQ(d.flush_lines, 1u) << "key " << k;
+    ASSERT_EQ(d.fences, 1u) << "key " << k;
+  }
+  EXPECT_EQ(tree.CountEntries(), 0u);
+  const pm::CheckReport r = pm::CheckTree(&pool, tree.meta());
+  EXPECT_TRUE(r.ok()) << r.ToString();
+  EXPECT_EQ(r.leaves, leaves);  // drained, not unlinked: no reclaim here
+}
+
+TEST(BTreeFlushCost, MiddleDeleteKeepsTheShiftsLineCount) {
+  // A delete past the first live record shifts the tail left as FAST
+  // does, ghosts or not: each line from the victim's through the last
+  // record's, flushed and fenced once.
+  constexpr int kCap = BTree::kNodeCapacity;
+  for (const int ghosts : {0, 3}) {
+    pm::Pool pool(16 << 20);
+    BTree tree(&pool);
+    for (Key k = 1; k <= kCap; ++k) tree.Insert(10 * k, 2 * k + 1);
+    for (Key k = 1; k <= Key(ghosts); ++k) ASSERT_TRUE(tree.Remove(10 * k));
+    const BTree::NodeT* leaf = RootNode(tree);
+    ASSERT_TRUE(leaf->is_leaf());
+    for (const int pos : {ghosts + 1, ghosts + 6, kCap - 2}) {
+      const Key victim = leaf->records[pos].key;
+      const std::uint64_t lines = LinesSpanned(leaf, pos, kCap - 1);
+      const auto before = pm::Stats();
+      ASSERT_TRUE(tree.Remove(victim));
+      const auto d = pm::Stats() - before;
+      EXPECT_EQ(d.flush_lines, lines) << ghosts << " ghosts, slot " << pos;
+      EXPECT_EQ(d.fences, lines) << ghosts << " ghosts, slot " << pos;
+      ASSERT_TRUE(tree.Insert(victim, victim + 1));  // refill: raw-full again
+    }
+  }
+}
+
+TEST(BTreeFlushCost, InsertIntoRawFullLeafWithGhostsCompactsInsteadOfSplit) {
+  // A leaf whose raw count is at capacity but which holds ghosts frees a
+  // slot with one left shift from its last ghost (each line from that
+  // ghost's through the last record's), then inserts as FAST does (each
+  // line from the new key's slot through the last record's): no split.
+  constexpr int kCap = BTree::kNodeCapacity;
+  constexpr int kGhosts = 3;
+  pm::Pool pool(16 << 20);
+  BTree tree(&pool);
+  for (Key k = 1; k <= kCap; ++k) tree.Insert(10 * k, 2 * k + 1);
+  for (Key k = 1; k <= kGhosts; ++k) ASSERT_TRUE(tree.Remove(10 * k));
+  const BTree::NodeT* leaf = RootNode(tree);
+  RealMem m;
+  ASSERT_EQ(Ops::CountRaw(m, leaf), kCap);
+  ASSERT_EQ(Ops::GhostPrefix(m, leaf, kCap), kGhosts);
+  // 105 lands after 40..100 (7 keys), which the compaction moves down to
+  // slots kGhosts - 1 on.
+  const int slot = kGhosts - 1 + 7;
+  const std::uint64_t lines = LinesSpanned(leaf, kGhosts - 1, kCap - 1) +
+                              LinesSpanned(leaf, slot, kCap - 1);
+  const auto before = pm::Stats();
+  ASSERT_TRUE(tree.Insert(105, 211));
+  const auto d = pm::Stats() - before;
+  EXPECT_EQ(d.flush_lines, lines);
+  EXPECT_EQ(d.fences, lines);
+  EXPECT_EQ(RootNode(tree), leaf);  // no split grew a root
+  EXPECT_EQ(Ops::CountRaw(m, leaf), kCap);
+  EXPECT_EQ(Ops::GhostPrefix(m, leaf, kCap), kGhosts - 1);
+  EXPECT_EQ(leaf->records[slot].key, 105u);
+  EXPECT_EQ(tree.Search(105), 211u);
+  EXPECT_EQ(tree.CountEntries(), static_cast<std::size_t>(kCap - kGhosts + 1));
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+}
+
+// A seeded op stream against std::map that keeps leaves carrying ghost
+// prefixes: a sliding key window drained from the front and appended at
+// the back, puts just above the smallest key into the leaf whose front is
+// ghosts (compactions, then splits), re-puts below the smallest key
+// (writes into the last ghost), upserts, deletes and lookups of keys whose
+// stale copies sit in ghosts, and deletes at the front, middle and back.
+class BTreeGhostModel : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BTreeGhostModel, RandomOpsMatchStdMap) {
+  pm::Pool pool(256 << 20);
+  const std::unique_ptr<Index> idx = MakeIndex(GetParam(), &pool);
+  ASSERT_NE(idx, nullptr);
+  BTree& tree = *idx->core_tree();
+  std::map<Key, Value> model;
+  std::deque<Key> drained;  // recent front deletes: keys with stale ghosts
+  Rng rng(29);
+  Key hi = 1'000'000;
+  Value next_value = 1;
+  const auto value = [&] { return 2 * next_value++ + 1; };  // odd, distinct
+  const auto check_tree = [&] {
+    const pm::CheckReport r = pm::CheckTree(&pool, tree.meta());
+    ASSERT_TRUE(r.ok()) << r.ToString();
+    ASSERT_EQ(r.entries, model.size());
+  };
+  const auto put = [&](Key k, int op) {
+    const Value v = value();
+    const bool fresh = model.count(k) == 0;
+    ASSERT_EQ(tree.Insert(k, v), fresh) << "op " << op << " put " << k;
+    model[k] = v;
+  };
+  const auto remove = [&](Key k, int op) {
+    const bool present = model.erase(k) > 0;
+    ASSERT_EQ(tree.Remove(k), present) << "op " << op << " remove " << k;
+  };
+  for (Key k = hi; k < hi + 2000; ++k) put(k, -1);
+  hi += 2000;
+  constexpr int kOps = 150000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t r = rng.NextBounded(100);
+    const Key lo = model.empty() ? hi : model.begin()->first;
+    const Key span = hi - lo + 1;
+    if (r < 26) {  // append at the back
+      hi += 1 + rng.NextBounded(3);
+      put(hi, op);
+    } else if (r < 36) {  // a middle key, new or upserted
+      put(lo + rng.NextBounded(span), op);
+    } else if (r < 40) {  // just above the smallest: into a ghosted leaf
+      put(lo + 1 + rng.NextBounded(20), op);
+    } else if (r < 44) {  // below the smallest key
+      if (lo > 1) put(lo - 1 - rng.NextBounded(std::min<Key>(lo - 1, 40)), op);
+    } else if (r < 50 && !drained.empty()) {  // upsert a ghost's key
+      put(drained[rng.NextBounded(drained.size())], op);
+    } else if (r < 74 && !model.empty()) {  // drain the front
+      const Key k = model.begin()->first;
+      remove(k, op);
+      drained.push_back(k);
+      if (drained.size() > 256) drained.pop_front();
+    } else if (r < 80 && !model.empty()) {  // a middle delete
+      remove(lo + rng.NextBounded(span), op);
+    } else if (r < 83 && !model.empty()) {  // the back
+      remove(model.rbegin()->first, op);
+    } else if (r < 88 && !drained.empty()) {  // delete a ghost's key
+      remove(drained[rng.NextBounded(drained.size())], op);
+    } else {  // look up a live, ghost or absent key
+      const Key k = !drained.empty() && r < 94
+                        ? drained[rng.NextBounded(drained.size())]
+                        : lo + rng.NextBounded(span);
+      const auto it = model.find(k);
+      ASSERT_EQ(tree.Search(k), it == model.end() ? kNoValue : it->second)
+          << "op " << op << " search " << k;
+    }
+    if (op % 25000 == 0) check_tree();
+  }
+  check_tree();
+  ASSERT_EQ(tree.CountEntries(), model.size());
+  std::vector<Record> out(model.size() + 1);
+  ASSERT_EQ(tree.Scan(0, out.size(), out.data()), model.size());
+  auto it = model.begin();
+  for (std::size_t i = 0; i < model.size(); ++i, ++it) {
+    ASSERT_EQ(out[i].key, it->first) << "scan " << i;
+    ASSERT_EQ(out[i].ptr, it->second) << "scan " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, BTreeGhostModel,
+                         ::testing::Values("fastfair", "fastfair-reclaim"),
+                         [](const auto& info) {
+                           return std::string(info.param) == "fastfair"
+                                      ? std::string("fastfair")
+                                      : std::string("fastfair_reclaim");
+                         });
+
+TEST(BTreeOldFormat, LeafWithoutItsAddressReadsRepairsAndWrites) {
+  // A leaf written before leaves carried their own address: leftmost 0, so
+  // slot 0 has no left neighbour, a crash can leave the slot-0 hole, and
+  // every delete shifts.
+  constexpr int kCap = BTree::kNodeCapacity;
+  pm::Pool pool(16 << 20);
+  BTree tree(&pool);
+  for (Key k = 1; k <= 20; ++k) tree.Insert(10 * k, 2 * k + 1);
+  BTree::NodeT* leaf = RootNode(tree);
+  leaf->hdr.leftmost = 0;
+  leaf->records[0].ptr = 0;  // a crashed slot-0 delete: the hole
+  RealMem m;
+  EXPECT_EQ(tree.Search(10), kNoValue);
+  for (Key k = 2; k <= 20; ++k) EXPECT_EQ(tree.Search(10 * k), 2 * k + 1);
+  EXPECT_EQ(tree.CountEntries(), 19u);
+  std::string msg;
+  EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
+  // The first write repairs the hole (one shift), then inserts at slot 0.
+  ASSERT_TRUE(tree.Insert(5, 11));
+  EXPECT_EQ(leaf->hdr.leftmost, 0u);
+  EXPECT_EQ(leaf->records[0].key, 5u);
+  EXPECT_EQ(Ops::CountRaw(m, leaf), 20);
+  // A front delete shifts: no ghost, every line of the shift.
+  const std::uint64_t lines = LinesSpanned(leaf, 0, 19);
+  const auto before = pm::Stats();
+  ASSERT_TRUE(tree.Remove(5));
+  const auto d = pm::Stats() - before;
+  EXPECT_EQ(d.flush_lines, lines);
+  EXPECT_EQ(Ops::GhostPrefix(m, leaf, Ops::CountRaw(m, leaf)), 0);
+  EXPECT_EQ(Ops::CountRaw(m, leaf), 19);
+  // Fill to a split: the sibling is a fresh leaf in the new format.
+  for (Key k = 21; k <= Key(kCap) + 5; ++k) tree.Insert(10 * k, 2 * k + 1);
+  EXPECT_EQ(tree.Height(), 2);
+  const auto* sib = reinterpret_cast<const BTree::NodeT*>(leaf->hdr.sibling);
+  ASSERT_NE(sib, nullptr);
+  EXPECT_EQ(sib->hdr.leftmost, reinterpret_cast<std::uint64_t>(sib));
+  EXPECT_EQ(leaf->hdr.leftmost, 0u);
+  for (Key k = 2; k <= Key(kCap) + 5; ++k) {
+    EXPECT_EQ(tree.Search(10 * k), 2 * k + 1) << 10 * k;
+  }
   EXPECT_TRUE(tree.CheckInvariants(&msg)) << msg;
 }
 

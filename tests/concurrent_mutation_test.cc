@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -289,6 +290,136 @@ INSTANTIATE_TEST_SUITE_P(Kinds, WriterVsUnlink,
                          ::testing::Values("fastfair-reclaim",
                                            "hashed-fastfair-reclaim:4",
                                            "sharded-fastfair-reclaim:4"));
+
+// --- front deletes vs lock-free readers ------------------------------------
+
+// One writer drains a preloaded range from its smallest key up, so most of
+// its deletes ghost a leaf's first live record and the rest shift past an
+// anchor, and it re-puts drained keys below the live ones: the key just
+// drained, written into the last ghost and drained again, and now and then
+// an older one, which stays. Lock-free readers meanwhile Search the
+// anchors (every kAnchorEvery-th key, never deleted) and Scan across the
+// drained region: every anchor is always found, and every scan ascends
+// with FrontValue values and holds every anchor it passes.
+constexpr Key kFrontLo = 1 << 12;
+constexpr Key kFrontKeys = 4000;
+constexpr Key kFrontDrained = 3000;  // keys the writer drains
+constexpr Key kAnchorEvery = 16;
+constexpr std::size_t kFrontReaders = 2;
+
+bool IsAnchor(Key k) { return k % kAnchorEvery == 0; }
+Value FrontValue(Key k) { return 2 * k + 1; }
+
+/// The writer's seed-determined stream, fed to `apply(k, insert)`.
+template <class Apply>
+void PlayFrontStream(std::uint64_t seed, Apply&& apply) {
+  Rng rng(seed, 0);
+  for (Key k = kFrontLo; k < kFrontLo + kFrontDrained; ++k) {
+    if (IsAnchor(k)) continue;
+    apply(k, false);
+    if (rng.Chance(15)) {
+      apply(k, true);
+      apply(k, false);
+    }
+    const Key back = k - 1 - rng.Below(6);
+    if (rng.Chance(5) && !IsAnchor(back) && back >= kFrontLo) {
+      apply(back, true);
+    }
+  }
+}
+
+/// Checks one reader scan of `n` records from `from`: ascending, in range,
+/// FrontValue values, and every anchor between `from` and its last key
+/// present (through the end of the range when it ran out).
+bool ScanIsSound(const core::Record* out, std::size_t n, std::size_t cap,
+                 Key from) {
+  std::size_t anchors = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out[i].key < from || (i > 0 && out[i].key <= out[i - 1].key) ||
+        out[i].ptr != FrontValue(out[i].key)) {
+      return false;
+    }
+    anchors += IsAnchor(out[i].key);
+  }
+  const Key last = n == cap ? out[n - 1].key : kFrontLo + kFrontKeys - 1;
+  return anchors == last / kAnchorEvery - (from - 1) / kAnchorEvery;
+}
+
+void RunFrontDeleteSeed(const std::string& kind, std::uint64_t seed) {
+  pm::Pool pool(std::size_t{64} << 20);
+  auto idx = MakeIndex(kind, &pool);
+  std::vector<Key> anchors;
+  for (Key k = kFrontLo; k < kFrontLo + kFrontKeys; ++k) {
+    idx->Insert(k, FrontValue(k));
+    if (IsAnchor(k)) anchors.push_back(k);
+  }
+  std::atomic<bool> drained{false};
+  std::atomic<int> lost{0}, bad_scans{0};
+  race::RunWorkers(1 + kFrontReaders, [&](std::size_t w) {
+    Rng rng(seed, w + 100);
+    if (w == 0) {
+      PlayFrontStream(seed, [&](Key k, bool insert) {
+        if (insert) {
+          idx->Insert(k, FrontValue(k));
+        } else {
+          idx->Remove(k);
+        }
+        Perturb(rng);
+      });
+      drained.store(true, std::memory_order_release);
+      return;
+    }
+    constexpr std::size_t kCap = 48;
+    core::Record out[kCap];
+    while (!drained.load(std::memory_order_acquire)) {
+      const Key a = anchors[rng.Below(anchors.size())];
+      if (idx->Search(a) != FrontValue(a)) {
+        lost.fetch_add(1, std::memory_order_relaxed);
+      }
+      const Key from = kFrontLo + rng.Below(kFrontDrained);
+      if (!ScanIsSound(out, idx->Scan(from, kCap, out), kCap, from)) {
+        bad_scans.fetch_add(1, std::memory_order_relaxed);
+      }
+      Perturb(rng);
+    }
+  });
+  EXPECT_EQ(lost.load(), 0) << "anchor searches missed at seed " << seed;
+  EXPECT_EQ(bad_scans.load(), 0) << "unsound scans at seed " << seed;
+
+  std::map<Key, Value> model;
+  for (Key k = kFrontLo; k < kFrontLo + kFrontKeys; ++k) {
+    model[k] = FrontValue(k);
+  }
+  PlayFrontStream(seed, [&](Key k, bool insert) {
+    if (insert) {
+      model[k] = FrontValue(k);
+    } else {
+      model.erase(k);
+    }
+  });
+  EXPECT_TRUE(StateMatches(*idx, model, seed));
+}
+
+class FrontDeleteVsReaders : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FrontDeleteVsReaders, SeededScheduleSweep) {
+  const auto seeds = race::SweepSeeds(40, 0x5eedf000);
+  for (const std::uint64_t seed : seeds) {
+    RunFrontDeleteSeed(GetParam(), seed);
+    if (::testing::Test::HasFailure()) {
+      std::fprintf(stderr,
+                   "[race_sched] failing seed %llu — replay: "
+                   "FASTFAIR_RACE_SEED=%llu ./build/concurrent_mutation_test "
+                   "--gtest_filter='*FrontDeleteVsReaders*'\n",
+                   static_cast<unsigned long long>(seed),
+                   static_cast<unsigned long long>(seed));
+      break;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, FrontDeleteVsReaders,
+                         ::testing::Values("fastfair", "fastfair-reclaim"));
 
 }  // namespace
 }  // namespace fastfair

@@ -21,10 +21,13 @@
 #include <set>
 #include <vector>
 
+#include "core/btree.h"
 #include "core/mem_policy.h"
 #include "core/node.h"
 #include "core/node_ops.h"
 #include "crashsim/simmem.h"
+#include "pm/check.h"
+#include "pm/pool.h"
 
 namespace fastfair::core {
 namespace {
@@ -79,7 +82,7 @@ auto Resolve(std::uint64_t p) { return reinterpret_cast<const NodeT*>(p); }
 
 /// Lazy recovery on a materialized copy of `img`: FixNode must converge
 /// (a second pass finds nothing) on a sorted node whose key set is
-/// `before` or `after`.
+/// `before` or `after`, leaving the image's ghost slots as they are.
 void ExpectFixConverges(const SimMem::Image& img, const NodeT* node,
                         const std::map<Key, Value>& before,
                         const std::map<Key, Value>& after) {
@@ -87,8 +90,15 @@ void ExpectFixConverges(const SimMem::Image& img, const NodeT* node,
   Materialize(img, node, &copy);
   copy.hdr.lock.Reset();
   RealMem m2;
+  const int ghosts =
+      RealOps::GhostPrefix(m2, &copy, RealOps::CountRaw(m2, &copy));
   RealOps::FixNode(m2, &copy, Resolve);
   EXPECT_FALSE(RealOps::FixNode(m2, &copy, Resolve));  // converged
+  for (int i = 0; i < ghosts; ++i) {
+    EXPECT_EQ(copy.records[i].ptr, copy.hdr.leftmost) << "ghost " << i;
+    EXPECT_EQ(copy.records[i].key, img.Read64(&node->records[i].key))
+        << "ghost " << i;
+  }
   Record buf[kCap];
   const int n = RealOps::CollectValid(m2, &copy, buf);
   std::map<Key, Value> fixed;
@@ -128,9 +138,16 @@ void CheckInsertCrashStates(int fill, int pos, bool delete_phase) {
     before[k] = k + 1;
   }
   if (delete_phase) {
+    // Only a shifting delete flips the node, and a front delete does not
+    // shift: the tail key leaves from behind a live key (an extra one in
+    // an empty node, which then leaves by a front delete).
     constexpr Key kFlip = 1000000;
+    if (fill == 0) RealOps::InsertKey(rm, &node, kFlip - 2, kFlip - 1);
     RealOps::InsertKey(rm, &node, kFlip, kFlip + 1);
     ASSERT_TRUE(RealOps::DeleteKey(rm, &node, kFlip));
+    if (fill == 0) {
+      ASSERT_TRUE(RealOps::DeleteKey(rm, &node, kFlip - 2));
+    }
     ASSERT_EQ(RealOps::LoadSwitch(rm, &node) % 2, 1u);
   }
   const Key newkey = static_cast<Key>(pos * 10 + 5);
@@ -294,6 +311,137 @@ TEST_P(FastDeleteCrash, EveryCrashStateIsBeforeOrAfter) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastDeleteCrash,
                          ::testing::ValuesIn(DeleteCases()));
+
+// --- ghost prefixes -----------------------------------------------------------
+//
+// The writes that grow, reclaim and compact a leaf's ghost prefix, run on
+// the root leaf of a one-leaf tree so that each crash image, written back
+// into the pool, is also walked by pm::CheckTree, the reopen fsck.
+
+// Keys 10, 20, ...; a value never equals the leaf's address.
+Value GhostValue(Key k) { return k + 1; }
+
+struct GhostTree {
+  GhostTree() : pool(8 << 20), tree(&pool) {}
+
+  NodeT* Leaf() { return reinterpret_cast<NodeT*>(tree.meta()->root); }
+
+  // A root leaf of keys 10..10*records whose first `ghosts` keys left by
+  // front deletes through the tree.
+  std::map<Key, Value> Build(int records, int ghosts) {
+    std::map<Key, Value> live;
+    for (int i = 1; i <= records; ++i) {
+      tree.Insert(Key(i) * 10, GhostValue(Key(i) * 10));
+      live[Key(i) * 10] = GhostValue(Key(i) * 10);
+    }
+    for (int i = 1; i <= ghosts; ++i) {
+      EXPECT_TRUE(tree.Remove(Key(i) * 10));
+      live.erase(Key(i) * 10);
+    }
+    EXPECT_TRUE(Leaf()->is_leaf());
+    RealMem rm;
+    EXPECT_EQ(RealOps::GhostPrefix(rm, Leaf(), RealOps::CountRaw(rm, Leaf())),
+              records == ghosts ? 0 : ghosts);
+    return live;
+  }
+
+  // Enumerates the crash images of `op` run on the leaf through SimMem.
+  // Each must read `before` or `after` through CollectValid and SearchLeaf,
+  // FixNode must converge on one of them leaving the image's ghost slots
+  // as they are, and the image written into the pool must pass CheckTree
+  // with that many entries.
+  template <class Op>
+  void ExpectBeforeOrAfter(const std::map<Key, Value>& before,
+                           const std::map<Key, Value>& after, Op op) {
+    NodeT* leaf = Leaf();
+    SimMem sim;
+    sim.Adopt(leaf, sizeof(NodeT));
+    op(sim, leaf);
+    alignas(64) NodeT saved;
+    std::memcpy(static_cast<void*>(&saved), leaf, sizeof(NodeT));
+    std::size_t images = 0, after_images = 0;
+    const bool complete =
+        sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+          ++images;
+          const auto seen = ReadImage(img, leaf);
+          const bool is_after = seen == after;
+          ASSERT_TRUE(seen == before || is_after) << "image " << images;
+          after_images += is_after;
+          ExpectSearchAgrees(img, leaf, seen, before, after);
+          ExpectFixConverges(img, leaf, before, after);
+          Materialize(img, leaf, leaf);
+          leaf->hdr.lock.Reset();
+          const pm::CheckReport r = pm::CheckTree(&pool, tree.meta());
+          EXPECT_TRUE(r.ok()) << "image " << images << "\n" << r.ToString();
+          EXPECT_EQ(r.entries, seen.size()) << "image " << images;
+          std::memcpy(static_cast<void*>(leaf), &saved, sizeof(NodeT));
+        });
+    EXPECT_TRUE(complete);
+    EXPECT_GE(images, 2u);
+    EXPECT_GE(after_images, 1u);
+  }
+
+  pm::Pool pool;
+  BTree tree;
+};
+
+// Deleting the first live record behind every ghost-prefix length of a
+// full leaf (the last one empties it), and emptying one- and two-slot
+// leaves.
+TEST(GhostCrash, FrontDeleteAtEveryGhostPrefixLength) {
+  const auto run = [](int records, int g) {
+    SCOPED_TRACE(std::to_string(records) + " records, " + std::to_string(g) +
+                 " ghosts");
+    GhostTree t;
+    const auto before = t.Build(records, g);
+    const Key victim = Key(g + 1) * 10;
+    auto after = before;
+    after.erase(victim);
+    t.ExpectBeforeOrAfter(before, after, [&](SimMem& sim, NodeT* leaf) {
+      ASSERT_TRUE(SimOps::DeleteKey(sim, leaf, victim));
+    });
+  };
+  for (int g = 0; g < kCap; ++g) run(kCap, g);
+  run(1, 0);
+  run(2, 1);
+}
+
+// A key below every live key takes the last ghost's slot: a new key, and
+// the ghost's own deleted key put back.
+TEST(GhostCrash, PutIntoLastGhost) {
+  for (const int g : {1, 2, 5, kCap - 1}) {
+    for (const Key k : {Key(g) * 10 + 5, Key(g) * 10}) {
+      SCOPED_TRACE(std::to_string(g) + " ghosts, put " + std::to_string(k));
+      GhostTree t;
+      const auto before = t.Build(kCap, g);
+      auto after = before;
+      after[k] = GhostValue(k);
+      t.ExpectBeforeOrAfter(before, after, [&](SimMem& sim, NodeT* leaf) {
+        SimOps::InsertKey(sim, leaf, k, GhostValue(k));
+      });
+    }
+  }
+}
+
+// A raw-full leaf with ghosts compacts its last ghost away, then inserts:
+// in the middle, and past its last key.
+TEST(GhostCrash, CompactionBeforeInsert) {
+  for (const int g : {1, 2, 7}) {
+    for (const Key k : {Key(g + 3) * 10 + 5, Key(kCap + 1) * 10}) {
+      SCOPED_TRACE(std::to_string(g) + " ghosts, put " + std::to_string(k));
+      GhostTree t;
+      const auto before = t.Build(kCap, g);
+      auto after = before;
+      after[k] = GhostValue(k);
+      t.ExpectBeforeOrAfter(before, after, [&](SimMem& sim, NodeT* leaf) {
+        ASSERT_TRUE(SimOps::HasRoom(sim, leaf));
+        SimOps::InsertKey(sim, leaf, k, GhostValue(k));
+        EXPECT_EQ(SimOps::CountRaw(sim, leaf), kCap);
+        EXPECT_EQ(SimOps::GhostPrefix(sim, leaf, kCap), g - 1);
+      });
+    }
+  }
+}
 
 // Upsert (UpdateKey) is a single 8-byte store: both values must be the only
 // observable states.

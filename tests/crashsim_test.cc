@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
+#include "core/mem_policy.h"
+#include "core/node.h"
+#include "core/node_ops.h"
 #include "crashsim/simmem.h"
 
 namespace fastfair::crashsim {
@@ -225,6 +229,125 @@ TEST(CrashModel, SamplingDrawsFromTheEnumeratedImages) {
   });
   // Each a = 3 image has odds 1/120 per draw, so 2000 draws reach all 14.
   EXPECT_EQ(sampled, enumerated);
+}
+
+// A store that rewrites the value its word holds leaves the line's
+// content as it was: the cuts on either side of it name one image.
+TEST_F(SimFixture, RewritingAValueAddsNoImage) {
+  sim_.Store64(&buf_[0], 0);  // the initial value
+  sim_.Store64(&buf_[0], 1);
+  sim_.Store64(&buf_[0], 0);  // back to the initial value
+  std::vector<std::uint64_t> seen;
+  EXPECT_TRUE(sim_.EnumerateCrashStates(
+      [&](const SimMem::Image& img) { seen.push_back(img.Read64(&buf_[0])); }));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1}));
+}
+
+using Words = std::vector<std::uint64_t>;
+
+// The crash model walked without merging equal contents: every cut vector
+// of every crash point, applied to the `n` adopted words at `base`, which
+// hold the initial content. `*cut_vectors` counts them.
+std::set<Words> ReferenceImages(const SimMem& sim, const std::uint64_t* base,
+                                std::size_t n, std::size_t* cut_vectors) {
+  const auto line_of = [](std::uintptr_t a) { return a / kCacheLineSize; };
+  std::map<std::uintptr_t, std::vector<std::size_t>> by_line;  // store events
+  const auto& ev = sim.events();
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    if (ev[i].kind == Event::Kind::kStore) {
+      by_line[line_of(ev[i].addr)].push_back(i);
+    }
+  }
+  std::vector<std::uintptr_t> ids;
+  for (const auto& [id, stores] : by_line) ids.push_back(id);
+  const std::size_t L = ids.size();
+  std::vector<std::size_t> floor(L, 0), pending(L, 0), upto(L, 0);
+  std::vector<bool> flushed(L, false);
+  std::set<Words> out;
+  *cut_vectors = 0;
+  const auto index = [&](std::uintptr_t a) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), line_of(a)) - ids.begin());
+  };
+  for (std::size_t i = 0; i <= ev.size(); ++i) {
+    if (i > 0) {  // the state after event i - 1
+      const Event& e = ev[i - 1];
+      if (e.kind == Event::Kind::kStore) {
+        ++upto[index(e.addr)];
+      } else if (e.kind == Event::Kind::kFlush) {
+        const std::size_t l = index(e.addr);
+        if (l < L && ids[l] == line_of(e.addr)) {
+          pending[l] = upto[l];
+          flushed[l] = true;
+        }
+      } else {
+        for (std::size_t l = 0; l < L; ++l) {
+          if (flushed[l]) floor[l] = std::max(floor[l], pending[l]);
+          flushed[l] = false;
+        }
+      }
+    }
+    std::vector<std::size_t> cuts = floor;
+    for (;;) {
+      ++*cut_vectors;
+      Words w(base, base + n);
+      for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t k = 0; k < cuts[l]; ++k) {
+          const Event& s = ev[by_line[ids[l]][k]];
+          w[(s.addr - reinterpret_cast<std::uintptr_t>(base)) / 8] = s.value;
+        }
+      }
+      out.insert(w);
+      std::size_t l = L;
+      while (l > 0 && cuts[l - 1] == upto[l - 1]) {
+        cuts[l - 1] = floor[l - 1];
+        --l;
+      }
+      if (l == 0) break;
+      ++cuts[l - 1];
+    }
+  }
+  return out;
+}
+
+// On a logged FAST/FAIR sequence (a front insert shifting a 20-record
+// leaf, a delete shift, a FAIR split) the walk yields exactly the images
+// the cut vectors name, each once, though many cut vectors repeat one.
+TEST(CrashModel, EnumerationVisitsEachImageOnce) {
+  using NodeT = core::Node<512>;
+  using RealOps = core::NodeOps<NodeT, core::RealMem>;
+  using SimOps = core::NodeOps<NodeT, SimMem>;
+  struct alignas(64) Pair {
+    NodeT left, right;
+  } nodes;
+  nodes.left.Init(0);
+  nodes.right.Init(0);
+  core::RealMem rm;
+  for (Key k = 2; k <= 40; k += 2) {
+    RealOps::InsertKey(rm, &nodes.left, k, k + 1);
+  }
+  SimMem sim;
+  sim.Adopt(&nodes, sizeof(nodes));
+  SimOps::InsertKey(sim, &nodes.left, 1, 2001);
+  ASSERT_TRUE(SimOps::DeleteKey(sim, &nodes.left, 20));
+  const int cnt = SimOps::CountRaw(sim, &nodes.left);
+  SimOps::SplitCopy(sim, &nodes.left, &nodes.right, cnt / 2, cnt);
+  SimOps::CommitSplit(sim, &nodes.left, &nodes.right, cnt / 2);
+
+  const auto* base = reinterpret_cast<const std::uint64_t*>(&nodes);
+  const std::size_t n = sizeof(nodes) / 8;
+  std::set<Words> images;
+  std::size_t calls = 0;
+  EXPECT_TRUE(sim.EnumerateCrashStates([&](const SimMem::Image& img) {
+    Words w(n);
+    for (std::size_t i = 0; i < n; ++i) w[i] = img.Read64(base + i);
+    images.insert(w);
+    ++calls;
+  }));
+  std::size_t cut_vectors = 0;
+  EXPECT_EQ(images, ReferenceImages(sim, base, n, &cut_vectors));
+  EXPECT_EQ(calls, images.size());
+  EXPECT_LT(calls, cut_vectors);  // the log does rewrite values
 }
 
 TEST_F(SimFixture, ImageReadOutsideThrows) {

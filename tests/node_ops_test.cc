@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "common/simd.h"
 #include "core/mem_policy.h"
 #include "core/node.h"
 #include "core/node_ops.h"
+#include "core/node_search_simd.h"
 #include "pm/persist.h"
 
 namespace fastfair::core {
@@ -118,7 +123,9 @@ TEST_P(DeletePosition, EveryPositionCompactsCorrectly) {
   }
   const Key victim = static_cast<Key>(GetParam() + 1);
   EXPECT_TRUE(O::DeleteKey(m, &node, victim));
-  EXPECT_EQ(O::CountRaw(m, &node), kCap - 1);
+  // Deleting the first record leaves a ghost in its slot; any other
+  // delete shifts the tail left over it.
+  EXPECT_EQ(O::CountRaw(m, &node), GetParam() == 0 ? kCap : kCap - 1);
   EXPECT_EQ(O::SearchLeaf(m, &node, victim), kNoValue);
   for (int i = 0; i < kCap; ++i) {
     const Key k = static_cast<Key>(i + 1);
@@ -149,9 +156,10 @@ TEST_F(NodeFixture, DeleteLastEntryEmptiesNode) {
 
 TEST_F(NodeFixture, DeleteFlushesEachRecordLineOnce) {
   // The commit store shares its line with the shift's first stores, and
-  // the shift flushes that line before it leaves it, so a slot-0 delete
-  // flushes (and fences) each line of records[0..cnt) exactly once: 3
-  // lines for a 12-record leaf, 7 for a 26-record one.
+  // the shift flushes that line before it leaves it, so a slot-1 delete
+  // (the first that shifts: slot 0 turns into a ghost instead) flushes
+  // (and fences) each line of records[1..cnt) exactly once: 3 lines for a
+  // 12-record leaf, 7 for a 26-record one.
   for (const int cnt : {12, 26}) {
     node_.Init(0);
     for (int i = 1; i <= cnt + 1; ++i) {
@@ -165,9 +173,9 @@ TEST_F(NodeFixture, DeleteFlushesEachRecordLineOnce) {
       return reinterpret_cast<std::uintptr_t>(p) / kCacheLineSize;
     };
     const std::uint64_t lines =
-        line(&node_.records[cnt - 1]) - line(&node_.records[0]) + 1;
+        line(&node_.records[cnt - 1]) - line(&node_.records[1]) + 1;
     const auto before = pm::Stats();
-    ASSERT_TRUE(Ops::DeleteKey(m_, &node_, 1));
+    ASSERT_TRUE(Ops::DeleteKey(m_, &node_, 2));
     const auto d = pm::Stats() - before;
     EXPECT_EQ(d.flush_lines, lines) << cnt << " records";
     EXPECT_EQ(d.fences, lines) << cnt << " records";
@@ -194,15 +202,15 @@ TEST_F(NodeFixture, UpdateKeyOverwritesInPlace) {
 }
 
 TEST_F(NodeFixture, SwitchCounterFlipsOnDirectionChange) {
-  Fill({10, 20});
+  Fill({10, 20, 30});
   const auto sc0 = Ops::LoadSwitch(m_, &node_);
   EXPECT_EQ(sc0 % 2, 0u);  // insert phase
-  Ops::DeleteKey(m_, &node_, 10);
+  Ops::DeleteKey(m_, &node_, 20);  // a shifting delete
   const auto sc1 = Ops::LoadSwitch(m_, &node_);
   EXPECT_EQ(sc1 % 2, 1u);  // delete phase
-  Ops::DeleteKey(m_, &node_, 20);
+  Ops::DeleteKey(m_, &node_, 30);
   EXPECT_EQ(Ops::LoadSwitch(m_, &node_), sc1);  // same direction: no bump
-  Ops::InsertKey(m_, &node_, 5, 51);
+  Ops::InsertKey(m_, &node_, 15, 151);
   EXPECT_EQ(Ops::LoadSwitch(m_, &node_) % 2, 0u);
 }
 
@@ -350,8 +358,11 @@ TEST(FixNode, RemovesDuplicatePointerGarbage) {
 }
 
 TEST(FixNode, ClosesSlotZeroHole) {
+  // Only a leaf whose slot 0 has no left neighbour (leftmost 0, the format
+  // before leaves carried their own address) can hold the hole.
   alignas(64) NodeT node;
   node.Init(0);
+  node.hdr.leftmost = 0;
   RealMem m;
   using O = NodeOps<NodeT, RealMem>;
   for (Key k = 1; k <= 4; ++k) O::InsertKey(m, &node, k * 10, k * 10 + 1);
@@ -411,21 +422,19 @@ TEST(FixNode, CompletesUntruncatedSplit) {
 
 // --- lock-free collect vs. a delete in flight --------------------------------
 
-// Memory policy for one CollectValid call: at the reader's `fire_at`-th
-// load it runs RealMem deletes of `victims` on the same node, so the FAST
-// delete's left shift lands between two reader loads. Sweeping `fire_at`
-// over every load of the call puts the shift at every point of the pass.
-struct DeleteAtLoad {
+// Memory policy for one reader call: at the reader's `fire_at`-th load it
+// runs a RealMem `write` on the same node (a FAST delete's left shift, a
+// front delete, ...), so the write lands between two reader loads.
+// Sweeping `fire_at` over every load of the call puts it at every point of
+// the pass.
+struct WriteAtLoad {
   NodeT* node = nullptr;
-  std::vector<Key> victims;
+  std::function<void(NodeT*)> write;
   int fire_at = 0;
   int loads = 0;
 
   std::uint64_t Load64(const void* addr) {
-    if (++loads == fire_at) {
-      RealMem m;
-      for (const Key k : victims) Ops::DeleteKey(m, node, k);
-    }
+    if (++loads == fire_at) write(node);
     return RealMem::Load64(addr);
   }
 };
@@ -446,17 +455,20 @@ void BuildDeletePhaseNode(NodeT* node, bool internal) {
   Ops::EnsureDeleteDirection(m, node);
 }
 
-DeleteAtLoad ArmDeletes(NodeT* node, int fire_at, int pos, int burst) {
-  DeleteAtLoad mem;
+WriteAtLoad ArmDeletes(NodeT* node, int fire_at, int pos, int burst) {
+  WriteAtLoad mem;
   mem.node = node;
   mem.fire_at = fire_at;
-  for (int i = pos; i < pos + burst; ++i) {
-    mem.victims.push_back(Key(i + 1) * 10);
-  }
+  mem.write = [pos, burst](NodeT* n) {
+    RealMem m;
+    for (int i = pos; i < pos + burst; ++i) {
+      Ops::DeleteKey(m, n, Key(i + 1) * 10);
+    }
+  };
   return mem;
 }
 
-using Probe = NodeOps<NodeT, DeleteAtLoad>;
+using Probe = NodeOps<NodeT, WriteAtLoad>;
 
 // Fires the deletes at every load of one CollectValid call. Every result
 // must be sorted, carry each key's own value, and hold every key that was
@@ -467,13 +479,13 @@ int SweepCollectAgainstDeletes(bool internal) {
   int lost = 0;
   for (int burst = 1; burst <= 3; ++burst) {
     for (int pos = 0; pos + burst <= kSweepRecords; ++pos) {
-      DeleteAtLoad quiet;
+      WriteAtLoad quiet;
       BuildDeletePhaseNode(&node, internal);
       Record buf[kCap];
       Probe::CollectValid(quiet, &node, buf);
       for (int k = 1; k <= quiet.loads; ++k) {
         BuildDeletePhaseNode(&node, internal);
-        DeleteAtLoad mem = ArmDeletes(&node, k, pos, burst);
+        WriteAtLoad mem = ArmDeletes(&node, k, pos, burst);
         const int n = Probe::CollectValid(mem, &node, buf);
         std::vector<Key> got;
         for (int i = 0; i < n; ++i) {
@@ -521,12 +533,12 @@ TEST(CollectValidRace, SearchLeafNeverMissesALiveKeyDuringDeletes) {
       for (int i = 1; i <= kSweepRecords; ++i) {
         if (i - 1 >= pos && i - 1 < pos + burst) continue;  // a victim
         const Key key = Key(i) * 10;
-        DeleteAtLoad quiet;
+        WriteAtLoad quiet;
         BuildDeletePhaseNode(&node, /*internal=*/false);
         Probe::SearchLeaf(quiet, &node, key);
         for (int k = 1; k <= quiet.loads; ++k) {
           BuildDeletePhaseNode(&node, /*internal=*/false);
-          DeleteAtLoad mem = ArmDeletes(&node, k, pos, burst);
+          WriteAtLoad mem = ArmDeletes(&node, k, pos, burst);
           ++interleavings;
           if (Probe::SearchLeaf(mem, &node, key) != SweepValue(key)) ++lost;
         }
@@ -537,6 +549,176 @@ TEST(CollectValidRace, SearchLeafNeverMissesALiveKeyDuringDeletes) {
   EXPECT_EQ(lost, 0) << "of " << interleavings
                      << " interleavings lost a never-deleted key";
 }
+
+// --- lock-free readers vs. the ghost-prefix writes ------------------------------
+
+// One ghost-prefix write raced against the readers: `build` makes the
+// node it starts from (keys 10, 20, ... with SweepValue values), `write`
+// is the op fired at a reader load. `live` keys must be found, `maybe`
+// keys (the op's own key) found with their value or not at all, and
+// `ghosts` (deleted keys still sitting in ghost slots) never.
+struct GhostRace {
+  std::string what;
+  std::function<void(NodeT*)> build;
+  std::function<void(NodeT*)> write;
+  std::set<Key> live, maybe, ghosts;
+};
+
+// A leaf holding keys 10..10*records whose first `ghosts` records left by
+// front deletes, optionally switched to the delete phase.
+void BuildGhostLeaf(NodeT* node, int records, int ghosts, bool delete_phase) {
+  RealMem m;
+  node->Init(0);
+  for (int i = 1; i <= records; ++i) {
+    Ops::InsertKey(m, node, Key(i) * 10, SweepValue(Key(i) * 10));
+  }
+  for (int i = 1; i <= ghosts; ++i) Ops::DeleteKey(m, node, Key(i) * 10);
+  if (delete_phase) Ops::EnsureDeleteDirection(m, node);
+}
+
+std::vector<GhostRace> GhostRaces(bool delete_phase) {
+  std::vector<GhostRace> races;
+  const auto keys = [](int from, int to) {  // 10*from .. 10*to
+    std::set<Key> out;
+    for (int i = from; i <= to; ++i) out.insert(Key(i) * 10);
+    return out;
+  };
+  const auto build = [delete_phase](int records, int ghosts) {
+    return [=](NodeT* n) { BuildGhostLeaf(n, records, ghosts, delete_phase); };
+  };
+  const auto insert = [](Key k) {
+    return [k](NodeT* n) {
+      RealMem m;
+      Ops::InsertKey(m, n, k, SweepValue(k));
+    };
+  };
+  // A front delete at every ghost-prefix length, the last one emptying.
+  for (int g = 0; g < kSweepRecords; ++g) {
+    const Key victim = Key(g + 1) * 10;
+    races.push_back({"front delete behind " + std::to_string(g) + " ghosts",
+                     build(kSweepRecords, g),
+                     [victim](NodeT* n) {
+                       RealMem m;
+                       Ops::DeleteKey(m, n, victim);
+                     },
+                     keys(g + 2, kSweepRecords), {victim}, keys(1, g)});
+  }
+  // A key below every live key written into the last ghost: a new key,
+  // and the last ghost's own deleted key put back.
+  for (const int g : {1, 2, 3, kSweepRecords / 2, kSweepRecords - 1}) {
+    for (const Key k : {Key(g) * 10 + 5, Key(g) * 10}) {
+      std::set<Key> ghosts = keys(1, g);
+      ghosts.erase(k);
+      races.push_back({"put " + std::to_string(k) + " into ghost " +
+                           std::to_string(g - 1),
+                       build(kSweepRecords, g), insert(k),
+                       keys(g + 1, kSweepRecords), {k}, ghosts});
+    }
+  }
+  // A raw-full leaf compacting its last ghost away before an insert.
+  for (int g = 1; g <= 3; ++g) {
+    const Key k = Key(g + 2) * 10 + 5;
+    races.push_back({"compact " + std::to_string(g) + " ghosts, put " +
+                         std::to_string(k),
+                     build(kCap, g), insert(k), keys(g + 1, kCap), {k},
+                     keys(1, g)});
+  }
+  return races;
+}
+
+// Checks one reader result for `key` against the race's key classes.
+void ExpectGhostRead(const GhostRace& r, Key key, Value got,
+                     const std::string& where) {
+  if (r.live.count(key) != 0) {
+    EXPECT_EQ(got, SweepValue(key)) << where << ": live key " << key;
+  } else if (r.maybe.count(key) != 0) {
+    EXPECT_TRUE(got == kNoValue || got == SweepValue(key))
+        << where << ": key " << key << " read " << got;
+  } else {
+    EXPECT_EQ(got, kNoValue) << where << ": ghost key " << key;
+  }
+}
+
+// Runs `read(mem, node, key)` with the race's write fired at every load.
+template <class Read>
+void SweepGhostSearch(const GhostRace& r, const std::string& reader,
+                      Read read) {
+  alignas(64) NodeT node;
+  // The op's key, the live keys next to the ghosts and the last one, and
+  // the ghosts at both ends of the prefix.
+  std::set<Key> probes = r.maybe;
+  for (const std::set<Key>* c : {&r.live, &r.ghosts}) {
+    if (c->empty()) continue;
+    probes.insert(*c->begin());
+    probes.insert(*c->rbegin());
+  }
+  if (r.live.size() > 1) probes.insert(*std::next(r.live.begin()));
+  for (const Key key : probes) {
+    WriteAtLoad quiet;
+    r.build(&node);
+    read(quiet, &node, key);
+    for (int k = 1; k <= quiet.loads + 1; ++k) {
+      r.build(&node);
+      WriteAtLoad mem{&node, r.write, k, 0};
+      ExpectGhostRead(r, key, read(mem, &node, key),
+                      r.what + ", " + reader + " load " + std::to_string(k));
+    }
+  }
+}
+
+void SweepGhostRaces(bool delete_phase) {
+  for (const GhostRace& r : GhostRaces(delete_phase)) {
+    SCOPED_TRACE(r.what + (delete_phase ? " (delete phase)" : ""));
+    SweepGhostSearch(r, "SearchLeaf",
+                     [](WriteAtLoad& mem, const NodeT* n, Key key) {
+                       return Probe::SearchLeaf(mem, n, key);
+                     });
+#if defined(FASTFAIR_SIMD_X86)
+    using Simd = SimdNodeOps<NodeT, WriteAtLoad>;
+    if (simd::IsaSupported(simd::Isa::kAvx2)) {
+      SweepGhostSearch(r, "avx2 probe",
+                       [](WriteAtLoad& mem, const NodeT* n, Key key) {
+                         return Simd::SearchLeaf<simd::Avx2Kernels>(mem, n,
+                                                                    key);
+                       });
+    }
+    if (simd::IsaSupported(simd::Isa::kAvx512)) {
+      SweepGhostSearch(r, "avx512 probe",
+                       [](WriteAtLoad& mem, const NodeT* n, Key key) {
+                         return Simd::SearchLeaf<simd::Avx512Kernels>(mem, n,
+                                                                      key);
+                       });
+    }
+#endif
+    // CollectValid: sorted, own values, every live key, no ghost.
+    alignas(64) NodeT node;
+    WriteAtLoad quiet;
+    r.build(&node);
+    Record buf[kCap];
+    Probe::CollectValid(quiet, &node, buf);
+    for (int k = 1; k <= quiet.loads + 1; ++k) {
+      r.build(&node);
+      WriteAtLoad mem{&node, r.write, k, 0};
+      const int n = Probe::CollectValid(mem, &node, buf);
+      std::set<Key> got;
+      for (int i = 0; i < n; ++i) {
+        if (i > 0) {
+          EXPECT_LT(buf[i - 1].key, buf[i].key) << "load " << k;
+        }
+        ExpectGhostRead(r, buf[i].key, buf[i].ptr,
+                        "CollectValid load " + std::to_string(k));
+        got.insert(buf[i].key);
+      }
+      for (const Key key : r.live) {
+        EXPECT_EQ(got.count(key), 1u) << "CollectValid load " << k
+                                      << " lost live key " << key;
+      }
+    }
+  }
+}
+
+TEST(GhostRace, ReadersInsertPhase) { SweepGhostRaces(false); }
+TEST(GhostRace, ReadersDeletePhase) { SweepGhostRaces(true); }
 
 // --- node size sweep (the Fig 3 node geometries) ---------------------------------
 

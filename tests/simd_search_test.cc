@@ -7,8 +7,9 @@
 //  2. Node level: SimdNodeOps entry points against NodeOps on randomized
 //     node states *including the forged transient states the lock-free
 //     protocol must tolerate* — slot-0 holes, duplicate ptrs (torn
-//     inserts), duplicate keys (torn delete shifts) — under both switch
-//     parities, on two node geometries. The probe sweep covers present and
+//     inserts), duplicate keys (torn delete shifts) — and on leaves with
+//     ghost prefixes holding stale keys, under both switch parities, on
+//     two node geometries. The probe sweep covers present and
 //     absent keys, so it drives both direct hits and the direct->scalar
 //     fallback.
 //  3. Concurrent: a writer churns keys (flipping the switch word between
@@ -261,6 +262,45 @@ void RunRandomizedNodeStates(bool internal) {
     ExpectNodeEquivalence(m, &node, static_cast<Key>(3 * kCap + 3),
                           internal ? "internal" : "leaf");
   }
+}
+
+// Leaves whose front records left by front deletes: every ghost-prefix
+// length, then a key put back into the last ghost. Ghosts keep their
+// stale keys, which the probe sweep hits.
+template <class NodeT>
+void RunGhostPrefixStates() {
+  using Ops = NodeOps<NodeT, core::RealMem>;
+  constexpr int kCap = NodeT::kCapacity;
+  for (int g = 0; g < kCap; ++g) {
+    for (const bool reput : {false, true}) {
+      core::RealMem m;
+      alignas(64) NodeT node;
+      node.Init(0);
+      for (int i = 0; i < kCap; ++i) {
+        const Key k = static_cast<Key>(3 * i + 2);
+        Ops::InsertKey(m, &node, k, 1000 + k);
+      }
+      for (int i = 0; i < g; ++i) {
+        Ops::DeleteKey(m, &node, static_cast<Key>(3 * i + 2));
+      }
+      if (reput && g > 0) {
+        const Key k = static_cast<Key>(3 * (g - 1) + 2);
+        Ops::InsertKey(m, &node, k, 5000 + k);
+      }
+      for (const bool odd : {false, true}) {
+        if (odd) Ops::EnsureDeleteDirection(m, &node);
+        ExpectNodeEquivalence(m, &node, static_cast<Key>(3 * kCap + 3),
+                              "ghost-prefix leaf");
+      }
+    }
+  }
+}
+
+TEST(SimdNodeEquivalence, LeafGhostPrefixes512) {
+  RunGhostPrefixStates<Node<512>>();
+}
+TEST(SimdNodeEquivalence, LeafGhostPrefixes256) {
+  RunGhostPrefixStates<Node<256>>();
 }
 
 TEST(SimdNodeEquivalence, LeafNode512) { RunRandomizedNodeStates<Node<512>>(false); }

@@ -6,13 +6,15 @@
 //  * the states the paper calls endurable — an un-truncated FAIR split, a
 //    duplicate-key remnant of a delete shift, a slot-0 hole, a
 //    duplicate-pointer slot, and (lazy reclamation) a route to an unlinked
-//    dead leaf awaiting repair — must pass both entry points, with the walk
-//    counting exactly the entries CountEntries() reports, and must stay
-//    legal through the writes that repair them;
+//    dead leaf awaiting repair — and a leaf's ghost prefix must pass both
+//    entry points, with the walk counting exactly the entries
+//    CountEntries() reports, and must stay legal through the writes that
+//    repair them;
 //  * each defect — a left-node copy its sibling lacks or holds differently,
 //    a record hidden by such copies, a parent route off the child chain, a
-//    key below its node's fence, keys out of order in a delete-phase node —
-//    must be reported by both.
+//    key below its node's fence, keys out of order in a delete-phase node,
+//    a leaf whose slot 0 takes another node's address as its left
+//    neighbour — must be reported by both.
 
 #include <gtest/gtest.h>
 
@@ -173,13 +175,38 @@ TEST_F(TreeCheck, ShiftTransientsAreLegal) {
   ExpectLegal(kKeys - 1);
 }
 
+// Front deletes leave a leaf's first slots as ghosts (their ptr is the
+// leaf's own address, their keys stale); a key put below the live ones
+// takes the last ghost, and the emptying delete's torn image (slot 1's ptr
+// zeroed, slot 0 still a ghost) reads empty.
+TEST_F(TreeCheck, GhostPrefixesAreLegal) {
+  NodeT* leaf = Leaf(1);
+  const Key first = leaf->records[0].key;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(tree_.Remove(leaf->records[i].key));
+  ASSERT_EQ(leaf->records[0].ptr, reinterpret_cast<std::uint64_t>(leaf));
+  ExpectLegal(kKeys - 3);
+  ASSERT_TRUE(tree_.Insert(first, ValueOf(first)));
+  ASSERT_EQ(leaf->records[2].key, first);
+  ExpectLegal(kKeys - 2);
+  NodeT* drained = Leaf(2);
+  const int cnt = Count(drained);
+  for (int i = 0; i < cnt; ++i) {
+    drained->records[i].ptr = reinterpret_cast<std::uint64_t>(drained);
+  }
+  drained->records[1].ptr = 0;
+  ExpectLegal(kKeys - 2 - static_cast<std::size_t>(cnt));
+}
+
 // A crash between unlinking an emptied leaf from the chain and redirecting
 // its parent route: the route to the dead leaf awaits lazy repair.
 TEST_F(TreeCheck, RouteToUnlinkedDeadLeafIsLegal) {
   NodeT* left = Leaf(1);
   NodeT* dead = Sibling(left);
   const int cnt = Count(dead);
-  for (int i = 0; i < cnt; ++i) ASSERT_TRUE(tree_.Remove(dead->records[0].key));
+  // Front deletes leave ghosts in place: read the keys before draining.
+  std::vector<Key> keys;
+  for (int i = 0; i < cnt; ++i) keys.push_back(dead->records[i].key);
+  for (const Key k : keys) ASSERT_TRUE(tree_.Remove(k));
   dead->hdr.flags |= kNodeDead;
   left->hdr.sibling = dead->hdr.sibling;
   ExpectLegal(kKeys - static_cast<std::size_t>(cnt));
@@ -241,6 +268,14 @@ TEST_F(TreeCheck, SwappedKeysInDeletePhaseAreADefect) {
   ASSERT_EQ(leaf->hdr.switch_counter % 2, 1u);
   std::swap(leaf->records[2].key, leaf->records[3].key);
   ExpectDefect("keys not strictly ascending");
+}
+
+// (g) A leaf whose slot 0 takes another node's address as its left
+// neighbour: a record holding that address as its value would read
+// deleted.
+TEST_F(TreeCheck, LeafAnchoredAtAnotherNodeIsADefect) {
+  Leaf(1)->hdr.leftmost = reinterpret_cast<std::uint64_t>(Leaf(2));
+  ExpectDefect("anchors slot 0 at another node's address");
 }
 
 }  // namespace
